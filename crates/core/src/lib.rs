@@ -50,4 +50,4 @@ pub use frontend::{MachineState, StepOutcome, SuitFrontend};
 pub use governor::{GovernorConfig, OffsetGovernor};
 pub use msr::{CurveSelect, DisableOpcodeMsr, DvfsCurveMsr, MsrError, SuitMsrs};
 pub use os::{CpuControl, CurveTarget, HandlerAction, OsStats, SuitOs};
-pub use strategy::{OperatingStrategy, StrategyParams};
+pub use strategy::{OperatingStrategy, StrategyKey, StrategyParams};

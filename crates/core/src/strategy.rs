@@ -51,6 +51,70 @@ impl core::fmt::Display for OperatingStrategy {
     }
 }
 
+/// The strategy names the CLI, the service and the config files accept:
+/// the four strategies of §4.3 plus §6.8's adaptive emulation/𝑓𝑉
+/// chooser.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StrategyKey {
+    /// `fv` — 𝑓𝑉.
+    FreqVolt,
+    /// `f` — 𝑓.
+    Frequency,
+    /// `v` — 𝑉.
+    Voltage,
+    /// `e` — emulation (closed-form; no engine run).
+    Emulation,
+    /// `adaptive` — §6.8's chooser over emulation and 𝑓𝑉.
+    Adaptive,
+}
+
+impl StrategyKey {
+    /// Every key.
+    pub const KEYS: [&'static str; 5] = ["fv", "f", "v", "e", "adaptive"];
+
+    /// The keys that switch curves in the engine (no `e`).
+    pub const ENGINE_KEYS: [&'static str; 4] = ["fv", "f", "v", "adaptive"];
+
+    /// This strategy's key.
+    pub fn key(&self) -> &'static str {
+        match self {
+            StrategyKey::FreqVolt => "fv",
+            StrategyKey::Frequency => "f",
+            StrategyKey::Voltage => "v",
+            StrategyKey::Emulation => "e",
+            StrategyKey::Adaptive => "adaptive",
+        }
+    }
+
+    /// The operating strategy this key runs; `adaptive` shapes its
+    /// operating points as 𝑓𝑉.
+    pub fn strategy(self) -> OperatingStrategy {
+        match self {
+            StrategyKey::FreqVolt | StrategyKey::Adaptive => OperatingStrategy::FreqVolt,
+            StrategyKey::Frequency => OperatingStrategy::Frequency,
+            StrategyKey::Voltage => OperatingStrategy::Voltage,
+            StrategyKey::Emulation => OperatingStrategy::Emulation,
+        }
+    }
+}
+
+impl core::str::FromStr for StrategyKey {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "fv" => Ok(StrategyKey::FreqVolt),
+            "f" => Ok(StrategyKey::Frequency),
+            "v" => Ok(StrategyKey::Voltage),
+            "e" => Ok(StrategyKey::Emulation),
+            "adaptive" => Ok(StrategyKey::Adaptive),
+            other => Err(format!(
+                "unknown strategy '{other}' (expected fv, f, v, e or adaptive)"
+            )),
+        }
+    }
+}
+
 /// The four tuning parameters of §4.3 (values: Table 7).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrategyParams {

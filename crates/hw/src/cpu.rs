@@ -62,6 +62,30 @@ impl UndervoltLevel {
 
     /// Both evaluated levels.
     pub const ALL: [UndervoltLevel; 2] = [UndervoltLevel::Mv70, UndervoltLevel::Mv97];
+
+    /// The keys the CLI and the service accept, as offset magnitudes.
+    pub const KEYS: [&'static str; 2] = ["70", "97"];
+
+    /// This level's key: its offset magnitude in mV.
+    pub fn key(&self) -> &'static str {
+        match self {
+            UndervoltLevel::Mv70 => "70",
+            UndervoltLevel::Mv97 => "97",
+        }
+    }
+}
+
+/// Parses a level key; the offset's sign is optional (`97` or `-97`).
+impl core::str::FromStr for UndervoltLevel {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.strip_prefix('-').unwrap_or(s) {
+            "70" => Ok(UndervoltLevel::Mv70),
+            "97" => Ok(UndervoltLevel::Mv97),
+            _ => Err(format!("unknown offset '{s}' (expected 70 or 97)")),
+        }
+    }
 }
 
 impl core::fmt::Display for UndervoltLevel {
@@ -81,7 +105,7 @@ pub struct OperatingPoint {
 }
 
 /// A complete CPU model consumed by the trace-driven simulator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuModel {
     /// Which CPU this is.
     pub kind: CpuKind,
@@ -100,7 +124,35 @@ pub struct CpuModel {
     pub freq_perf_exponent: f64,
 }
 
+/// Parses a CPU key: `a`, `b` or `c` for 𝒜, ℬ, 𝒞.
+impl core::str::FromStr for CpuModel {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "a" => Ok(CpuModel::i9_9900k()),
+            "b" => Ok(CpuModel::ryzen_7700x()),
+            "c" => Ok(CpuModel::xeon_4208()),
+            other => Err(format!("unknown cpu '{other}' (expected a, b or c)")),
+        }
+    }
+}
+
 impl CpuModel {
+    /// The keys of the trace-simulated CPUs 𝒜, ℬ, 𝒞.
+    pub const KEYS: [&'static str; 3] = ["a", "b", "c"];
+
+    /// This model's key; the Table 2-only i5 is `d`, which no surface
+    /// accepts.
+    pub fn key(&self) -> &'static str {
+        match self.kind {
+            CpuKind::IntelI9_9900K => "a",
+            CpuKind::AmdRyzen7700X => "b",
+            CpuKind::IntelXeon4208 => "c",
+            CpuKind::IntelI5_1035G1 => "d",
+        }
+    }
+
     /// CPU 𝒜 — Intel Core i9-9900K: single shared DVFS domain.
     pub fn i9_9900k() -> Self {
         CpuModel {

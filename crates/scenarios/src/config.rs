@@ -13,8 +13,8 @@
 //! keys like `deadline_ms` are passed through `skip`).
 
 use suit_hw::UndervoltLevel;
-use suit_sim::fleet::FleetConfig;
-use suit_telemetry::json;
+use suit_sim::fleet::{self, FleetConfig};
+use suit_telemetry::{fields, json};
 
 /// Upper bound on banks of either kind in a sampled SRAM array.
 pub const MAX_BANKS: usize = 4096;
@@ -69,36 +69,26 @@ impl Default for SramScenarioConfig {
 }
 
 impl SramScenarioConfig {
-    /// Validates every field; counts are bounds-checked before anything
-    /// is allocated from them.
+    fields! {
+        /// The SRAM scenario's field table.
+        pub const FIELDS: [SramScenarioConfig] = [
+            audit_len: int(1, MAX_AUDIT_LEN),
+            cache_banks: int(0, MAX_BANKS),
+            cores: int(1, MAX_CORES),
+            offsets_mv: reals(1, MAX_OFFSETS, -1000.0, 0.0),
+            reads: int(1, MAX_READS),
+            rob_banks: int(0, MAX_BANKS),
+            seed flag "--seed": int(0, u64::MAX),
+            sigma_mv: real(0.0, 200.0),
+        ];
+    }
+
+    /// Validates every field against its row, then that the array has a
+    /// bank at all; counts are bounds-checked before anything is
+    /// allocated from them.
     pub fn validate(&self) -> Result<(), String> {
-        if self.cache_banks > MAX_BANKS || self.rob_banks > MAX_BANKS {
-            return Err(format!("bank counts must be at most {MAX_BANKS}"));
-        }
-        if self.cache_banks + self.rob_banks == 0 {
-            return Err("need at least one bank (cache_banks + rob_banks >= 1)".to_string());
-        }
-        if !(self.sigma_mv.is_finite() && (0.0..=200.0).contains(&self.sigma_mv)) {
-            return Err("sigma_mv must be finite, in 0..=200".to_string());
-        }
-        if self.offsets_mv.is_empty() || self.offsets_mv.len() > MAX_OFFSETS {
-            return Err(format!("offsets_mv must list 1..={MAX_OFFSETS} offsets"));
-        }
-        for o in &self.offsets_mv {
-            if !(o.is_finite() && (-1000.0..=0.0).contains(o)) {
-                return Err("offsets_mv entries must be finite, in -1000..=0".to_string());
-            }
-        }
-        if self.reads == 0 || self.reads > MAX_READS {
-            return Err(format!("reads must be in 1..={MAX_READS}"));
-        }
-        if self.audit_len == 0 || self.audit_len > MAX_AUDIT_LEN {
-            return Err(format!("audit_len must be in 1..={MAX_AUDIT_LEN}"));
-        }
-        if self.cores == 0 || self.cores > MAX_CORES {
-            return Err(format!("cores must be in 1..={MAX_CORES}"));
-        }
-        Ok(())
+        fields::check(Self::FIELDS, self)?;
+        check_banks(self.cache_banks, self.rob_banks)
     }
 
     /// Parses a config from a JSON document.
@@ -110,35 +100,7 @@ impl SramScenarioConfig {
     /// keys in `skip` (service-level fields such as `deadline_ms`). A
     /// `"scenario"` key, if present, must name this scenario.
     pub fn from_value(v: &json::Value, skip: &[&str]) -> Result<SramScenarioConfig, String> {
-        let json::Value::Obj(pairs) = v else {
-            return Err("scenario config must be a JSON object".to_string());
-        };
-        let mut cfg = SramScenarioConfig::default();
-        for (key, value) in pairs {
-            if skip.contains(&key.as_str()) {
-                continue;
-            }
-            match key.as_str() {
-                "scenario" => {
-                    if value.as_str() != Some("sram") {
-                        return Err("'scenario' must be \"sram\" here".to_string());
-                    }
-                }
-                "cache_banks" => cfg.cache_banks = json_count(value, key)? as usize,
-                "rob_banks" => cfg.rob_banks = json_count(value, key)? as usize,
-                "sigma_mv" => {
-                    cfg.sigma_mv = value
-                        .as_f64()
-                        .ok_or_else(|| "'sigma_mv' must be a number".to_string())?;
-                }
-                "offsets_mv" => cfg.offsets_mv = json_numbers(value, key)?,
-                "reads" => cfg.reads = json_count(value, key)? as u32,
-                "audit_len" => cfg.audit_len = json_count(value, key)? as usize,
-                "cores" => cfg.cores = json_count(value, key)? as usize,
-                "seed" => cfg.seed = json_count(value, key)?,
-                other => return Err(format!("unknown key '{other}'")),
-            }
-        }
+        let cfg: SramScenarioConfig = parse_kind(Self::FIELDS, v, skip, "sram")?;
         cfg.validate()?;
         Ok(cfg)
     }
@@ -223,6 +185,35 @@ impl Default for ScroogeConfig {
 }
 
 impl ScroogeConfig {
+    fields! {
+        /// The Scrooge scenario's field table; the fleet-shape rows share
+        /// [`FleetConfig::FIELDS`]' bounds.
+        pub const FIELDS: [ScroogeConfig] = [
+            audit_len: int(1, MAX_AUDIT_LEN),
+            cache_banks: int(0, MAX_BANKS),
+            cores_per_domain: int(1, fleet::MAX_CORES),
+            crash_cost: real(0.0, 1e9),
+            domain_power_w: real_gt(0.0, 100_000.0),
+            domains_per_rack: int(1, fleet::MAX_DOMAINS),
+            energy_price: real(0.0, 1e9),
+            epoch_insts: int(1, fleet::MAX_EPOCH_INSTS),
+            epochs: int(1, fleet::MAX_EPOCHS),
+            freq_min: real_gt(0.0, 1.0),
+            freq_steps: int(2, MAX_STEPS),
+            horizon_hours: real_gt(0.0, 1_000_000.0),
+            offset_min_mv: real_lt(-400.0, 0.0),
+            offset_steps: int(2, MAX_STEPS),
+            racks: int(1, fleet::MAX_RACKS),
+            refine_rounds: int(0, MAX_REFINE_ROUNDS),
+            rob_banks: int(0, MAX_BANKS),
+            sdc_cost: real(0.0, 1e9),
+            seed flag "--seed": int(0, u64::MAX),
+            sigma_mv: real(0.0, 200.0),
+            sla_cost: real(0.0, 1e9),
+            workload: text(fleet::check_workload),
+        ];
+    }
+
     /// The validation fleet this scenario attacks, at `level`. The fleet
     /// shape (racks, domains, cores, epochs, workload) is validated by
     /// `FleetConfig::validate`, so the Scrooge scenario inherits every
@@ -241,56 +232,13 @@ impl ScroogeConfig {
         }
     }
 
-    /// Validates every field (fleet shape through `FleetConfig`).
+    /// Validates every field against its row, then the rules that span
+    /// fields: the fleet shape through `FleetConfig` and a nonempty
+    /// array.
     pub fn validate(&self) -> Result<(), String> {
+        fields::check(Self::FIELDS, self)?;
         self.fleet_config(UndervoltLevel::Mv97).validate()?;
-        if !(self.sigma_mv.is_finite() && (0.0..=200.0).contains(&self.sigma_mv)) {
-            return Err("sigma_mv must be finite, in 0..=200".to_string());
-        }
-        if self.cache_banks > MAX_BANKS || self.rob_banks > MAX_BANKS {
-            return Err(format!("bank counts must be at most {MAX_BANKS}"));
-        }
-        if self.cache_banks + self.rob_banks == 0 {
-            return Err("need at least one bank (cache_banks + rob_banks >= 1)".to_string());
-        }
-        if !(self.offset_min_mv.is_finite() && (-400.0..0.0).contains(&self.offset_min_mv)) {
-            return Err("offset_min_mv must be finite, in -400..<0".to_string());
-        }
-        if !(2..=MAX_STEPS).contains(&self.offset_steps)
-            || !(2..=MAX_STEPS).contains(&self.freq_steps)
-        {
-            return Err(format!("grid steps must be in 2..={MAX_STEPS}"));
-        }
-        if !(self.freq_min.is_finite() && self.freq_min > 0.0 && self.freq_min <= 1.0) {
-            return Err("freq_min must be in (0, 1]".to_string());
-        }
-        if self.refine_rounds > MAX_REFINE_ROUNDS {
-            return Err(format!("refine_rounds must be at most {MAX_REFINE_ROUNDS}"));
-        }
-        for (field, v) in [
-            ("energy_price", self.energy_price),
-            ("crash_cost", self.crash_cost),
-            ("sdc_cost", self.sdc_cost),
-            ("sla_cost", self.sla_cost),
-        ] {
-            if !(v.is_finite() && (0.0..=1e9).contains(&v)) {
-                return Err(format!("{field} must be finite, in 0..=1e9"));
-            }
-        }
-        if !(self.domain_power_w.is_finite() && (0.0..=100_000.0).contains(&self.domain_power_w))
-            || self.domain_power_w == 0.0
-        {
-            return Err("domain_power_w must be finite, in (0, 100000]".to_string());
-        }
-        if !(self.horizon_hours.is_finite() && (0.0..=1_000_000.0).contains(&self.horizon_hours))
-            || self.horizon_hours == 0.0
-        {
-            return Err("horizon_hours must be finite, in (0, 1000000]".to_string());
-        }
-        if self.audit_len == 0 || self.audit_len > MAX_AUDIT_LEN {
-            return Err(format!("audit_len must be in 1..={MAX_AUDIT_LEN}"));
-        }
-        Ok(())
+        check_banks(self.cache_banks, self.rob_banks)
     }
 
     /// Parses a config from a JSON document.
@@ -302,50 +250,7 @@ impl ScroogeConfig {
     /// keys in `skip`. A `"scenario"` key, if present, must name this
     /// scenario.
     pub fn from_value(v: &json::Value, skip: &[&str]) -> Result<ScroogeConfig, String> {
-        let json::Value::Obj(pairs) = v else {
-            return Err("scenario config must be a JSON object".to_string());
-        };
-        let mut cfg = ScroogeConfig::default();
-        for (key, value) in pairs {
-            if skip.contains(&key.as_str()) {
-                continue;
-            }
-            match key.as_str() {
-                "scenario" => {
-                    if value.as_str() != Some("scrooge") {
-                        return Err("'scenario' must be \"scrooge\" here".to_string());
-                    }
-                }
-                "racks" => cfg.racks = json_count(value, key)? as usize,
-                "domains_per_rack" => cfg.domains_per_rack = json_count(value, key)? as usize,
-                "cores_per_domain" => cfg.cores_per_domain = json_count(value, key)? as usize,
-                "epochs" => cfg.epochs = json_count(value, key)? as usize,
-                "epoch_insts" => cfg.epoch_insts = json_count(value, key)?,
-                "workload" => {
-                    cfg.workload = value
-                        .as_str()
-                        .ok_or_else(|| "'workload' must be a string".to_string())?
-                        .to_string();
-                }
-                "sigma_mv" => cfg.sigma_mv = json_number(value, key)?,
-                "cache_banks" => cfg.cache_banks = json_count(value, key)? as usize,
-                "rob_banks" => cfg.rob_banks = json_count(value, key)? as usize,
-                "offset_min_mv" => cfg.offset_min_mv = json_number(value, key)?,
-                "offset_steps" => cfg.offset_steps = json_count(value, key)? as usize,
-                "freq_min" => cfg.freq_min = json_number(value, key)?,
-                "freq_steps" => cfg.freq_steps = json_count(value, key)? as usize,
-                "refine_rounds" => cfg.refine_rounds = json_count(value, key)? as usize,
-                "energy_price" => cfg.energy_price = json_number(value, key)?,
-                "crash_cost" => cfg.crash_cost = json_number(value, key)?,
-                "sdc_cost" => cfg.sdc_cost = json_number(value, key)?,
-                "sla_cost" => cfg.sla_cost = json_number(value, key)?,
-                "domain_power_w" => cfg.domain_power_w = json_number(value, key)?,
-                "horizon_hours" => cfg.horizon_hours = json_number(value, key)?,
-                "audit_len" => cfg.audit_len = json_count(value, key)? as usize,
-                "seed" => cfg.seed = json_count(value, key)?,
-                other => return Err(format!("unknown key '{other}'")),
-            }
-        }
+        let cfg: ScroogeConfig = parse_kind(Self::FIELDS, v, skip, "scrooge")?;
         cfg.validate()?;
         Ok(cfg)
     }
@@ -387,37 +292,26 @@ impl ScenarioConfig {
     }
 }
 
-/// Extracts a non-negative integer count from a JSON number, rejecting
-/// fractions, negatives, and anything beyond exact-f64 range.
-fn json_count(v: &json::Value, key: &str) -> Result<u64, String> {
-    let n = v
-        .as_f64()
-        .ok_or_else(|| format!("'{key}' must be a number"))?;
-    if !n.is_finite() || n.fract() != 0.0 || !(0.0..=9_007_199_254_740_992.0).contains(&n) {
-        return Err(format!("'{key}' must be a non-negative integer"));
+/// The table parse of one scenario kind; its `"scenario"` key, if
+/// present, must name `kind`.
+fn parse_kind<C: Default>(
+    table: &[fields::Field<C>],
+    v: &json::Value,
+    skip: &[&str],
+    kind: &str,
+) -> Result<C, String> {
+    match v.get("scenario") {
+        Some(s) if s.as_str() != Some(kind) => Err(format!("'scenario' must be \"{kind}\" here")),
+        _ => fields::parse(table, v, &[skip, &["scenario"]].concat()),
     }
-    Ok(n as u64)
 }
 
-/// Extracts a finite number (range checks happen in `validate`).
-fn json_number(v: &json::Value, key: &str) -> Result<f64, String> {
-    v.as_f64()
-        .filter(|n| n.is_finite())
-        .ok_or_else(|| format!("'{key}' must be a finite number"))
-}
-
-/// Extracts an array of finite numbers.
-fn json_numbers(v: &json::Value, key: &str) -> Result<Vec<f64>, String> {
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| format!("'{key}' must be an array"))?;
-    arr.iter()
-        .map(|x| {
-            x.as_f64()
-                .filter(|n| n.is_finite())
-                .ok_or_else(|| format!("'{key}' entries must be finite numbers"))
-        })
-        .collect()
+/// An array needs at least one bank of either kind.
+fn check_banks(cache_banks: usize, rob_banks: usize) -> Result<(), String> {
+    if cache_banks + rob_banks == 0 {
+        return Err("need at least one bank (cache_banks + rob_banks >= 1)".to_string());
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -16,21 +16,22 @@
 
 use std::time::Instant;
 
-use suit_core::strategy::StrategyParams;
-use suit_core::{AdaptiveConfig, OperatingStrategy};
+use suit_core::StrategyKey;
 use suit_exec::Threads;
 use suit_faults::inject::Campaign;
 use suit_faults::vmin::ChipVminModel;
-use suit_hw::{CpuKind, CpuModel, UndervoltLevel};
+use suit_hw::{CpuModel, UndervoltLevel};
 use suit_isa::TABLE1;
 use suit_rng::SuitRng;
 use suit_scenarios::ScenarioConfig;
 use suit_sim::analytic::simulate_emulation;
-use suit_sim::engine::{run_stream, simulate, SimConfig};
+use suit_sim::engine::{run_stream, simulate, SimConfig, MAX_DOMAIN_CORES};
 use suit_sim::experiment::{run_table6, RowResult};
 use suit_sim::result::RunResult;
+use suit_telemetry::fields;
+use suit_telemetry::fields::Codec as _;
 use suit_telemetry::json::{escape, parse, Value};
-use suit_trace::profile;
+use suit_trace::{profile, WorkloadProfile};
 
 use crate::tracestore::StoredTrace;
 
@@ -81,14 +82,14 @@ pub enum Job {
 }
 
 /// A single simulation point (the CLI `simulate` surface as JSON).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimPoint {
-    /// Workload name (see `suit-cli list`).
+    /// Workload name (see `suit-cli list`); empty in a batch template.
     pub workload: String,
-    /// CPU model key: `a` | `b` | `c`.
+    /// CPU model.
     pub cpu: CpuModel,
-    /// Strategy key: `fv` | `f` | `v` | `e` | `adaptive`.
-    pub strategy: String,
+    /// Strategy.
+    pub strategy: StrategyKey,
     /// Undervolt level.
     pub level: UndervoltLevel,
     /// Cores sharing the DVFS domain.
@@ -99,14 +100,92 @@ pub struct SimPoint {
     pub seed: u64,
 }
 
+impl Default for SimPoint {
+    fn default() -> Self {
+        SimPoint {
+            workload: String::new(),
+            cpu: CpuModel::xeon_4208(),
+            strategy: StrategyKey::FreqVolt,
+            level: UndervoltLevel::Mv97,
+            cores: 1,
+            insts: None,
+            seed: 0x5017,
+        }
+    }
+}
+
+impl SimPoint {
+    fields! {
+        /// The point's field table: `/v1/simulate`, the `/v1/batch`
+        /// template and `suit-cli simulate|profile` flags.
+        pub const FIELDS: [SimPoint] = [
+            cores flag "--cores": int(1, MAX_DOMAIN_CORES),
+            cpu flag "--cpu": key(CpuModel::key, &CpuModel::KEYS),
+            insts flag "--insts": opt_int(1, u64::MAX),
+            level as "offset" flag "--offset": num_key(UndervoltLevel::key, &UndervoltLevel::KEYS),
+            seed flag "--seed": int(0, u64::MAX),
+            strategy flag "--strategy": key(StrategyKey::key, &StrategyKey::KEYS),
+            workload: text(point_workload),
+        ];
+    }
+
+    /// This point's engine configuration (meaningless for `e`, which is
+    /// closed-form).
+    pub fn config(&self) -> SimConfig {
+        SimConfig {
+            cores: self.cores,
+            seed: self.seed,
+            max_insts: self.insts,
+            ..SimConfig::for_point(&self.cpu, self.strategy, self.level)
+        }
+    }
+
+    /// Simulates `p` at this point with `seed` — `e` closed-form, every
+    /// other strategy through the engine.
+    pub fn simulate(&self, p: &WorkloadProfile, seed: u64) -> RunResult {
+        match self.strategy {
+            StrategyKey::Emulation => {
+                simulate_emulation(&self.cpu, p, self.level, seed, self.insts)
+            }
+            _ => simulate(
+                &self.cpu,
+                p,
+                &SimConfig {
+                    seed,
+                    ..self.config()
+                },
+            ),
+        }
+    }
+}
+
+/// A point's workload: a profile name, or empty for none.
+fn point_workload(name: &str) -> Result<(), String> {
+    if name.is_empty() {
+        return Ok(());
+    }
+    profile::check_name(name)
+}
+
+/// The Table 6 sweep of `/v1/batch` (`{"sweep":"table6"}`).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Table6Spec {
+    /// Per-workload instruction cap.
+    pub max_insts: Option<u64>,
+}
+
+impl Table6Spec {
+    fields! {
+        /// The sweep's field table.
+        pub const FIELDS: [Table6Spec] = [max_insts: opt_int(1, u64::MAX)];
+    }
+}
+
 /// A batch sweep: either the full Table 6 harness or a workload list.
 #[derive(Debug, Clone)]
 pub enum BatchSpec {
-    /// The full Table 6 sweep (`{"sweep":"table6"}`), optionally capped.
-    Table6 {
-        /// Per-workload instruction cap.
-        max_insts: Option<u64>,
-    },
+    /// The full Table 6 sweep, optionally capped.
+    Table6(Table6Spec),
     /// An explicit workload list sharing one configuration template.
     /// Job `i` simulates `workloads[i]` with seed `fork(i)` of `seed`,
     /// so the response is byte-identical at any worker-thread count.
@@ -122,21 +201,57 @@ pub enum BatchSpec {
 /// The validated body of `POST /v1/simulate-trace` — everything but the
 /// stored trace itself, which the server resolves from the trace store
 /// by ID before queueing a [`TraceJob`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     /// Content-addressed trace ID from `POST /v1/trace` (32 hex digits).
     pub trace: String,
-    /// CPU model key: `a` | `b` | `c`.
+    /// CPU model.
     pub cpu: CpuModel,
-    /// Strategy keys to replay, one engine run each. `e` (closed-form
+    /// Strategies to replay, one engine run each. `e` (closed-form
     /// emulation) needs an analytic workload profile and is rejected.
-    pub strategies: Vec<String>,
+    pub strategies: Vec<StrategyKey>,
     /// Undervolt level.
     pub level: UndervoltLevel,
     /// Optional instruction cap per replay.
     pub insts: Option<u64>,
     /// Root seed; replay `i` runs with `fork(i)`.
     pub seed: u64,
+}
+
+impl Default for TraceSpec {
+    fn default() -> Self {
+        TraceSpec {
+            trace: String::new(),
+            cpu: CpuModel::xeon_4208(),
+            strategies: vec![StrategyKey::FreqVolt],
+            level: UndervoltLevel::Mv97,
+            insts: None,
+            seed: 0x5017,
+        }
+    }
+}
+
+impl TraceSpec {
+    fields! {
+        /// The replay request's field table.
+        pub const FIELDS: [TraceSpec] = [
+            cpu: key(CpuModel::key, &CpuModel::KEYS),
+            insts: opt_int(1, u64::MAX),
+            level as "offset": num_key(UndervoltLevel::key, &UndervoltLevel::KEYS),
+            seed: int(0, u64::MAX),
+            strategies: keys(StrategyKey::key, &StrategyKey::ENGINE_KEYS),
+            trace: text(trace_id),
+        ];
+    }
+}
+
+/// A trace ID as `POST /v1/trace` mints it, or empty for none.
+fn trace_id(id: &str) -> Result<(), String> {
+    let hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+    if id.is_empty() || (id.len() == 32 && id.bytes().all(hex)) {
+        return Ok(());
+    }
+    Err("field 'trace' must be a 32-hex-digit trace ID (from POST /v1/trace)".to_string())
 }
 
 /// A queued trace replay: the validated spec plus the stored container
@@ -149,8 +264,11 @@ pub struct TraceJob {
     pub stored: StoredTrace,
 }
 
+/// Upper bound on cores in a fault campaign's sampled chip.
+pub const MAX_CHIP_CORES: usize = 256;
+
 /// A fault-campaign request (the Table 1 sweep surface as JSON).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultsSpec {
     /// Cores in the sampled chip.
     pub cores: usize,
@@ -162,15 +280,43 @@ pub struct FaultsSpec {
     pub executions: u32,
 }
 
-/// Parses a request body and rejects any non-finite number anywhere in
-/// it. The in-tree JSON parser maps overflow literals like `1e999` onto
-/// ±∞ (as `f64::from_str` does), and JSON has no representation for
+impl Default for FaultsSpec {
+    fn default() -> Self {
+        FaultsSpec {
+            cores: 4,
+            sigma_mv: 5.0,
+            seed: 0x5017,
+            executions: 10_000,
+        }
+    }
+}
+
+impl FaultsSpec {
+    fields! {
+        /// The campaign's field table.
+        pub const FIELDS: [FaultsSpec] = [
+            cores: int(1, MAX_CHIP_CORES),
+            executions: int(1, 10_000_000),
+            seed: int(0, u64::MAX),
+            sigma_mv: real_lt(0.0, f64::INFINITY),
+        ];
+    }
+}
+
+/// Parses a request body, rejecting any non-finite number anywhere in
+/// it, and peels off the service-level `deadline_ms`. The in-tree JSON
+/// parser maps overflow literals like `1e999` onto ±∞ (as
+/// `f64::from_str` does), and JSON has no representation for
 /// NaN/Infinity — so a body smuggling one can never round-trip and is a
 /// structured `400` here, before any field validation sees it.
-fn parse_body(body: &str) -> Result<Value, BadRequest> {
+fn parse_body(body: &str) -> Result<(Value, Option<u64>), BadRequest> {
     let v = parse(body).map_err(|e| BadRequest(format!("invalid JSON body: {e}")))?;
     reject_non_finite(&v)?;
-    Ok(v)
+    let deadline = fields::int(0, u64::MAX);
+    let deadline_ms = v
+        .get("deadline_ms")
+        .map(|d| deadline.decode("deadline_ms", d));
+    Ok((v, deadline_ms.transpose().map_err(BadRequest)?))
 }
 
 fn reject_non_finite(v: &Value) -> Result<(), BadRequest> {
@@ -184,174 +330,60 @@ fn reject_non_finite(v: &Value) -> Result<(), BadRequest> {
     }
 }
 
-fn obj<'a>(v: &'a Value, allowed: &[&str]) -> Result<&'a [(String, Value)], BadRequest> {
-    let Value::Obj(pairs) = v else {
-        return Err(BadRequest("request body must be a JSON object".into()));
-    };
-    for (k, _) in pairs {
-        if !allowed.contains(&k.as_str()) {
-            return Err(BadRequest(format!(
-                "unknown field '{k}' (allowed: {})",
-                allowed.join(", ")
-            )));
-        }
-    }
-    Ok(pairs)
-}
-
-fn get_str(v: &Value, key: &str) -> Result<Option<String>, BadRequest> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(BadRequest(format!("field '{key}' must be a string"))),
-    }
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<Option<u64>, BadRequest> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(Value::Num(n)) if n.fract() == 0.0 && *n >= 0.0 && *n <= 2f64.powi(53) => {
-            Ok(Some(*n as u64))
-        }
-        Some(_) => Err(BadRequest(format!(
-            "field '{key}' must be a non-negative integer"
-        ))),
-    }
-}
-
-fn get_f64(v: &Value, key: &str) -> Result<Option<f64>, BadRequest> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(Value::Num(n)) => Ok(Some(*n)),
-        Some(_) => Err(BadRequest(format!("field '{key}' must be a number"))),
-    }
-}
-
-fn parse_cpu(key: Option<String>) -> Result<CpuModel, BadRequest> {
-    match key.as_deref().unwrap_or("c") {
-        "a" => Ok(CpuModel::i9_9900k()),
-        "b" => Ok(CpuModel::ryzen_7700x()),
-        "c" => Ok(CpuModel::xeon_4208()),
-        other => Err(BadRequest(format!(
-            "unknown cpu '{other}' (expected a, b or c)"
-        ))),
-    }
-}
-
-fn parse_level(offset: Option<u64>) -> Result<UndervoltLevel, BadRequest> {
-    match offset.unwrap_or(97) {
-        70 => Ok(UndervoltLevel::Mv70),
-        97 => Ok(UndervoltLevel::Mv97),
-        other => Err(BadRequest(format!(
-            "unknown offset '{other}' (expected 70 or 97)"
-        ))),
-    }
-}
-
-const STRATEGIES: [&str; 5] = ["fv", "f", "v", "e", "adaptive"];
-
-/// Fields shared by `/v1/simulate` and the batch template.
-const POINT_FIELDS: [&str; 8] = [
-    "workload",
-    "cpu",
-    "strategy",
-    "offset",
-    "cores",
-    "insts",
-    "seed",
-    "deadline_ms",
-];
-
-fn parse_point(v: &Value, require_workload: bool) -> Result<SimPoint, BadRequest> {
-    let workload = match get_str(v, "workload")? {
-        Some(name) => {
-            profile::by_name(&name).ok_or_else(|| {
-                BadRequest(format!("unknown workload '{name}' (see `suit-cli list`)"))
-            })?;
-            name
-        }
-        None if require_workload => {
-            return Err(BadRequest("missing field 'workload'".into()));
-        }
-        None => String::new(),
-    };
-    let strategy = get_str(v, "strategy")?.unwrap_or_else(|| "fv".into());
-    if !STRATEGIES.contains(&strategy.as_str()) {
-        return Err(BadRequest(format!(
-            "unknown strategy '{strategy}' (expected {})",
-            STRATEGIES.join(", ")
-        )));
-    }
-    let insts = get_u64(v, "insts")?;
-    if insts == Some(0) {
-        return Err(BadRequest("field 'insts' must be at least 1".into()));
-    }
-    let cores = get_u64(v, "cores")?.unwrap_or(1);
-    if cores == 0 {
-        return Err(BadRequest("field 'cores' must be at least 1".into()));
-    }
-    Ok(SimPoint {
-        workload,
-        cpu: parse_cpu(get_str(v, "cpu")?)?,
-        strategy,
-        level: parse_level(get_u64(v, "offset")?)?,
-        cores: cores as usize,
-        insts,
-        seed: get_u64(v, "seed")?.unwrap_or(0x5017),
-    })
+/// The table parse of a request body.
+fn parse_fields<C: Default>(
+    table: &[fields::Field<C>],
+    v: &Value,
+    skip: &[&str],
+) -> Result<C, BadRequest> {
+    fields::parse(table, v, skip).map_err(BadRequest)
 }
 
 /// Validates the body of `POST /v1/simulate`.
 pub fn parse_simulate(body: &str) -> Result<(Job, Option<u64>), BadRequest> {
-    let v = parse_body(body)?;
-    obj(&v, &POINT_FIELDS)?;
-    let deadline_ms = get_u64(&v, "deadline_ms")?;
-    Ok((Job::Simulate(Box::new(parse_point(&v, true)?)), deadline_ms))
+    let (v, deadline_ms) = parse_body(body)?;
+    let point: SimPoint = parse_fields(SimPoint::FIELDS, &v, &["deadline_ms"])?;
+    if point.workload.is_empty() {
+        return Err(BadRequest("missing field 'workload'".into()));
+    }
+    Ok((Job::Simulate(Box::new(point)), deadline_ms))
 }
 
-/// Validates the body of `POST /v1/batch`.
+/// Validates the body of `POST /v1/batch`. Keys of the other mode are
+/// accepted and ignored: `max_insts` with a workload list, the point
+/// fields with the Table 6 sweep.
 pub fn parse_batch(body: &str) -> Result<(Job, Option<u64>), BadRequest> {
-    let v = parse_body(body)?;
-    let mut fields = vec!["sweep", "max_insts", "workloads"];
-    fields.extend(POINT_FIELDS);
-    obj(&v, &fields)?;
-    let deadline_ms = get_u64(&v, "deadline_ms")?;
-    match get_str(&v, "sweep")? {
-        Some(sweep) if sweep == "table6" => {
+    let (v, deadline_ms) = parse_body(body)?;
+    let spec = match v.get("sweep") {
+        Some(Value::Str(sweep)) if sweep == "table6" => {
             if v.get("workloads").is_some() {
                 return Err(BadRequest(
                     "'sweep' and 'workloads' are mutually exclusive".into(),
                 ));
             }
-            let max_insts = get_u64(&v, "max_insts")?;
-            if max_insts == Some(0) {
-                return Err(BadRequest("field 'max_insts' must be at least 1".into()));
-            }
-            Ok((Job::Batch(BatchSpec::Table6 { max_insts }), deadline_ms))
+            let names = SimPoint::FIELDS.iter().map(|f| f.name);
+            let skip: Vec<&str> = names.chain(["deadline_ms", "sweep"]).collect();
+            BatchSpec::Table6(parse_fields(Table6Spec::FIELDS, &v, &skip)?)
         }
-        Some(other) => Err(BadRequest(format!(
-            "unknown sweep '{other}' (expected table6)"
-        ))),
+        Some(Value::Str(other)) => {
+            return Err(BadRequest(format!(
+                "unknown sweep '{other}' (expected table6)"
+            )))
+        }
+        Some(_) => return Err(BadRequest("field 'sweep' must be a string".into())),
         None => {
             let workloads: Vec<String> = match v.get("workloads") {
                 Some(Value::Str(s)) if s == "all" => {
                     profile::all().iter().map(|p| p.name.to_string()).collect()
                 }
-                Some(Value::Arr(items)) => {
-                    let mut names = Vec::with_capacity(items.len());
-                    for item in items {
-                        let Value::Str(name) = item else {
-                            return Err(BadRequest(
-                                "field 'workloads' must be an array of names".into(),
-                            ));
-                        };
-                        if profile::by_name(name).is_none() {
-                            return Err(BadRequest(format!("unknown workload '{name}'")));
-                        }
-                        names.push(name.clone());
-                    }
-                    names
-                }
+                Some(Value::Arr(items)) => items
+                    .iter()
+                    .map(|item| match item {
+                        Value::Str(name) => profile::check_name(name).map(|()| name.clone()),
+                        _ => Err("field 'workloads' must be an array of names".to_string()),
+                    })
+                    .collect::<Result<_, _>>()
+                    .map_err(BadRequest)?,
                 Some(_) => {
                     return Err(BadRequest(
                         "field 'workloads' must be an array of names or \"all\"".into(),
@@ -366,150 +398,46 @@ pub fn parse_batch(body: &str) -> Result<(Job, Option<u64>), BadRequest> {
             if workloads.is_empty() {
                 return Err(BadRequest("field 'workloads' must not be empty".into()));
             }
-            let template = Box::new(parse_point(&v, false)?);
-            Ok((
-                Job::Batch(BatchSpec::Workloads {
-                    workloads,
-                    template,
-                }),
-                deadline_ms,
-            ))
+            let skip = ["deadline_ms", "max_insts", "workloads"];
+            let template = Box::new(parse_fields(SimPoint::FIELDS, &v, &skip)?);
+            BatchSpec::Workloads {
+                workloads,
+                template,
+            }
         }
-    }
+    };
+    Ok((Job::Batch(spec), deadline_ms))
 }
 
 /// Validates the body of `POST /v1/simulate-trace` into a [`TraceSpec`].
 /// The trace ID is syntax-checked here; resolving it against the store
 /// (and the `404` for an unknown ID) is the server's job.
 pub fn parse_simulate_trace(body: &str) -> Result<(TraceSpec, Option<u64>), BadRequest> {
-    let v = parse_body(body)?;
-    obj(
-        &v,
-        &[
-            "trace",
-            "cpu",
-            "strategy",
-            "strategies",
-            "offset",
-            "insts",
-            "seed",
-            "deadline_ms",
-        ],
-    )?;
-    let deadline_ms = get_u64(&v, "deadline_ms")?;
-    let trace = get_str(&v, "trace")?.ok_or_else(|| BadRequest("missing field 'trace'".into()))?;
-    if trace.len() != 32
-        || !trace
-            .bytes()
-            .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
-    {
-        return Err(BadRequest(
-            "field 'trace' must be a 32-hex-digit trace ID (from POST /v1/trace)".into(),
-        ));
-    }
-    let check_strategy = |s: &str| -> Result<(), BadRequest> {
-        if s == "e" {
-            return Err(BadRequest(
-                "strategy 'e' is closed-form over an analytic profile; recorded traces replay \
-                 with fv, f, v or adaptive"
-                    .into(),
-            ));
-        }
-        if !STRATEGIES.contains(&s) {
-            return Err(BadRequest(format!(
-                "unknown strategy '{s}' (expected fv, f, v or adaptive)"
-            )));
-        }
-        Ok(())
-    };
-    let strategies = match (get_str(&v, "strategy")?, v.get("strategies")) {
-        (Some(_), Some(_)) => {
-            return Err(BadRequest(
-                "'strategy' and 'strategies' are mutually exclusive".into(),
-            ));
-        }
-        (Some(one), None) => {
-            check_strategy(&one)?;
-            vec![one]
-        }
-        (None, Some(Value::Arr(items))) => {
-            let mut keys = Vec::with_capacity(items.len());
-            for item in items {
-                let Value::Str(key) = item else {
-                    return Err(BadRequest(
-                        "field 'strategies' must be an array of strategy keys".into(),
-                    ));
-                };
-                check_strategy(key)?;
-                if keys.contains(key) {
-                    return Err(BadRequest(format!(
-                        "duplicate strategy '{key}' in 'strategies'"
-                    )));
-                }
-                keys.push(key.clone());
+    let (mut v, deadline_ms) = parse_body(body)?;
+    // `"strategy": k` is shorthand for `"strategies": [k]`.
+    if let Value::Obj(pairs) = &mut v {
+        if let Some(i) = pairs.iter().position(|(k, _)| k == "strategy") {
+            if pairs.iter().any(|(k, _)| k == "strategies") {
+                return Err(BadRequest(
+                    "'strategy' and 'strategies' are mutually exclusive".into(),
+                ));
             }
-            if keys.is_empty() {
-                return Err(BadRequest("field 'strategies' must not be empty".into()));
-            }
-            keys
+            let (_, one) = pairs.remove(i);
+            pairs.push(("strategies".into(), Value::Arr(vec![one])));
         }
-        (None, Some(_)) => {
-            return Err(BadRequest(
-                "field 'strategies' must be an array of strategy keys".into(),
-            ));
-        }
-        (None, None) => vec!["fv".into()],
-    };
-    let insts = get_u64(&v, "insts")?;
-    if insts == Some(0) {
-        return Err(BadRequest("field 'insts' must be at least 1".into()));
     }
-    Ok((
-        TraceSpec {
-            trace,
-            cpu: parse_cpu(get_str(&v, "cpu")?)?,
-            strategies,
-            level: parse_level(get_u64(&v, "offset")?)?,
-            insts,
-            seed: get_u64(&v, "seed")?.unwrap_or(0x5017),
-        },
-        deadline_ms,
-    ))
+    let spec: TraceSpec = parse_fields(TraceSpec::FIELDS, &v, &["deadline_ms"])?;
+    if spec.trace.is_empty() {
+        return Err(BadRequest("missing field 'trace'".into()));
+    }
+    Ok((spec, deadline_ms))
 }
 
 /// Validates the body of `POST /v1/faults`.
 pub fn parse_faults(body: &str) -> Result<(Job, Option<u64>), BadRequest> {
-    let v = parse_body(body)?;
-    obj(
-        &v,
-        &["cores", "sigma_mv", "seed", "executions", "deadline_ms"],
-    )?;
-    let deadline_ms = get_u64(&v, "deadline_ms")?;
-    let cores = get_u64(&v, "cores")?.unwrap_or(4);
-    if cores == 0 || cores > 256 {
-        return Err(BadRequest("field 'cores' must be in 1..=256".into()));
-    }
-    let sigma_mv = get_f64(&v, "sigma_mv")?.unwrap_or(5.0);
-    if !sigma_mv.is_finite() || sigma_mv < 0.0 {
-        return Err(BadRequest(
-            "field 'sigma_mv' must be a non-negative number".into(),
-        ));
-    }
-    let executions = get_u64(&v, "executions")?.unwrap_or(10_000);
-    if executions == 0 || executions > 10_000_000 {
-        return Err(BadRequest(
-            "field 'executions' must be in 1..=10000000".into(),
-        ));
-    }
-    Ok((
-        Job::Faults(FaultsSpec {
-            cores: cores as usize,
-            sigma_mv,
-            seed: get_u64(&v, "seed")?.unwrap_or(0x5017),
-            executions: executions as u32,
-        }),
-        deadline_ms,
-    ))
+    let (v, deadline_ms) = parse_body(body)?;
+    let spec = parse_fields(FaultsSpec::FIELDS, &v, &["deadline_ms"])?;
+    Ok((Job::Faults(spec), deadline_ms))
 }
 
 /// Validates the body of `POST /v1/scenario`. Field validation lives in
@@ -517,8 +445,7 @@ pub fn parse_faults(body: &str) -> Result<(Job, Option<u64>), BadRequest> {
 /// document, discriminated by the required `"scenario"` key); only the
 /// service-level `deadline_ms` field is peeled off here.
 pub fn parse_scenario(body: &str) -> Result<(Job, Option<u64>), BadRequest> {
-    let v = parse_body(body)?;
-    let deadline_ms = get_u64(&v, "deadline_ms")?;
+    let (v, deadline_ms) = parse_body(body)?;
     let cfg = ScenarioConfig::from_value(&v, &["deadline_ms"]).map_err(BadRequest)?;
     Ok((Job::Scenario(Box::new(cfg)), deadline_ms))
 }
@@ -535,10 +462,10 @@ pub fn execute(job: &Job, threads: Threads, deadline: Deadline) -> Result<String
     match job {
         Job::Simulate(point) => Ok(format!(
             "{{\"result\":{}}}",
-            run_result_json(&simulate_point(point, &point.workload, point.seed))
+            run_result_json(&point.simulate(workload(&point.workload), point.seed))
         )),
-        Job::Batch(BatchSpec::Table6 { max_insts }) => {
-            let rows = run_table6(threads, *max_insts);
+        Job::Batch(BatchSpec::Table6(spec)) => {
+            let rows = run_table6(threads, spec.max_insts);
             if deadline.expired() {
                 return Err(ExecError::DeadlineExpired);
             }
@@ -553,11 +480,7 @@ pub fn execute(job: &Job, threads: Threads, deadline: Deadline) -> Result<String
                 if deadline.expired() {
                     return None;
                 }
-                Some(simulate_point(
-                    template,
-                    &workloads[i],
-                    root.fork(i as u64).root_seed(),
-                ))
+                Some(template.simulate(workload(&workloads[i]), root.fork(i as u64).root_seed()))
             });
             let results: Option<Vec<RunResult>> = results.into_iter().collect();
             match results {
@@ -624,7 +547,7 @@ pub fn execute(job: &Job, threads: Threads, deadline: Deadline) -> Result<String
                 }
                 Some(replay_trace(
                     tj,
-                    &tj.spec.strategies[i],
+                    tj.spec.strategies[i],
                     root.fork(i as u64).root_seed(),
                 ))
             });
@@ -640,7 +563,7 @@ pub fn execute(job: &Job, threads: Threads, deadline: Deadline) -> Result<String
                         .map(|(s, r)| {
                             format!(
                                 "{{\"strategy\":{},\"result\":{}}}",
-                                escape(s),
+                                escape(s.key()),
                                 run_result_json(r)
                             )
                         })
@@ -660,32 +583,13 @@ pub fn execute(job: &Job, threads: Threads, deadline: Deadline) -> Result<String
 /// the container through [`run_stream`] — replay memory is O(chunk),
 /// never O(trace). The container was fully decoded once at upload, so
 /// opening and streaming it again cannot fail.
-fn replay_trace(tj: &TraceJob, strategy: &str, seed: u64) -> RunResult {
+fn replay_trace(tj: &TraceJob, strategy: StrategyKey, seed: u64) -> RunResult {
     let reader = suit_store::open_bytes(&tj.stored.bytes).expect("trace validated at upload");
     let meta = reader.meta().clone();
-    let (strategy, adaptive) = match strategy {
-        "fv" => (OperatingStrategy::FreqVolt, None),
-        "f" => (OperatingStrategy::Frequency, None),
-        "v" => (OperatingStrategy::Voltage, None),
-        "adaptive" => (
-            OperatingStrategy::FreqVolt,
-            Some(AdaptiveConfig::for_cpu(&tj.spec.cpu.delays)),
-        ),
-        other => unreachable!("strategy '{other}' validated at parse time"),
-    };
-    let params = match tj.spec.cpu.kind {
-        CpuKind::AmdRyzen7700X => StrategyParams::amd(),
-        _ => StrategyParams::intel(),
-    };
     let cfg = SimConfig {
-        strategy,
-        params,
-        level: tj.spec.level,
-        cores: 1,
         seed,
         max_insts: tj.spec.insts,
-        record_timeline: false,
-        adaptive,
+        ..SimConfig::for_point(&tj.spec.cpu, strategy, tj.spec.level)
     };
     run_stream(&tj.spec.cpu, &meta, reader.bursts(), &cfg)
 }
@@ -706,38 +610,9 @@ pub fn trace_info_json(id: &str, t: &StoredTrace) -> String {
     )
 }
 
-/// Simulates one point of the template for `workload` with `seed` —
-/// exactly the engine calls `suit-cli simulate` makes.
-fn simulate_point(template: &SimPoint, workload: &str, seed: u64) -> RunResult {
-    let p = profile::by_name(workload).expect("workload validated at parse time");
-    if template.strategy == "e" {
-        return simulate_emulation(&template.cpu, p, template.level, seed, template.insts);
-    }
-    let (strategy, adaptive) = match template.strategy.as_str() {
-        "fv" => (OperatingStrategy::FreqVolt, None),
-        "f" => (OperatingStrategy::Frequency, None),
-        "v" => (OperatingStrategy::Voltage, None),
-        "adaptive" => (
-            OperatingStrategy::FreqVolt,
-            Some(AdaptiveConfig::for_cpu(&template.cpu.delays)),
-        ),
-        other => unreachable!("strategy '{other}' validated at parse time"),
-    };
-    let params = match template.cpu.kind {
-        CpuKind::AmdRyzen7700X => StrategyParams::amd(),
-        _ => StrategyParams::intel(),
-    };
-    let cfg = SimConfig {
-        strategy,
-        params,
-        level: template.level,
-        cores: template.cores,
-        seed,
-        max_insts: template.insts,
-        record_timeline: false,
-        adaptive,
-    };
-    simulate(&template.cpu, p, &cfg)
+/// The profile of a workload name validated at parse time.
+fn workload(name: &str) -> &'static WorkloadProfile {
+    profile::by_name(name).expect("workload validated at parse time")
 }
 
 /// A JSON number: shortest round-trip `Display` for finite values,
@@ -846,9 +721,9 @@ mod tests {
         let (job, _) = parse_batch("{\"sweep\":\"table6\",\"max_insts\":1000}").unwrap();
         assert!(matches!(
             job,
-            Job::Batch(BatchSpec::Table6 {
+            Job::Batch(BatchSpec::Table6(Table6Spec {
                 max_insts: Some(1000)
-            })
+            }))
         ));
         let (job, _) = parse_batch("{\"workloads\":[\"557.xz\",\"Nginx\"],\"insts\":5}").unwrap();
         match job {
@@ -893,7 +768,7 @@ mod tests {
         else {
             unreachable!()
         };
-        let direct = simulate_point(&template, "557.xz", root.fork(0).root_seed());
+        let direct = template.simulate(workload("557.xz"), root.fork(0).root_seed());
         assert!(one.contains(&run_result_json(&direct)));
     }
 
@@ -924,11 +799,14 @@ mod tests {
         .unwrap();
         assert_eq!(deadline, Some(50));
         assert_eq!(spec.trace, id);
-        assert_eq!(spec.strategies, ["fv", "adaptive"]);
+        assert_eq!(
+            spec.strategies,
+            [StrategyKey::FreqVolt, StrategyKey::Adaptive]
+        );
         assert_eq!(spec.seed, 9);
         // Defaults: single fv replay, paper seed.
         let (spec, _) = parse_simulate_trace(&format!("{{\"trace\":\"{id}\"}}")).unwrap();
-        assert_eq!(spec.strategies, ["fv"]);
+        assert_eq!(spec.strategies, [StrategyKey::FreqVolt]);
         assert_eq!(spec.seed, 0x5017);
     }
 

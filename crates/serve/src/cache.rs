@@ -34,170 +34,65 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::api::{BatchSpec, Job, SimPoint};
+use crate::api::{BatchSpec, FaultsSpec, Job, SimPoint, Table6Spec, TraceSpec};
 use crate::http::Response;
-use suit_hw::{CpuKind, UndervoltLevel};
-use suit_scenarios::ScenarioConfig;
-use suit_telemetry::json::escape;
+use suit_scenarios::{ScenarioConfig, ScroogeConfig, SramScenarioConfig};
+use suit_telemetry::fields::canonical;
+use suit_telemetry::json::escape_into;
 
 // ---------------------------------------------------------------------------
 // Canonicalization
 // ---------------------------------------------------------------------------
 
-/// The canonical JSON form of a validated job: sorted keys, all defaults
-/// filled, canonical float formatting, and an `endpoint` discriminator so
-/// the three endpoints can never alias. This string *is* the cache key.
+/// The canonical JSON form of a validated job: its config re-serialised
+/// through the field table it was parsed with (every field, defaults
+/// filled, keys sorted, canonical floats), plus an `endpoint`
+/// discriminator so the endpoints can never alias. This string *is* the
+/// cache key.
 pub fn canonical_job(job: &Job) -> String {
     match job {
-        Job::Simulate(point) => format!(
-            "{{\"endpoint\":\"simulate\",{}}}",
-            canonical_point(point, Some(&point.workload))
-        ),
-        Job::Batch(BatchSpec::Table6 { max_insts }) => format!(
-            "{{\"endpoint\":\"batch\",\"max_insts\":{},\"sweep\":\"table6\"}}",
-            canonical_opt_u64(*max_insts)
+        Job::Simulate(point) => canonical(SimPoint::FIELDS, point, &[("endpoint", "\"simulate\"")]),
+        Job::Batch(BatchSpec::Table6(spec)) => canonical(
+            Table6Spec::FIELDS,
+            spec,
+            &[("endpoint", "\"batch\""), ("sweep", "\"table6\"")],
         ),
         Job::Batch(BatchSpec::Workloads {
             workloads,
             template,
         }) => {
-            let names: Vec<String> = workloads.iter().map(|w| escape(w)).collect();
-            format!(
-                "{{\"endpoint\":\"batch\",{},\"workloads\":[{}]}}",
-                canonical_point(template, None),
-                names.join(",")
-            )
+            let mut names = String::from("[");
+            for (i, w) in workloads.iter().enumerate() {
+                if i > 0 {
+                    names.push(',');
+                }
+                escape_into(&mut names, w);
+            }
+            names.push(']');
+            let extra = [("endpoint", "\"batch\""), ("workloads", names.as_str())];
+            canonical(SimPoint::FIELDS, template, &extra)
         }
-        Job::Faults(spec) => format!(
-            "{{\"cores\":{},\"endpoint\":\"faults\",\"executions\":{},\"seed\":{},\"sigma_mv\":{}}}",
-            spec.cores,
-            spec.executions,
-            spec.seed,
-            canonical_f64(spec.sigma_mv)
-        ),
+        Job::Faults(spec) => canonical(FaultsSpec::FIELDS, spec, &[("endpoint", "\"faults\"")]),
         // The trace ID is itself content-addressed over the container
         // bytes, so `(id, config)` fully determines the response and the
         // stored bytes never need to enter the key.
-        Job::SimulateTrace(tj) => {
-            let strategies: Vec<String> = tj.spec.strategies.iter().map(|s| escape(s)).collect();
-            format!(
-                "{{\"cpu\":\"{}\",\"endpoint\":\"simulate-trace\",\"insts\":{},\"offset\":{},\
-                 \"seed\":{},\"strategies\":[{}],\"trace\":{}}}",
-                cpu_key(tj.spec.cpu.kind),
-                canonical_opt_u64(tj.spec.insts),
-                offset_key(tj.spec.level),
-                tj.spec.seed,
-                strategies.join(","),
-                escape(&tj.spec.trace)
-            )
-        }
-        Job::Scenario(cfg) => canonical_scenario(cfg),
-    }
-}
-
-/// The shared point fields, sorted, without the surrounding braces so
-/// callers can splice endpoint-specific keys around them.
-fn canonical_point(p: &SimPoint, workload: Option<&str>) -> String {
-    let workload = match workload {
-        Some(w) => format!(",\"workload\":{}", escape(w)),
-        None => String::new(),
-    };
-    format!(
-        "\"cores\":{},\"cpu\":\"{}\",\"insts\":{},\"offset\":{},\"seed\":{},\"strategy\":{}{}",
-        p.cores,
-        cpu_key(p.cpu.kind),
-        canonical_opt_u64(p.insts),
-        offset_key(p.level),
-        p.seed,
-        escape(&p.strategy),
-        workload
-    )
-}
-
-/// Canonical form of a scenario config: every field spelled out, keys
-/// sorted, so bodies relying on defaults and bodies naming them share a
-/// cache entry.
-fn canonical_scenario(cfg: &ScenarioConfig) -> String {
-    match cfg {
-        ScenarioConfig::Sram(c) => {
-            let offsets: Vec<String> = c.offsets_mv.iter().map(|o| canonical_f64(*o)).collect();
-            format!(
-                "{{\"audit_len\":{},\"cache_banks\":{},\"cores\":{},\"endpoint\":\"scenario\",\
-                 \"offsets_mv\":[{}],\"reads\":{},\"rob_banks\":{},\"scenario\":\"sram\",\
-                 \"seed\":{},\"sigma_mv\":{}}}",
-                c.audit_len,
-                c.cache_banks,
-                c.cores,
-                offsets.join(","),
-                c.reads,
-                c.rob_banks,
-                c.seed,
-                canonical_f64(c.sigma_mv)
-            )
-        }
-        ScenarioConfig::Scrooge(c) => format!(
-            "{{\"audit_len\":{},\"cache_banks\":{},\"cores_per_domain\":{},\"crash_cost\":{},\
-             \"domain_power_w\":{},\"domains_per_rack\":{},\"endpoint\":\"scenario\",\
-             \"energy_price\":{},\"epoch_insts\":{},\"epochs\":{},\"freq_min\":{},\
-             \"freq_steps\":{},\"horizon_hours\":{},\"offset_min_mv\":{},\"offset_steps\":{},\
-             \"racks\":{},\"refine_rounds\":{},\"rob_banks\":{},\"scenario\":\"scrooge\",\
-             \"sdc_cost\":{},\"seed\":{},\"sigma_mv\":{},\"sla_cost\":{},\"workload\":{}}}",
-            c.audit_len,
-            c.cache_banks,
-            c.cores_per_domain,
-            canonical_f64(c.crash_cost),
-            canonical_f64(c.domain_power_w),
-            c.domains_per_rack,
-            canonical_f64(c.energy_price),
-            c.epoch_insts,
-            c.epochs,
-            canonical_f64(c.freq_min),
-            c.freq_steps,
-            canonical_f64(c.horizon_hours),
-            canonical_f64(c.offset_min_mv),
-            c.offset_steps,
-            c.racks,
-            c.refine_rounds,
-            c.rob_banks,
-            canonical_f64(c.sdc_cost),
-            c.seed,
-            canonical_f64(c.sigma_mv),
-            canonical_f64(c.sla_cost),
-            escape(&c.workload)
+        Job::SimulateTrace(tj) => canonical(
+            TraceSpec::FIELDS,
+            &tj.spec,
+            &[("endpoint", "\"simulate-trace\"")],
         ),
-    }
-}
-
-fn canonical_opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(n) => n.to_string(),
-        None => "null".into(),
-    }
-}
-
-/// Canonical float text: Rust's shortest round-trip `Display`, which is
-/// deterministic across platforms. Only finite values can reach here —
-/// the validators reject non-finite numbers with a `400` — so this is a
-/// hard assertion, not a silent `null`.
-fn canonical_f64(v: f64) -> String {
-    assert!(v.is_finite(), "non-finite float escaped validation");
-    format!("{v}")
-}
-
-fn cpu_key(kind: CpuKind) -> &'static str {
-    match kind {
-        CpuKind::IntelI9_9900K => "a",
-        CpuKind::AmdRyzen7700X => "b",
-        CpuKind::IntelXeon4208 => "c",
-        // Not reachable from the API today, but keep the mapping total.
-        CpuKind::IntelI5_1035G1 => "d",
-    }
-}
-
-fn offset_key(level: UndervoltLevel) -> u32 {
-    match level {
-        UndervoltLevel::Mv70 => 70,
-        UndervoltLevel::Mv97 => 97,
+        Job::Scenario(cfg) => match cfg.as_ref() {
+            ScenarioConfig::Sram(c) => canonical(
+                SramScenarioConfig::FIELDS,
+                c,
+                &[("endpoint", "\"scenario\""), ("scenario", "\"sram\"")],
+            ),
+            ScenarioConfig::Scrooge(c) => canonical(
+                ScroogeConfig::FIELDS,
+                c,
+                &[("endpoint", "\"scenario\""), ("scenario", "\"scrooge\"")],
+            ),
+        },
     }
 }
 
@@ -499,6 +394,50 @@ mod tests {
             for b in &keys[i + 1..] {
                 assert_ne!(a, b);
             }
+        }
+    }
+
+    #[test]
+    fn table_keys_keep_the_faults_table6_scenario_and_trace_bytes() {
+        use crate::api::{parse_faults, parse_simulate_trace, TraceJob};
+        use crate::StoredTrace;
+        let id = "0123456789abcdef0123456789abcdef";
+        let body = format!(
+            "{{\"trace\":\"{id}\",\"strategies\":[\"fv\",\"adaptive\"],\"cpu\":\"a\",\
+             \"offset\":70,\"insts\":5,\"seed\":9}}"
+        );
+        let (spec, _) = parse_simulate_trace(&body).unwrap();
+        let stored = StoredTrace {
+            bytes: Arc::new(Vec::new()),
+            workload: String::new(),
+            ipc: 1.0,
+            total_insts: 1,
+            bursts: 1,
+            chunks: 1,
+        };
+        let trace = Job::SimulateTrace(Box::new(TraceJob { spec, stored }));
+        let faults = "{\"cores\":2,\"executions\":500,\"seed\":3,\"sigma_mv\":4.0}";
+        let sram = "{\"scenario\":\"sram\",\"offsets_mv\":[-100.5,-150],\"sigma_mv\":7.25,\
+                    \"reads\":64,\"seed\":11}";
+        for (job, key) in [
+            (
+                parse_faults(faults).unwrap().0,
+                r#"{"cores":2,"endpoint":"faults","executions":500,"seed":3,"sigma_mv":4}"#,
+            ),
+            (
+                parse_batch("{\"sweep\":\"table6\"}").unwrap().0,
+                r#"{"endpoint":"batch","max_insts":null,"sweep":"table6"}"#,
+            ),
+            (
+                parse_scenario(sram).unwrap().0,
+                r#"{"audit_len":2000,"cache_banks":8,"cores":2,"endpoint":"scenario","offsets_mv":[-100.5,-150],"reads":64,"rob_banks":4,"scenario":"sram","seed":11,"sigma_mv":7.25}"#,
+            ),
+            (
+                trace,
+                r#"{"cpu":"a","endpoint":"simulate-trace","insts":5,"offset":70,"seed":9,"strategies":["fv","adaptive"],"trace":"0123456789abcdef0123456789abcdef"}"#,
+            ),
+        ] {
+            assert_eq!(canonical_job(&job), key);
         }
     }
 

@@ -26,7 +26,7 @@ use suit_core::deadline::DeadlineTimer;
 use suit_core::strategy::StrategyParams;
 use suit_core::{
     CpuControl, CurveSelect, CurveTarget, DisabledOpcode, HandlerAction, OperatingStrategy,
-    SuitMsrs, SuitOs,
+    StrategyKey, SuitMsrs, SuitOs,
 };
 use suit_hw::{CpuModel, DelayTable, OperatingPoint, PointKind, UndervoltLevel};
 use suit_isa::{SimDuration, SimTime};
@@ -35,6 +35,10 @@ use suit_trace::io::TraceMeta;
 use suit_trace::{Burst, TraceGen, WorkloadProfile};
 
 use crate::result::RunResult;
+
+/// Upper bound on cores sharing one simulated DVFS domain: the engine
+/// builds one instruction stream per core up front.
+pub const MAX_DOMAIN_CORES: usize = 1024;
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone)]
@@ -75,6 +79,20 @@ impl SimConfig {
             max_insts: None,
             record_timeline: false,
             adaptive: None,
+        }
+    }
+
+    /// The single-core run of one named evaluation point: `strategy`'s
+    /// operating strategy (with §6.8's chooser for `adaptive`) under
+    /// `cpu`'s Table 7 parameters. `e` is closed-form
+    /// ([`crate::analytic::simulate_emulation`]), never an engine run.
+    pub fn for_point(cpu: &CpuModel, strategy: StrategyKey, level: UndervoltLevel) -> Self {
+        SimConfig {
+            strategy: strategy.strategy(),
+            params: crate::experiment::params_for(cpu),
+            adaptive: (strategy == StrategyKey::Adaptive)
+                .then(|| AdaptiveConfig::for_cpu(&cpu.delays)),
+            ..SimConfig::fv_intel(level)
         }
     }
 

@@ -42,13 +42,12 @@
 //! Scrooge-attack literature studies, here on the defender's side.
 
 use suit_core::governor::{GovernorConfig, OffsetGovernor};
-use suit_core::strategy::StrategyParams;
-use suit_core::OperatingStrategy;
+use suit_core::StrategyKey;
 use suit_exec::Threads;
 use suit_hw::{CpuModel, UndervoltLevel};
 use suit_isa::{SimDuration, SimTime};
 use suit_rng::{RngCore, SuitRng};
-use suit_telemetry::{json, Telemetry, TelemetrySnapshot};
+use suit_telemetry::{fields, json, Telemetry, TelemetrySnapshot};
 use suit_trace::{profile, WorkloadProfile};
 
 use crate::engine::{simulate_telemetry, SimConfig};
@@ -71,6 +70,10 @@ pub const MAX_TOTAL_INSTS: u64 = 1_000_000_000_000_000;
 /// Upper bound on the workload rotation list.
 pub const MAX_WORKLOADS: usize = 4096;
 
+/// The workload-name check of the fleet's rows, shared with the configs
+/// that describe a fleet.
+pub use suit_trace::profile::check_name as check_workload;
+
 /// Configuration of a fleet scenario.
 ///
 /// Constructed directly, via [`Default`], or parsed from JSON with
@@ -78,11 +81,10 @@ pub const MAX_WORKLOADS: usize = 4096;
 /// (and every count *before* any allocation derived from it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// CPU model: `'a'` (i9-9900K), `'b'` (Ryzen 7700X), `'c'`
-    /// (Xeon 4208).
-    pub cpu: char,
+    /// CPU model: 𝒜 (i9-9900K), ℬ (Ryzen 7700X) or 𝒞 (Xeon 4208).
+    pub cpu: CpuModel,
     /// Operating strategy (a curve-switching one: 𝑓𝑉, 𝑓 or 𝑉).
-    pub strategy: OperatingStrategy,
+    pub strategy: StrategyKey,
     /// Requested undervolt level; each rack's governor may cap it.
     pub level: UndervoltLevel,
     /// Number of racks (independent cooling + aging + governor each).
@@ -115,8 +117,8 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            cpu: 'c',
-            strategy: OperatingStrategy::FreqVolt,
+            cpu: CpuModel::xeon_4208(),
+            strategy: StrategyKey::FreqVolt,
             level: UndervoltLevel::Mv97,
             racks: 4,
             domains_per_rack: 4,
@@ -134,24 +136,33 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Validates every field; counts are bounds-checked with checked
-    /// arithmetic before anything is allocated from them.
+    fields! {
+        /// The fleet config's field table (`suit-cli fleet --config` and
+        /// its flags).
+        pub const FIELDS: [FleetConfig] = [
+            cores_per_domain flag "--cores-per-domain": int(1, MAX_CORES),
+            cpu flag "--cpu": key(CpuModel::key, &CpuModel::KEYS),
+            deployment_years: real(0.0, 30.0),
+            domains_per_rack flag "--domains": int(1, MAX_DOMAINS),
+            epoch_insts flag "--insts": int(1, MAX_EPOCH_INSTS),
+            epochs flag "--epochs": int(1, MAX_EPOCHS),
+            level as "offset" flag "--offset": num_key(UndervoltLevel::key, &UndervoltLevel::KEYS),
+            rack_age_years: reals(0, MAX_RACKS, 0.0, 30.0),
+            rack_fan_rpm: reals(0, MAX_RACKS, 0.0, 10_000.0),
+            racks flag "--racks": int(1, MAX_RACKS),
+            seed flag "--seed": int(0, u64::MAX),
+            strategy flag "--strategy": key(StrategyKey::key, &["fv", "f", "v"]),
+            utilization flag "--utilization": real_gt(0.0, 1.0),
+            workloads flag "--workload": texts(1, MAX_WORKLOADS, check_workload),
+        ];
+    }
+
+    /// Validates every field against its [`FleetConfig::FIELDS`] row,
+    /// then the rules that span fields — topology products (with checked
+    /// arithmetic, before anything is allocated from them) and per-rack
+    /// list lengths.
     pub fn validate(&self) -> Result<(), String> {
-        if !matches!(self.cpu, 'a' | 'b' | 'c') {
-            return Err(format!("unknown cpu '{}' (a|b|c)", self.cpu));
-        }
-        if matches!(self.strategy, OperatingStrategy::Emulation) {
-            return Err("fleet strategy must be curve-switching (fv|f|v)".to_string());
-        }
-        if self.racks == 0 || self.racks > MAX_RACKS {
-            return Err(format!("racks must be in 1..={MAX_RACKS}"));
-        }
-        if self.domains_per_rack == 0 {
-            return Err("domains_per_rack must be positive".to_string());
-        }
-        if self.cores_per_domain == 0 {
-            return Err("cores_per_domain must be positive".to_string());
-        }
+        fields::check(Self::FIELDS, self)?;
         let domains = self
             .racks
             .checked_mul(self.domains_per_rack)
@@ -161,27 +172,10 @@ impl FleetConfig {
             .checked_mul(self.cores_per_domain)
             .filter(|&c| c <= MAX_CORES)
             .ok_or_else(|| format!("total cores exceed {MAX_CORES}"))?;
-        if self.epochs == 0 || self.epochs > MAX_EPOCHS {
-            return Err(format!("epochs must be in 1..={MAX_EPOCHS}"));
-        }
-        if self.epoch_insts == 0 || self.epoch_insts > MAX_EPOCH_INSTS {
-            return Err(format!("epoch_insts must be in 1..={MAX_EPOCH_INSTS}"));
-        }
         (self.epochs as u64)
             .checked_mul(self.epoch_insts)
             .filter(|&t| t <= MAX_TOTAL_INSTS)
             .ok_or_else(|| format!("epochs x epoch_insts exceeds {MAX_TOTAL_INSTS}"))?;
-        if !(self.utilization.is_finite() && self.utilization > 0.0 && self.utilization <= 1.0) {
-            return Err("utilization must be in (0, 1]".to_string());
-        }
-        if self.workloads.is_empty() || self.workloads.len() > MAX_WORKLOADS {
-            return Err(format!("workloads must name 1..={MAX_WORKLOADS} profiles"));
-        }
-        for name in &self.workloads {
-            if profile::by_name(name).is_none() {
-                return Err(format!("unknown workload '{name}'"));
-            }
-        }
         for (field, v) in [
             ("rack_fan_rpm", &self.rack_fan_rpm),
             ("rack_age_years", &self.rack_age_years),
@@ -191,21 +185,6 @@ impl FleetConfig {
                     "{field} must be empty or have one entry per rack ({})",
                     self.racks
                 ));
-            }
-        }
-        for rpm in &self.rack_fan_rpm {
-            if !(rpm.is_finite() && (0.0..=10_000.0).contains(rpm)) {
-                return Err("rack_fan_rpm entries must be finite, in 0..=10000".to_string());
-            }
-        }
-        for (field, v, hi) in [
-            ("rack_age_years", &self.rack_age_years, 30.0),
-            ("deployment_years", &vec![self.deployment_years], 30.0),
-        ] {
-            for y in v {
-                if !(y.is_finite() && (0.0..=hi).contains(y)) {
-                    return Err(format!("{field} entries must be finite, in 0..={hi}"));
-                }
             }
         }
         Ok(())
@@ -219,101 +198,10 @@ impl FleetConfig {
     /// count-proportional allocation. Unknown keys are rejected so
     /// typos fail loudly.
     pub fn from_json(src: &str) -> Result<FleetConfig, String> {
-        let doc = json::parse(src)?;
-        let json::Value::Obj(pairs) = &doc else {
-            return Err("fleet config must be a JSON object".to_string());
-        };
-        let mut cfg = FleetConfig::default();
-        for (key, value) in pairs {
-            match key.as_str() {
-                "cpu" => {
-                    let s = value
-                        .as_str()
-                        .ok_or_else(|| "'cpu' must be a string".to_string())?;
-                    let mut chars = s.chars();
-                    cfg.cpu = match (chars.next(), chars.next()) {
-                        (Some(c), None) => c,
-                        _ => return Err(format!("'cpu' must be one letter, got '{s}'")),
-                    };
-                }
-                "strategy" => {
-                    cfg.strategy = match value.as_str() {
-                        Some("fv") => OperatingStrategy::FreqVolt,
-                        Some("f") => OperatingStrategy::Frequency,
-                        Some("v") => OperatingStrategy::Voltage,
-                        _ => return Err("'strategy' must be \"fv\", \"f\" or \"v\"".to_string()),
-                    };
-                }
-                "offset" => {
-                    cfg.level = match value.as_f64() {
-                        Some(70.0) => UndervoltLevel::Mv70,
-                        Some(97.0) => UndervoltLevel::Mv97,
-                        _ => return Err("'offset' must be 70 or 97".to_string()),
-                    };
-                }
-                "racks" => cfg.racks = json_count(value, key)? as usize,
-                "domains_per_rack" => cfg.domains_per_rack = json_count(value, key)? as usize,
-                "cores_per_domain" => cfg.cores_per_domain = json_count(value, key)? as usize,
-                "epochs" => cfg.epochs = json_count(value, key)? as usize,
-                "epoch_insts" => cfg.epoch_insts = json_count(value, key)?,
-                "seed" => cfg.seed = json_count(value, key)?,
-                "utilization" => {
-                    cfg.utilization = value
-                        .as_f64()
-                        .ok_or_else(|| "'utilization' must be a number".to_string())?;
-                }
-                "deployment_years" => {
-                    cfg.deployment_years = value
-                        .as_f64()
-                        .ok_or_else(|| "'deployment_years' must be a number".to_string())?;
-                }
-                "workloads" => {
-                    let arr = value
-                        .as_arr()
-                        .ok_or_else(|| "'workloads' must be an array".to_string())?;
-                    cfg.workloads = arr
-                        .iter()
-                        .map(|v| {
-                            v.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| "'workloads' entries must be strings".to_string())
-                        })
-                        .collect::<Result<Vec<String>, String>>()?;
-                }
-                "rack_fan_rpm" => cfg.rack_fan_rpm = json_numbers(value, key)?,
-                "rack_age_years" => cfg.rack_age_years = json_numbers(value, key)?,
-                other => return Err(format!("unknown key '{other}'")),
-            }
-        }
+        let cfg: FleetConfig = fields::parse(Self::FIELDS, &json::parse(src)?, &[])?;
         cfg.validate()?;
         Ok(cfg)
     }
-}
-
-/// Extracts a non-negative integer count from a JSON number, rejecting
-/// fractions, negatives, and anything beyond exact-f64 range.
-fn json_count(v: &json::Value, key: &str) -> Result<u64, String> {
-    let n = v
-        .as_f64()
-        .ok_or_else(|| format!("'{key}' must be a number"))?;
-    if !n.is_finite() || n.fract() != 0.0 || !(0.0..=9_007_199_254_740_992.0).contains(&n) {
-        return Err(format!("'{key}' must be a non-negative integer"));
-    }
-    Ok(n as u64)
-}
-
-/// Extracts an array of finite numbers.
-fn json_numbers(v: &json::Value, key: &str) -> Result<Vec<f64>, String> {
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| format!("'{key}' must be an array"))?;
-    arr.iter()
-        .map(|x| {
-            x.as_f64()
-                .filter(|n| n.is_finite())
-                .ok_or_else(|| format!("'{key}' entries must be finite numbers"))
-        })
-        .collect()
 }
 
 /// One rack's aggregate over the whole run.
@@ -552,8 +440,8 @@ struct EpochOut {
 #[derive(Debug)]
 pub struct FleetSim {
     cfg: FleetConfig,
-    cpu: CpuModel,
-    params: StrategyParams,
+    /// The engine configuration every slice starts from.
+    base: SimConfig,
     profiles: Vec<&'static WorkloadProfile>,
 }
 
@@ -565,14 +453,10 @@ impl FleetSim {
     /// and workload profiles.
     pub fn new(cfg: FleetConfig) -> Result<FleetSim, String> {
         cfg.validate()?;
-        let cpu = match cfg.cpu {
-            'a' => CpuModel::i9_9900k(),
-            'b' => CpuModel::ryzen_7700x(),
-            _ => CpuModel::xeon_4208(),
-        };
-        let params = match cfg.cpu {
-            'b' => StrategyParams::amd(),
-            _ => StrategyParams::intel(),
+        let base = SimConfig {
+            cores: cfg.cores_per_domain,
+            max_insts: Some(cfg.epoch_insts),
+            ..SimConfig::for_point(&cfg.cpu, cfg.strategy, cfg.level)
         };
         let profiles: Vec<&'static WorkloadProfile> = cfg
             .workloads
@@ -581,8 +465,7 @@ impl FleetSim {
             .collect();
         Ok(FleetSim {
             cfg,
-            cpu,
-            params,
+            base,
             profiles,
         })
     }
@@ -627,7 +510,7 @@ impl FleetSim {
             GovernorConfig {
                 deployment_years: self.age_years(rack),
                 reserve_frac: 0.8,
-                curve: self.cpu.curve().clone(),
+                curve: self.cfg.cpu.curve().clone(),
             },
             self.fan_rpm(rack),
         )
@@ -639,7 +522,7 @@ impl FleetSim {
     /// which is all determinism needs.
     fn epoch_dt(&self) -> SimDuration {
         SimDuration::from_secs_f64(
-            self.cfg.epoch_insts as f64 / (self.cpu.steady.base_freq_ghz * 1e9),
+            self.cfg.epoch_insts as f64 / (self.cfg.cpu.steady.base_freq_ghz * 1e9),
         )
     }
 
@@ -677,17 +560,12 @@ impl FleetSim {
         match self.realized_level(allowed) {
             Some(level) => {
                 let sc = SimConfig {
-                    strategy: self.cfg.strategy,
-                    params: self.params,
                     level,
-                    cores: self.cfg.cores_per_domain,
                     seed: self.epoch_seed(domain, epoch),
-                    max_insts: Some(self.cfg.epoch_insts),
-                    record_timeline: false,
-                    adaptive: None,
+                    ..self.base.clone()
                 };
                 EpochOut {
-                    result: simulate_telemetry(&self.cpu, p, &sc, tele),
+                    result: simulate_telemetry(&self.cfg.cpu, p, &sc, tele),
                     level: Some(level),
                 }
             }
@@ -702,7 +580,7 @@ impl FleetSim {
     /// at the conservative point, closed-form (no events, no traps).
     fn stock_epoch(&self, p: &WorkloadProfile) -> RunResult {
         let cap = self.cfg.epoch_insts.min(p.total_insts);
-        let nominal = p.ipc * self.cpu.steady.base_freq_ghz * 1e9;
+        let nominal = p.ipc * self.cfg.cpu.steady.base_freq_ghz * 1e9;
         let d = SimDuration::from_secs_f64(cap as f64 / nominal);
         RunResult {
             workload: p.name.to_string(),
@@ -723,7 +601,7 @@ impl FleetSim {
     /// Stock package watts for this CPU's SPEC operating point — the
     /// scale the rack thermal model integrates.
     fn base_watts(&self) -> f64 {
-        self.cpu.steady.response(0.0).power_w
+        self.cfg.cpu.steady.response(0.0).power_w
     }
 
     /// The thermal sync point for one rack: aggregate this epoch's
@@ -1077,7 +955,7 @@ mod tests {
         .unwrap();
         assert_eq!(cfg.racks, 2);
         assert_eq!(cfg.level, UndervoltLevel::Mv70);
-        assert_eq!(cfg.strategy, OperatingStrategy::Frequency);
+        assert_eq!(cfg.strategy, StrategyKey::Frequency);
         assert_eq!(cfg.workloads, vec!["557.xz", "Nginx"]);
 
         assert!(FleetConfig::from_json(r#"{"rakcs": 2}"#)

@@ -18,12 +18,11 @@
 
 use std::process::ExitCode;
 
-use suit::core::strategy::StrategyParams;
-use suit::core::OperatingStrategy;
-use suit::hw::{CpuModel, UndervoltLevel};
-use suit::sim::analytic::simulate_emulation;
-use suit::sim::engine::{simulate, simulate_telemetry, SimConfig};
-use suit::telemetry::{validate_perfetto, Telemetry};
+use suit::core::StrategyKey;
+use suit::hw::{CpuKind, CpuModel, UndervoltLevel};
+use suit::serve::api::SimPoint;
+use suit::sim::engine::{simulate_telemetry, SimConfig};
+use suit::telemetry::{fields, validate_perfetto, Telemetry};
 use suit::trace::io::{read_trace, write_trace, TraceMeta};
 use suit::trace::{profile, TraceGen};
 
@@ -189,39 +188,23 @@ fn cmd_list(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn parse_cpu(s: Option<String>) -> Result<CpuModel, String> {
-    match s.as_deref().unwrap_or("c") {
-        "a" => Ok(CpuModel::i9_9900k()),
-        "b" => Ok(CpuModel::ryzen_7700x()),
-        "c" => Ok(CpuModel::xeon_4208()),
-        other => Err(format!("unknown CPU '{other}' (expected a, b or c)")),
-    }
+/// The simulation point the `--cpu`, `--strategy`, `--offset`,
+/// `--cores`, `--insts` and `--seed` flags describe, bounded by the same
+/// table rows as `POST /v1/simulate`.
+fn point_from_flags(args: &[String]) -> Result<SimPoint, String> {
+    let mut point = SimPoint::default();
+    fields::apply_flags(SimPoint::FIELDS, &mut point, |flag| opt(args, flag))?;
+    Ok(point)
 }
 
-fn parse_level(s: Option<String>) -> Result<UndervoltLevel, String> {
-    match s.as_deref().unwrap_or("97") {
-        "70" | "-70" => Ok(UndervoltLevel::Mv70),
-        "97" | "-97" => Ok(UndervoltLevel::Mv97),
-        other => Err(format!("unknown offset '{other}' (expected 70 or 97)")),
-    }
+/// The value flags a subcommand takes: its config table's, then `extra`.
+fn table_flags<C>(table: &[fields::Field<C>], extra: &[&'static str]) -> Vec<&'static str> {
+    fields::flags(table).chain(extra.iter().copied()).collect()
 }
 
 fn cmd_simulate(args: &[String]) -> CliResult {
-    check_args(
-        args,
-        &[
-            "--workload",
-            "--cpu",
-            "--strategy",
-            "--offset",
-            "--cores",
-            "--insts",
-            "--seed",
-            "--threads",
-        ],
-        &[],
-        0,
-    )?;
+    let flags = table_flags(SimPoint::FIELDS, &["--workload", "--threads"]);
+    check_args(args, &flags, &[], 0)?;
     let name = opt(args, "--workload")
         .ok_or("missing --workload <name[,name...]|all> (see `suit-cli list`)")?;
     // A comma list or `all` fans out over the executor; a single name
@@ -235,65 +218,19 @@ fn cmd_simulate(args: &[String]) -> CliResult {
             .collect::<Result<_, _>>()?
     };
     let threads = parse_threads(args)?;
-    let cpu = parse_cpu(opt(args, "--cpu"))?;
-    let level = parse_level(opt(args, "--offset"))?;
-    let cores: usize =
-        opt(args, "--cores").map_or(Ok(1), |v| v.parse().map_err(|e| format!("--cores: {e}")))?;
-    let insts: Option<u64> = opt(args, "--insts")
-        .map(|v| v.parse().map_err(|e| format!("--insts: {e}")))
-        .transpose()?;
-    if insts == Some(0) {
-        return Err("--insts must be at least 1".into());
-    }
-    let seed: u64 = opt(args, "--seed").map_or(Ok(0x5017), |v| {
-        v.parse().map_err(|e| format!("--seed: {e}"))
-    })?;
-    let strategy = opt(args, "--strategy").unwrap_or_else(|| "fv".into());
-
-    let params = match cpu.kind {
-        suit::hw::CpuKind::AmdRyzen7700X => StrategyParams::amd(),
-        _ => StrategyParams::intel(),
-    };
-
-    // Strategy validation happens once, before the fan-out.
-    let engine_cfg = match strategy.as_str() {
-        "e" => None,
-        s => {
-            let (strat, adaptive) = match s {
-                "fv" => (OperatingStrategy::FreqVolt, None),
-                "f" => (OperatingStrategy::Frequency, None),
-                "v" => (OperatingStrategy::Voltage, None),
-                "adaptive" => (
-                    OperatingStrategy::FreqVolt,
-                    Some(suit::core::AdaptiveConfig::for_cpu(&cpu.delays)),
-                ),
-                other => return Err(format!("unknown strategy '{other}'")),
-            };
-            Some(SimConfig {
-                strategy: strat,
-                params,
-                level,
-                cores,
-                seed,
-                max_insts: insts,
-                record_timeline: false,
-                adaptive,
-            })
-        }
-    };
-
+    let point = point_from_flags(args)?;
     let results = suit::exec::run(profiles.len(), threads, |i| {
-        let p = profiles[i];
-        match &engine_cfg {
-            None => simulate_emulation(&cpu, p, level, seed, insts),
-            Some(cfg) => simulate(&cpu, p, cfg),
-        }
+        point.simulate(profiles[i], point.seed)
     });
 
     for (p, r) in profiles.iter().zip(&results) {
         println!(
             "{} on {} at {} ({} strategy, {} core(s))",
-            p.name, cpu.name, level, strategy, cores
+            p.name,
+            point.cpu.name,
+            point.level,
+            point.strategy.key(),
+            point.cores
         );
         println!("  performance : {:+.2} %", r.perf() * 100.0);
         println!("  power       : {:+.2} %", r.power() * 100.0);
@@ -542,27 +479,8 @@ fn cmd_trace(args: &[String]) -> CliResult {
 /// `--event-driven` driver reproduces it exactly.
 fn cmd_fleet(args: &[String]) -> CliResult {
     use suit::sim::fleet::{FleetConfig, FleetSim};
-    check_args(
-        args,
-        &[
-            "--config",
-            "--racks",
-            "--domains",
-            "--cores-per-domain",
-            "--cores",
-            "--workload",
-            "--epochs",
-            "--insts",
-            "--utilization",
-            "--offset",
-            "--strategy",
-            "--cpu",
-            "--seed",
-            "--threads",
-        ],
-        &["--event-driven"],
-        0,
-    )?;
+    let flags = table_flags(FleetConfig::FIELDS, &["--config", "--cores", "--threads"]);
+    check_args(args, &flags, &["--event-driven"], 0)?;
     let mut cfg = match opt(args, "--config") {
         Some(path) => {
             let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
@@ -570,52 +488,7 @@ fn cmd_fleet(args: &[String]) -> CliResult {
         }
         None => FleetConfig::default(),
     };
-    if let Some(v) = opt(args, "--racks") {
-        cfg.racks = v.parse().map_err(|e| format!("--racks: {e}"))?;
-    }
-    if let Some(v) = opt(args, "--domains") {
-        cfg.domains_per_rack = v.parse().map_err(|e| format!("--domains: {e}"))?;
-    }
-    if let Some(v) = opt(args, "--cores-per-domain") {
-        cfg.cores_per_domain = v.parse().map_err(|e| format!("--cores-per-domain: {e}"))?;
-    }
-    if let Some(v) = opt(args, "--epochs") {
-        cfg.epochs = v.parse().map_err(|e| format!("--epochs: {e}"))?;
-    }
-    if let Some(v) = opt(args, "--insts") {
-        cfg.epoch_insts = v.parse().map_err(|e| format!("--insts: {e}"))?;
-    }
-    if let Some(v) = opt(args, "--seed") {
-        cfg.seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
-    }
-    if let Some(v) = opt(args, "--utilization") {
-        cfg.utilization = v.parse().map_err(|e| format!("--utilization: {e}"))?;
-    }
-    if let Some(v) = opt(args, "--workload") {
-        cfg.workloads = v.split(',').map(str::to_string).collect();
-    }
-    if let Some(v) = opt(args, "--cpu") {
-        let mut chars = v.chars();
-        cfg.cpu = match (chars.next(), chars.next()) {
-            (Some(c), None) => c,
-            _ => return Err(format!("--cpu must be one letter, got '{v}'")),
-        };
-    }
-    if let Some(v) = opt(args, "--strategy") {
-        cfg.strategy = match v.as_str() {
-            "fv" => suit::core::OperatingStrategy::FreqVolt,
-            "f" => suit::core::OperatingStrategy::Frequency,
-            "v" => suit::core::OperatingStrategy::Voltage,
-            other => return Err(format!("--strategy must be fv|f|v, got '{other}'")),
-        };
-    }
-    if let Some(v) = opt(args, "--offset") {
-        cfg.level = match v.as_str() {
-            "70" => suit::hw::UndervoltLevel::Mv70,
-            "97" => suit::hw::UndervoltLevel::Mv97,
-            other => return Err(format!("--offset must be 70 or 97, got '{other}'")),
-        };
-    }
+    fields::apply_flags(FleetConfig::FIELDS, &mut cfg, |flag| opt(args, flag))?;
     // `--cores N` sizes the fleet by total core count: with racks and
     // cores-per-domain fixed, N must split evenly into domains.
     if let Some(v) = opt(args, "--cores") {
@@ -676,7 +549,7 @@ fn cmd_mix(args: &[String]) -> CliResult {
     // Mixes model consolidation on ONE shared DVFS domain — only the
     // i9-9900K class has that topology (CPU C's per-core p-states would
     // never couple the workloads), so default to CPU a.
-    let cpu = parse_cpu(Some(opt(args, "--cpu").unwrap_or_else(|| "a".into())))?;
+    let cpu: CpuModel = opt(args, "--cpu").as_deref().unwrap_or("a").parse()?;
     if !matches!(cpu.domains, suit::hw::DomainLayout::SharedAll) {
         eprintln!(
             "note: {} has per-core DVFS domains; a shared-domain mix is a what-if here",
@@ -687,12 +560,15 @@ fn cmd_mix(args: &[String]) -> CliResult {
         .map(|v| v.parse::<u64>().map_err(|e| format!("--insts: {e}")))
         .transpose()?
         .unwrap_or(1_000_000_000);
-    let mut cfg = SimConfig::fv_intel(UndervoltLevel::Mv97);
-    cfg.max_insts = Some(insts);
-    if matches!(cpu.kind, suit::hw::CpuKind::AmdRyzen7700X) {
-        cfg.strategy = OperatingStrategy::Frequency;
-        cfg.params = StrategyParams::amd();
-    }
+    // ℬ's cores share no voltage domain worth switching: it runs 𝑓.
+    let strategy = match cpu.kind {
+        CpuKind::AmdRyzen7700X => StrategyKey::Frequency,
+        _ => StrategyKey::FreqVolt,
+    };
+    let cfg = SimConfig {
+        max_insts: Some(insts),
+        ..SimConfig::for_point(&cpu, strategy, UndervoltLevel::Mv97)
+    };
     let results = suit::exec::run(mixes.len(), threads, |i| {
         simulate_mixed(&cpu, &mixes[i], &cfg)
     });
@@ -769,6 +645,7 @@ fn cmd_security(args: &[String]) -> CliResult {
 /// is optional here — the subcommand names it); `--json` prints the
 /// service's canonical JSON report instead of the text rendering.
 fn cmd_scenario(args: &[String]) -> CliResult {
+    use suit::scenarios::{ScroogeConfig, SramScenarioConfig};
     let kind = match args.first().map(String::as_str) {
         Some(k @ ("sram" | "scrooge")) => k,
         Some(other) => {
@@ -779,12 +656,14 @@ fn cmd_scenario(args: &[String]) -> CliResult {
         None => return Err("missing scenario (expected sram or scrooge)".into()),
     };
     let rest = &args[1..];
-    check_args(rest, &["--config", "--seed", "--threads"], &["--json"], 0)?;
+    let extra = ["--config", "--threads"];
+    let flags = match kind {
+        "sram" => table_flags(SramScenarioConfig::FIELDS, &extra),
+        _ => table_flags(ScroogeConfig::FIELDS, &extra),
+    };
+    check_args(rest, &flags, &["--json"], 0)?;
     let threads = parse_threads(rest)?;
     let as_json = rest.iter().any(|a| a == "--json");
-    let seed: Option<u64> = opt(rest, "--seed")
-        .map(|v| v.parse().map_err(|e| format!("--seed: {e}")))
-        .transpose()?;
     let src = match opt(rest, "--config") {
         Some(path) => Some(std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?),
         None => None,
@@ -793,12 +672,10 @@ fn cmd_scenario(args: &[String]) -> CliResult {
     match kind {
         "sram" => {
             let mut cfg = match &src {
-                Some(s) => suit::scenarios::SramScenarioConfig::from_json(s)?,
-                None => suit::scenarios::SramScenarioConfig::default(),
+                Some(s) => SramScenarioConfig::from_json(s)?,
+                None => SramScenarioConfig::default(),
             };
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
+            fields::apply_flags(SramScenarioConfig::FIELDS, &mut cfg, |f| opt(rest, f))?;
             let report = suit::scenarios::sram::run(&cfg, threads.count(), &tele);
             if as_json {
                 println!("{}", report.to_json());
@@ -808,12 +685,10 @@ fn cmd_scenario(args: &[String]) -> CliResult {
         }
         _ => {
             let mut cfg = match &src {
-                Some(s) => suit::scenarios::ScroogeConfig::from_json(s)?,
-                None => suit::scenarios::ScroogeConfig::default(),
+                Some(s) => ScroogeConfig::from_json(s)?,
+                None => ScroogeConfig::default(),
             };
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
+            fields::apply_flags(ScroogeConfig::FIELDS, &mut cfg, |f| opt(rest, f))?;
             let report = suit::scenarios::scrooge::search(&cfg, threads.count(), &tele)?;
             if as_json {
                 println!("{}", report.to_json());
@@ -828,22 +703,8 @@ fn cmd_scenario(args: &[String]) -> CliResult {
 /// `profile <workload>`: one instrumented simulation — telemetry summary
 /// on stdout, optional Chrome/Perfetto trace via `--trace-out`.
 fn cmd_profile(args: &[String]) -> CliResult {
-    check_args(
-        args,
-        &[
-            "--trace-out",
-            "--cpu",
-            "--strategy",
-            "--offset",
-            "--cores",
-            "--insts",
-            "--seed",
-            "--events",
-            "--threads",
-        ],
-        &[],
-        1,
-    )?;
+    let flags = table_flags(SimPoint::FIELDS, &["--trace-out", "--events", "--threads"]);
+    check_args(args, &flags, &[], 1)?;
     // A profile run is one instrumented simulation, so `--threads` has
     // nothing to fan out — but every subcommand accepts the flag through
     // the same strict parse-and-usage path, so a bad value fails the
@@ -851,56 +712,28 @@ fn cmd_profile(args: &[String]) -> CliResult {
     let _ = parse_threads(args)?;
     let name = first_positional(args).ok_or("missing <workload> (see `suit-cli list`)")?;
     let p = profile::by_name(&name).ok_or_else(|| format!("unknown workload '{name}'"))?;
-    let cpu = parse_cpu(opt(args, "--cpu"))?;
-    let level = parse_level(opt(args, "--offset"))?;
-    let cores: usize =
-        opt(args, "--cores").map_or(Ok(1), |v| v.parse().map_err(|e| format!("--cores: {e}")))?;
-    let insts: Option<u64> = opt(args, "--insts")
-        .map(|v| v.parse().map_err(|e| format!("--insts: {e}")))
-        .transpose()?;
-    let seed: u64 = opt(args, "--seed").map_or(Ok(0x5017), |v| {
-        v.parse().map_err(|e| format!("--seed: {e}"))
-    })?;
     let events: usize = opt(args, "--events").map_or(Ok(1 << 16), |v| {
         v.parse().map_err(|e| format!("--events: {e}"))
     })?;
-    let strategy = opt(args, "--strategy").unwrap_or_else(|| "fv".into());
-    let (strat, adaptive) = match strategy.as_str() {
-        "fv" => (OperatingStrategy::FreqVolt, None),
-        "f" => (OperatingStrategy::Frequency, None),
-        "v" => (OperatingStrategy::Voltage, None),
-        "adaptive" => (
-            OperatingStrategy::FreqVolt,
-            Some(suit::core::AdaptiveConfig::for_cpu(&cpu.delays)),
-        ),
-        other => {
-            return Err(format!(
-                "unknown strategy '{other}' (profile needs a curve-switching strategy)"
-            ))
-        }
-    };
-    let params = match cpu.kind {
-        suit::hw::CpuKind::AmdRyzen7700X => StrategyParams::amd(),
-        _ => StrategyParams::intel(),
-    };
-    let cfg = SimConfig {
-        strategy: strat,
-        params,
-        level,
-        cores,
-        seed,
-        max_insts: insts,
-        record_timeline: false,
-        adaptive,
-    };
+    let point = point_from_flags(args)?;
+    if point.strategy == StrategyKey::Emulation {
+        return Err(
+            "profile needs a curve-switching strategy (fv, f, v or adaptive), got 'e'".into(),
+        );
+    }
+    let cfg = point.config();
 
     let tele = Telemetry::with_capacity(events);
-    let r = simulate_telemetry(&cpu, p, &cfg, &tele);
+    let r = simulate_telemetry(&point.cpu, p, &cfg, &tele);
     let snap = tele.snapshot();
 
     println!(
         "profiled {} on {} at {} ({} strategy, {} core(s))",
-        p.name, cpu.name, level, strategy, cores
+        p.name,
+        point.cpu.name,
+        point.level,
+        point.strategy.key(),
+        point.cores
     );
     println!(
         "  performance {:+.2} %  efficiency {:+.2} %  residency {:.1} %\n",

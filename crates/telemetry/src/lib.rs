@@ -52,6 +52,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fields;
 pub mod hist;
 pub mod json;
 pub mod perfetto;

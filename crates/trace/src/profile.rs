@@ -519,6 +519,14 @@ pub fn by_name(name: &str) -> Option<&'static WorkloadProfile> {
     all().iter().find(|p| p.name == name)
 }
 
+/// Checks that `name` names a profile (see `suit-cli list`).
+pub fn check_name(name: &str) -> Result<(), String> {
+    match by_name(name) {
+        Some(_) => Ok(()),
+        None => Err(format!("unknown workload '{name}'")),
+    }
+}
+
 /// Named multi-core workload mixes for consolidation studies (§3.1's
 /// "laptop CPUs often only have up to 4 cores that tend to be
 /// underutilized given typical office or web browsing usage" and the

@@ -65,11 +65,52 @@ fn bad_flag_values_fail_cleanly() {
         ["simulate", "--workload", "no-such-workload"].as_slice(),
         ["simulate", "--workload", "557.xz", "--cpu", "z"].as_slice(),
         ["simulate", "--workload", "557.xz", "--insts", "many"].as_slice(),
+        ["simulate", "--workload", "557.xz", "--cores", "0"].as_slice(),
+        [
+            "simulate",
+            "--workload",
+            "557.xz",
+            "--cores",
+            "100000000000",
+        ]
+        .as_slice(),
+        ["profile", "Nginx", "--cores", "0"].as_slice(),
+        ["profile", "Nginx", "--insts", "0"].as_slice(),
         ["validate-trace", "/no/such/file.json"].as_slice(),
     ] {
         let out = cli(args);
         assert!(!out.status.success(), "{args:?} should fail");
-        assert!(stderr(&out).contains("error:"), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.starts_with("error:"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn cli_and_http_reject_a_bad_field_with_the_same_message() {
+    for (flag, cli_value, json_value) in [
+        ("cpu", "z", "\"z\""),
+        ("strategy", "warp", "\"warp\""),
+        ("offset", "80", "80"),
+        ("cores", "0", "0"),
+        ("insts", "0", "0"),
+        ("seed", "-1", "-1"),
+    ] {
+        let body = format!("{{\"workload\":\"557.xz\",\"{flag}\":{json_value}}}");
+        let http = suit::serve::api::parse_simulate(&body).expect_err(&body).0;
+        let out = cli(&[
+            "simulate",
+            "--workload",
+            "557.xz",
+            &format!("--{flag}"),
+            cli_value,
+        ]);
+        assert!(!out.status.success(), "--{flag} {cli_value} should fail");
+        assert_eq!(
+            stderr(&out),
+            format!("error: {http}\n"),
+            "--{flag} {cli_value}"
+        );
     }
 }
 

@@ -118,6 +118,10 @@ fn malformed_bodies_are_400_with_structured_json_never_a_panic() {
         "{\"workload\":\"557.xz\",\"insts\":0}",
         "{\"workload\":\"557.xz\",\"strategy\":\"warp\"}",
         "{\"workload\":\"557.xz\",\"seed\":-1}",
+        // Unbounded, this sizes the engine's per-core streams at 800 GB:
+        // an allocator abort no `catch_unwind` survives, so `/v1/healthz`
+        // below would find the server gone.
+        "{\"workload\":\"557.xz\",\"cores\":100000000000,\"insts\":1000}",
     ] {
         let resp = request(&addr, "POST", "/v1/simulate", Some(bad), TIMEOUT).expect("request");
         assert_eq!(resp.status, 400, "body {bad:?}: {}", resp.text().unwrap());

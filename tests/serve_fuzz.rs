@@ -34,6 +34,9 @@ use suit::check::{corpus_dir, Checker, Source};
 use suit::serve::api;
 use suit::serve::http::{parse_request, Limits, Parse};
 
+#[path = "config_gen.rs"]
+mod config_gen;
+
 /// Small limits so the generator can reach every rejection branch with
 /// short inputs.
 fn limits() -> Limits {
@@ -408,8 +411,9 @@ fn if_none_match_honours_etag_lists_weak_tags_and_star() {
         );
 }
 
-/// A JSON-ish body: raw text, valid endpoint bodies, and valid bodies
-/// with one byte overwritten.
+/// A JSON-ish body: raw text, documents drawn from the request field
+/// tables, valid endpoint bodies, and those truncated or with one byte
+/// flipped.
 fn jsonish_body() -> Gen<String> {
     let valid = gen::from_slice(&[
         "{\"workload\":\"557.xz\",\"insts\":1000000}",
@@ -419,16 +423,15 @@ fn jsonish_body() -> Gen<String> {
         "{\"executions\":100,\"sigma_mv\":5.5,\"cores\":8}",
         "{}",
     ]);
-    let mutated = gen::pair(&valid, &gen::pair(&gen::usize_in(0..=127), &gen::byte())).map(
-        |(s, (pos, b))| {
-            let mut bytes = s.as_bytes().to_vec();
-            let at = pos % bytes.len();
-            bytes[at] = b;
-            String::from_utf8_lossy(&bytes).into_owned()
-        },
-    );
-    let soup = gen::bytes_up_to(200).map(|b| String::from_utf8_lossy(&b).into_owned());
-    gen::one_of(vec![soup, valid.map(String::from), mutated])
+    let keys = [
+        config_gen::keys(api::SimPoint::FIELDS),
+        config_gen::keys(api::FaultsSpec::FIELDS),
+        config_gen::keys(api::Table6Spec::FIELDS),
+        vec!["sweep", "workloads", "deadline_ms"],
+        config_gen::TYPOS.to_vec(),
+    ]
+    .concat();
+    config_gen::doc_stream(keys, valid.map(String::from))
 }
 
 /// Property 2: every endpoint validator is total — any outcome is fine,
