@@ -7,8 +7,8 @@
 //!   refactor targets;
 //! * `quantum_loop` — one deterministic engine run, normalised to
 //!   nanoseconds per faultable-instruction event;
-//! * `aes` — bit-sliced AES block throughput through the widest lane
-//!   batch.
+//! * `aes` — bit-sliced AES block throughput through the 4-wide kernel,
+//!   the one the committed baseline also timed.
 //!
 //! `--json <path>` writes the committed `BENCH_engine.json` baseline
 //! (carrying any previously committed `baseline` section forward, so

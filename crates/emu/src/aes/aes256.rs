@@ -91,19 +91,6 @@ impl Aes256Key {
         }
         bitsliced::aesenclast4(s, self.round_keys[14])
     }
-
-    /// Encrypts eight blocks in parallel through the wide bit-sliced
-    /// kernel (`u128` planes) — double the blocks per round pass.
-    pub fn encrypt_ct_x8(&self, blocks: [Vec128; 8]) -> [Vec128; 8] {
-        let mut s = blocks;
-        for b in &mut s {
-            *b = *b ^ self.round_keys[0];
-        }
-        for r in 1..=13 {
-            s = bitsliced::aesenc8(s, self.round_keys[r]);
-        }
-        bitsliced::aesenclast8(s, self.round_keys[14])
-    }
 }
 
 #[cfg(test)]
@@ -129,6 +116,10 @@ mod tests {
             0x60, 0x89,
         ];
         assert_eq!(k.encrypt(pt).to_bytes(), expect);
+        // The same vector through every lane of the 4-wide path.
+        for (i, out) in k.encrypt_ct_x4([pt; 4]).iter().enumerate() {
+            assert_eq!(out.to_bytes(), expect, "lane {i}");
+        }
     }
 
     #[test]
@@ -152,38 +143,6 @@ mod tests {
         let out = k.encrypt_ct_x4(blocks);
         for i in 0..4 {
             assert_eq!(out[i], k.encrypt(blocks[i]), "lane {i}");
-        }
-    }
-
-    #[test]
-    fn eight_wide_matches_single() {
-        let k = Aes256Key::expand([0x33; 32]);
-        let blocks: [Vec128; 8] = std::array::from_fn(|i| Vec128::from_u128(1 + i as u128));
-        let out = k.encrypt_ct_x8(blocks);
-        for (i, b) in blocks.iter().enumerate() {
-            assert_eq!(out[i], k.encrypt(*b), "lane {i}");
-        }
-    }
-
-    /// FIPS-197 Appendix C.3 through every lane of the 8-wide path.
-    #[test]
-    fn fips197_c3_vector_x8() {
-        let mut key = [0u8; 32];
-        for (i, b) in key.iter_mut().enumerate() {
-            *b = i as u8;
-        }
-        let k = Aes256Key::expand(key);
-        let pt = Vec128::from_bytes([
-            0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
-            0xee, 0xff,
-        ]);
-        let expect = [
-            0x8e, 0xa2, 0xb7, 0xca, 0x51, 0x67, 0x45, 0xbf, 0xea, 0xfc, 0x49, 0x90, 0x4b, 0x49,
-            0x60, 0x89,
-        ];
-        let wide = k.encrypt_ct_x8([pt; 8]);
-        for (i, out) in wide.iter().enumerate() {
-            assert_eq!(out.to_bytes(), expect, "lane {i}");
         }
     }
 

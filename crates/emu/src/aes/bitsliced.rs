@@ -6,10 +6,8 @@
 //! ## Representation
 //!
 //! A [`BsState`] holds **four** AES states transposed into eight `u64`
-//! bit-planes; a [`BsState8`] holds **eight** states in `u128` planes
-//! (the batch the CTR keystream and the `#DO` handler's block queue
-//! drain through). In both, bit `16·blk + b` of `planes[i]` is bit `i`
-//! of byte `b` of block `blk`. In this form:
+//! bit-planes: bit `16·blk + b` of `planes[i]` is bit `i` of byte `b` of
+//! block `blk`. In this form:
 //!
 //! * `SubBytes` is GF(2⁸) inversion (x²⁵⁴ by an addition chain of
 //!   plane-parallel polynomial multiplications) plus a linear affine layer —
@@ -20,11 +18,10 @@
 //! There are no secret-indexed table lookups and no secret-dependent
 //! branches anywhere on the encryption path.
 //!
-//! The two widths share one kernel: [`plane_kernel!`] instantiates the
-//! identical round-function algebra over `u64` (4 lanes) and `u128`
-//! (8 lanes), so the widths cannot drift apart — and the differential
-//! suite (`tests/emulation_equivalence.rs`) pins x8 ≡ x4 ≡ the
-//! table-based reference anyway.
+//! Four blocks is the one batch width: batch callers (the GCM CTR
+//! keystream, AES-256's `encrypt_ct_x4`) drain through [`encrypt128_x4`]
+//! and [`aesenc4`]. An eight-block `u128`-plane width was measured slower
+//! per block than this kernel and removed (DESIGN.md §12).
 
 use super::{encrypt128_with, Aes128Key, SHIFT_ROWS_SRC};
 use suit_isa::Vec128;
@@ -45,195 +42,87 @@ const fn rot_rows_table() -> [usize; 16] {
     t
 }
 
-/// Instantiates the bit-plane round-function kernel for one plane width.
-///
-/// `$t` is the plane word (`u64` = 4 blocks, `u128` = 8 blocks), `$lanes`
-/// the block count, `$lsb` the mask with bit 0 of every 16-bit block
-/// group set. Everything downstream of the transpose — the GF(2⁸)
-/// algebra, SubBytes, ShiftRows, MixColumns, the round-key broadcast —
-/// is generated from this single definition, so the 4- and 8-wide paths
-/// are the same code at different widths.
-macro_rules! plane_kernel {
-    ($mod_name:ident, $t:ty, $lanes:expr, $lsb:expr) => {
-        mod $mod_name {
-            use super::{ROT_ROWS_1, SHIFT_ROWS_SRC};
-            use suit_isa::Vec128;
+/// Bit 0 of each block's 16-bit group.
+const LSB: u64 = 0x0001_0001_0001_0001;
 
-            /// Bit 0 of each block's 16-bit group.
-            pub(super) const LSB: $t = $lsb;
-
-            /// Transposes blocks into bit-plane form.
-            pub(super) fn pack(blocks: &[Vec128; $lanes]) -> [$t; 8] {
-                let mut planes = [0 as $t; 8];
-                for (blk, block) in blocks.iter().enumerate() {
-                    let bytes = block.to_bytes();
-                    for (b, &byte) in bytes.iter().enumerate() {
-                        let pos = 16 * blk + b;
-                        for (i, plane) in planes.iter_mut().enumerate() {
-                            *plane |= (((byte >> i) & 1) as $t) << pos;
-                        }
-                    }
-                }
-                planes
-            }
-
-            /// Transposes back to ordinary blocks.
-            pub(super) fn unpack(planes: [$t; 8]) -> [Vec128; $lanes] {
-                let mut blocks = [Vec128::ZERO; $lanes];
-                for (blk, block) in blocks.iter_mut().enumerate() {
-                    let mut bytes = [0u8; 16];
-                    for (b, byte) in bytes.iter_mut().enumerate() {
-                        let pos = 16 * blk + b;
-                        for (i, plane) in planes.iter().enumerate() {
-                            *byte |= (((plane >> pos) & 1) as u8) << i;
-                        }
-                    }
-                    *block = Vec128::from_bytes(bytes);
-                }
-                blocks
-            }
-
-            /// XORs a (public) round key into every block.
-            pub(super) fn xor_round_key(planes: &mut [$t; 8], rk: Vec128) {
-                let bytes = rk.to_bytes();
-                for (b, &byte) in bytes.iter().enumerate() {
-                    for (i, plane) in planes.iter_mut().enumerate() {
-                        // Broadcast bit i of key byte b to the block groups.
-                        let bit = ((byte >> i) & 1) as $t;
-                        *plane ^= (bit * LSB) << b;
-                    }
-                }
-            }
-
-            /// Applies a byte-index permutation to a plane: output byte
-            /// position `b` takes the bits of input byte position `src[b]`,
-            /// simultaneously in all block groups.
-            pub(super) fn permute_bytes(plane: $t, src: &[usize; 16]) -> $t {
-                let mut out = 0 as $t;
-                for (b, &s) in src.iter().enumerate() {
-                    out |= ((plane >> s) & LSB) << b;
-                }
-                out
-            }
-
-            pub(super) fn map_planes(planes: [$t; 8], f: impl Fn($t) -> $t) -> [$t; 8] {
-                let mut out = [0 as $t; 8];
-                for (o, p) in out.iter_mut().zip(planes) {
-                    *o = f(p);
-                }
-                out
-            }
-
-            /// Plane-parallel multiplication by x (`xtime`): shift the
-            /// bit-planes up by one and reduce by x⁸ + x⁴ + x³ + x + 1.
-            pub(super) fn xtime(a: [$t; 8]) -> [$t; 8] {
-                [
-                    a[7],
-                    a[0] ^ a[7],
-                    a[1],
-                    a[2] ^ a[7],
-                    a[3] ^ a[7],
-                    a[4],
-                    a[5],
-                    a[6],
-                ]
-            }
-
-            /// Plane-parallel GF(2⁸) multiplication: schoolbook polynomial
-            /// product followed by reduction modulo x⁸ + x⁴ + x³ + x + 1.
-            pub(super) fn gf_mul(a: [$t; 8], b: [$t; 8]) -> [$t; 8] {
-                let mut prod = [0 as $t; 15];
-                for i in 0..8 {
-                    for j in 0..8 {
-                        prod[i + j] ^= a[i] & b[j];
-                    }
-                }
-                // x^k ≡ x^(k-4) + x^(k-5) + x^(k-7) + x^(k-8)  (for k ≥ 8)
-                for k in (8..15).rev() {
-                    let v = prod[k];
-                    prod[k - 4] ^= v;
-                    prod[k - 5] ^= v;
-                    prod[k - 7] ^= v;
-                    prod[k - 8] ^= v;
-                }
-                let mut out = [0 as $t; 8];
-                out.copy_from_slice(&prod[..8]);
-                out
-            }
-
-            /// Plane-parallel squaring (multiplication with itself;
-            /// squaring is linear but reusing the multiplier keeps the
-            /// code small and obviously correct).
-            pub(super) fn gf_square(a: [$t; 8]) -> [$t; 8] {
-                gf_mul(a, a)
-            }
-
-            /// Plane-parallel GF(2⁸) inversion as a²⁵⁴ (with 0 ↦ 0, as AES
-            /// requires), using the addition chain 2, 3, 6, 12, 15, 240,
-            /// 252, 254.
-            pub(super) fn gf_inv(a: [$t; 8]) -> [$t; 8] {
-                let x2 = gf_square(a);
-                let x3 = gf_mul(x2, a);
-                let x6 = gf_square(x3);
-                let x12 = gf_square(x6);
-                let x15 = gf_mul(x12, x3);
-                let mut x240 = x15;
-                for _ in 0..4 {
-                    x240 = gf_square(x240);
-                }
-                let x252 = gf_mul(x240, x12);
-                gf_mul(x252, x2)
-            }
-
-            /// SubBytes: constant-time bit-parallel GF(2⁸) inversion +
-            /// affine map.
-            pub(super) fn sub_bytes(planes: [$t; 8]) -> [$t; 8] {
-                let inv = gf_inv(planes);
-                // Affine: y_j = x_j ⊕ x_{j-1} ⊕ x_{j-2} ⊕ x_{j-3} ⊕ x_{j-4} ⊕ c_j
-                // (indices mod 8), with c = 0x63.
-                let mut out = [0 as $t; 8];
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = inv[j]
-                        ^ inv[(j + 7) % 8]
-                        ^ inv[(j + 6) % 8]
-                        ^ inv[(j + 5) % 8]
-                        ^ inv[(j + 4) % 8];
-                    if (0x63 >> j) & 1 == 1 {
-                        *o ^= <$t>::MAX;
-                    }
-                }
-                out
-            }
-
-            /// ShiftRows: the byte permutation applied inside every plane.
-            pub(super) fn shift_rows(planes: [$t; 8]) -> [$t; 8] {
-                map_planes(planes, |p| permute_bytes(p, &SHIFT_ROWS_SRC))
-            }
-
-            /// MixColumns over the planes:
-            /// `out = xtime(a ⊕ rot1(a)) ⊕ rot1(a) ⊕ rot2(a) ⊕ rot3(a)`
-            /// where `rotₖ` rotates each column's bytes up by k rows.
-            pub(super) fn mix_columns(a: [$t; 8]) -> [$t; 8] {
-                let r1 = map_planes(a, |p| permute_bytes(p, &ROT_ROWS_1));
-                let r2 = map_planes(r1, |p| permute_bytes(p, &ROT_ROWS_1));
-                let r3 = map_planes(r2, |p| permute_bytes(p, &ROT_ROWS_1));
-                let mut t = [0 as $t; 8];
-                for i in 0..8 {
-                    t[i] = a[i] ^ r1[i];
-                }
-                let t2 = xtime(t);
-                let mut out = [0 as $t; 8];
-                for i in 0..8 {
-                    out[i] = t2[i] ^ r1[i] ^ r2[i] ^ r3[i];
-                }
-                out
-            }
-        }
-    };
+/// Applies a byte-index permutation to a plane: output byte position `b`
+/// takes the bits of input byte position `src[b]`, simultaneously in all
+/// block groups.
+fn permute_bytes(plane: u64, src: &[usize; 16]) -> u64 {
+    let mut out = 0;
+    for (b, &s) in src.iter().enumerate() {
+        out |= ((plane >> s) & LSB) << b;
+    }
+    out
 }
 
-plane_kernel!(p64, u64, 4, 0x0001_0001_0001_0001);
-plane_kernel!(p128, u128, 8, 0x0001_0001_0001_0001_0001_0001_0001_0001);
+fn map_planes(planes: [u64; 8], f: impl Fn(u64) -> u64) -> [u64; 8] {
+    let mut out = [0; 8];
+    for (o, p) in out.iter_mut().zip(planes) {
+        *o = f(p);
+    }
+    out
+}
+
+/// Plane-parallel multiplication by x (`xtime`): shift the bit-planes up
+/// by one and reduce by x⁸ + x⁴ + x³ + x + 1.
+fn xtime(a: [u64; 8]) -> [u64; 8] {
+    [
+        a[7],
+        a[0] ^ a[7],
+        a[1],
+        a[2] ^ a[7],
+        a[3] ^ a[7],
+        a[4],
+        a[5],
+        a[6],
+    ]
+}
+
+/// Plane-parallel GF(2⁸) multiplication: schoolbook polynomial product
+/// followed by reduction modulo x⁸ + x⁴ + x³ + x + 1.
+fn gf_mul(a: [u64; 8], b: [u64; 8]) -> [u64; 8] {
+    let mut prod = [0u64; 15];
+    for i in 0..8 {
+        for j in 0..8 {
+            prod[i + j] ^= a[i] & b[j];
+        }
+    }
+    // x^k ≡ x^(k-4) + x^(k-5) + x^(k-7) + x^(k-8)  (for k ≥ 8)
+    for k in (8..15).rev() {
+        let v = prod[k];
+        prod[k - 4] ^= v;
+        prod[k - 5] ^= v;
+        prod[k - 7] ^= v;
+        prod[k - 8] ^= v;
+    }
+    let mut out = [0u64; 8];
+    out.copy_from_slice(&prod[..8]);
+    out
+}
+
+/// Plane-parallel squaring (multiplication with itself; squaring is
+/// linear but reusing the multiplier keeps the code small and obviously
+/// correct).
+fn gf_square(a: [u64; 8]) -> [u64; 8] {
+    gf_mul(a, a)
+}
+
+/// Plane-parallel GF(2⁸) inversion as a²⁵⁴ (with 0 ↦ 0, as AES
+/// requires), using the addition chain 2, 3, 6, 12, 15, 240, 252, 254.
+fn gf_inv(a: [u64; 8]) -> [u64; 8] {
+    let x2 = gf_square(a);
+    let x3 = gf_mul(x2, a);
+    let x6 = gf_square(x3);
+    let x12 = gf_square(x6);
+    let x15 = gf_mul(x12, x3);
+    let mut x240 = x15;
+    for _ in 0..4 {
+        x240 = gf_square(x240);
+    }
+    let x252 = gf_mul(x240, x12);
+    gf_mul(x252, x2)
+}
 
 /// Four AES states in `u64` bit-plane representation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,86 +133,85 @@ pub struct BsState {
 impl BsState {
     /// Transposes four blocks into bit-plane form.
     pub fn pack(blocks: [Vec128; 4]) -> Self {
-        BsState {
-            planes: p64::pack(&blocks),
+        let mut planes = [0u64; 8];
+        for (blk, block) in blocks.iter().enumerate() {
+            let bytes = block.to_bytes();
+            for (b, &byte) in bytes.iter().enumerate() {
+                let pos = 16 * blk + b;
+                for (i, plane) in planes.iter_mut().enumerate() {
+                    *plane |= u64::from((byte >> i) & 1) << pos;
+                }
+            }
         }
+        BsState { planes }
     }
 
     /// Transposes back to four ordinary blocks.
     pub fn unpack(self) -> [Vec128; 4] {
-        p64::unpack(self.planes)
+        let mut blocks = [Vec128::ZERO; 4];
+        for (blk, block) in blocks.iter_mut().enumerate() {
+            let mut bytes = [0u8; 16];
+            for (b, byte) in bytes.iter_mut().enumerate() {
+                let pos = 16 * blk + b;
+                for (i, plane) in self.planes.iter().enumerate() {
+                    *byte |= (((plane >> pos) & 1) as u8) << i;
+                }
+            }
+            *block = Vec128::from_bytes(bytes);
+        }
+        blocks
     }
 
     /// XORs a (public) round key into all four blocks.
     pub fn xor_round_key(&mut self, rk: Vec128) {
-        p64::xor_round_key(&mut self.planes, rk);
+        let bytes = rk.to_bytes();
+        for (b, &byte) in bytes.iter().enumerate() {
+            for (i, plane) in self.planes.iter_mut().enumerate() {
+                // Broadcast bit i of key byte b to the block groups.
+                let bit = u64::from((byte >> i) & 1);
+                *plane ^= (bit * LSB) << b;
+            }
+        }
     }
 
     /// SubBytes: constant-time bit-parallel GF(2⁸) inversion + affine map.
     pub fn sub_bytes(&mut self) {
-        self.planes = p64::sub_bytes(self.planes);
+        let inv = gf_inv(self.planes);
+        // Affine: y_j = x_j ⊕ x_{j-1} ⊕ x_{j-2} ⊕ x_{j-3} ⊕ x_{j-4} ⊕ c_j
+        // (indices mod 8), with c = 0x63.
+        for (j, o) in self.planes.iter_mut().enumerate() {
+            *o = inv[j] ^ inv[(j + 7) % 8] ^ inv[(j + 6) % 8] ^ inv[(j + 5) % 8] ^ inv[(j + 4) % 8];
+            if (0x63 >> j) & 1 == 1 {
+                *o ^= u64::MAX;
+            }
+        }
     }
 
     /// ShiftRows: the byte permutation applied inside every plane.
     pub fn shift_rows(&mut self) {
-        self.planes = p64::shift_rows(self.planes);
+        self.planes = map_planes(self.planes, |p| permute_bytes(p, &SHIFT_ROWS_SRC));
     }
 
-    /// MixColumns over the planes.
+    /// MixColumns over the planes:
+    /// `out = xtime(a ⊕ rot1(a)) ⊕ rot1(a) ⊕ rot2(a) ⊕ rot3(a)`
+    /// where `rotₖ` rotates each column's bytes up by k rows.
     pub fn mix_columns(&mut self) {
-        self.planes = p64::mix_columns(self.planes);
+        let a = self.planes;
+        let r1 = map_planes(a, |p| permute_bytes(p, &ROT_ROWS_1));
+        let r2 = map_planes(r1, |p| permute_bytes(p, &ROT_ROWS_1));
+        let r3 = map_planes(r2, |p| permute_bytes(p, &ROT_ROWS_1));
+        let mut t = [0u64; 8];
+        for i in 0..8 {
+            t[i] = a[i] ^ r1[i];
+        }
+        let t2 = xtime(t);
+        for i in 0..8 {
+            self.planes[i] = t2[i] ^ r1[i] ^ r2[i] ^ r3[i];
+        }
     }
 
     /// Raw plane access (for tests and the fault model).
     pub fn planes(&self) -> &[u64; 8] {
-        &self.planes
-    }
-}
-
-/// Eight AES states in `u128` bit-plane representation — the wide batch
-/// the CTR keystream drains through. Same layout as [`BsState`] with
-/// eight 16-bit block groups per plane instead of four; the transpose is
-/// paid once per eight blocks instead of once per four.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BsState8 {
-    planes: [u128; 8],
-}
-
-impl BsState8 {
-    /// Transposes eight blocks into bit-plane form.
-    pub fn pack(blocks: [Vec128; 8]) -> Self {
-        BsState8 {
-            planes: p128::pack(&blocks),
-        }
-    }
-
-    /// Transposes back to eight ordinary blocks.
-    pub fn unpack(self) -> [Vec128; 8] {
-        p128::unpack(self.planes)
-    }
-
-    /// XORs a (public) round key into all eight blocks.
-    pub fn xor_round_key(&mut self, rk: Vec128) {
-        p128::xor_round_key(&mut self.planes, rk);
-    }
-
-    /// SubBytes: constant-time bit-parallel GF(2⁸) inversion + affine map.
-    pub fn sub_bytes(&mut self) {
-        self.planes = p128::sub_bytes(self.planes);
-    }
-
-    /// ShiftRows: the byte permutation applied inside every plane.
-    pub fn shift_rows(&mut self) {
-        self.planes = p128::shift_rows(self.planes);
-    }
-
-    /// MixColumns over the planes.
-    pub fn mix_columns(&mut self) {
-        self.planes = p128::mix_columns(self.planes);
-    }
-
-    /// Raw plane access (for tests and the fault model).
-    pub fn planes(&self) -> &[u128; 8] {
         &self.planes
     }
 }
@@ -341,25 +229,6 @@ pub fn aesenc4(states: [Vec128; 4], round_key: Vec128) -> [Vec128; 4] {
 /// `AESENCLAST` on four blocks in parallel, constant time.
 pub fn aesenclast4(states: [Vec128; 4], round_key: Vec128) -> [Vec128; 4] {
     let mut s = BsState::pack(states);
-    s.shift_rows();
-    s.sub_bytes();
-    s.xor_round_key(round_key);
-    s.unpack()
-}
-
-/// `AESENC` on eight blocks in parallel, constant time.
-pub fn aesenc8(states: [Vec128; 8], round_key: Vec128) -> [Vec128; 8] {
-    let mut s = BsState8::pack(states);
-    s.shift_rows();
-    s.sub_bytes();
-    s.mix_columns();
-    s.xor_round_key(round_key);
-    s.unpack()
-}
-
-/// `AESENCLAST` on eight blocks in parallel, constant time.
-pub fn aesenclast8(states: [Vec128; 8], round_key: Vec128) -> [Vec128; 8] {
-    let mut s = BsState8::pack(states);
     s.shift_rows();
     s.sub_bytes();
     s.xor_round_key(round_key);
@@ -402,25 +271,6 @@ pub fn encrypt128_x4(key: &Aes128Key, blocks: [Vec128; 4]) -> [Vec128; 4] {
     s.unpack()
 }
 
-/// Full AES-128 encryption of eight blocks in parallel.
-///
-/// The wide sibling of [`encrypt128_x4`]: one transpose each way, ten
-/// rounds on `u128` planes, double the blocks per round-function pass.
-pub fn encrypt128_x8(key: &Aes128Key, blocks: [Vec128; 8]) -> [Vec128; 8] {
-    let mut s = BsState8::pack(blocks);
-    s.xor_round_key(key.round_key(0));
-    for r in 1..=9 {
-        s.shift_rows();
-        s.sub_bytes();
-        s.mix_columns();
-        s.xor_round_key(key.round_key(r));
-    }
-    s.shift_rows();
-    s.sub_bytes();
-    s.xor_round_key(key.round_key(10));
-    s.unpack()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,14 +286,6 @@ mod tests {
             Vec128::ONES,
         ];
         assert_eq!(BsState::pack(blocks).unpack(), blocks);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip_x8() {
-        let blocks: [Vec128; 8] = std::array::from_fn(|i| {
-            Vec128::from_u128((i as u128).wrapping_mul(0x0123_4567_89ab_cdef_0011_2233) ^ !0u128)
-        });
-        assert_eq!(BsState8::pack(blocks).unpack(), blocks);
     }
 
     #[test]
@@ -469,28 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_sbox_matches_arithmetic_sbox() {
-        // All 256 byte values through the 8-wide SubBytes, 128 at a time
-        // (8 blocks × 16 bytes).
-        for chunk in 0..2 {
-            let mut blocks = [[0u8; 16]; 8];
-            for (blk, block) in blocks.iter_mut().enumerate() {
-                for (b, byte) in block.iter_mut().enumerate() {
-                    *byte = (chunk * 128 + blk * 16 + b) as u8;
-                }
-            }
-            let mut st = BsState8::pack(blocks.map(Vec128::from_bytes));
-            st.sub_bytes();
-            let out = st.unpack().map(|v| v.to_bytes());
-            for blk in 0..8 {
-                for b in 0..16 {
-                    assert_eq!(out[blk][b], gf::sbox(blocks[blk][b]));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fips197_c1_vector_bitsliced() {
         let key = Aes128Key::expand([
             0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
@@ -505,8 +325,8 @@ mod tests {
             0xc5, 0x5a,
         ];
         assert_eq!(encrypt128(&key, pt).to_bytes(), expect);
-        // The same vector through every lane of the 8-wide path.
-        let wide = encrypt128_x8(&key, [pt; 8]);
+        // The same vector through every lane of the 4-wide path.
+        let wide = encrypt128_x4(&key, [pt; 4]);
         for (i, out) in wide.iter().enumerate() {
             assert_eq!(out.to_bytes(), expect, "lane {i}");
         }
@@ -544,18 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn eight_lanes_are_independent() {
-        let blocks: [Vec128; 8] = std::array::from_fn(|i| Vec128::from_u128(1 + i as u128));
-        let rk = Vec128::from_u128(0x5678);
-        let out8 = aesenc8(blocks, rk);
-        let last8 = aesenclast8(blocks, rk);
-        for (i, b) in blocks.iter().enumerate() {
-            assert_eq!(out8[i], reference::aesenc(*b, rk), "enc lane {i}");
-            assert_eq!(last8[i], reference::aesenclast(*b, rk), "last lane {i}");
-        }
-    }
-
-    #[test]
     fn x4_encrypt_matches_single() {
         let key = Aes128Key::expand([0x42; 16]);
         let blocks = [
@@ -567,20 +375,6 @@ mod tests {
         let out = encrypt128_x4(&key, blocks);
         for (i, b) in blocks.iter().enumerate() {
             assert_eq!(out[i], reference::encrypt128(&key, *b), "lane {i}");
-        }
-    }
-
-    #[test]
-    fn x8_encrypt_matches_x4_and_single() {
-        let key = Aes128Key::expand([0x42; 16]);
-        let blocks: [Vec128; 8] = std::array::from_fn(|i| Vec128::from_u128(10 * (1 + i as u128)));
-        let out = encrypt128_x8(&key, blocks);
-        let lo = encrypt128_x4(&key, [blocks[0], blocks[1], blocks[2], blocks[3]]);
-        let hi = encrypt128_x4(&key, [blocks[4], blocks[5], blocks[6], blocks[7]]);
-        for (i, b) in blocks.iter().enumerate() {
-            assert_eq!(out[i], reference::encrypt128(&key, *b), "lane {i}");
-            let narrow = if i < 4 { lo[i] } else { hi[i - 4] };
-            assert_eq!(out[i], narrow, "x4/x8 lane {i}");
         }
     }
 }

@@ -22,8 +22,8 @@
 //! * [`bitsliced`] — the constant-time implementation actually used by the
 //!   emulation handler. State bytes are transposed into eight bit-planes
 //!   and the S-box is evaluated as GF(2⁸) inversion (x²⁵⁴) with pure
-//!   AND/XOR plane operations; four (`u64` planes) or eight (`u128`
-//!   planes) blocks are processed in parallel.
+//!   AND/XOR plane operations; four blocks (`u64` planes) are processed
+//!   in parallel.
 //!
 //! The byte layout follows the Intel SDM: byte *i* of the 128-bit operand
 //! is the AES state entry at row *i* mod 4, column *i* / 4 (column-major,

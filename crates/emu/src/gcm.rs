@@ -6,7 +6,8 @@
 //! `VPCLMULQDQ` carry-less multiplies (the GHASH authenticator). This
 //! module implements the full mode on top of the emulation primitives:
 //!
-//! * the keystream through [`crate::aes`] (bit-sliced, constant time);
+//! * the CTR keystream through the 4-wide bit-sliced kernel of
+//!   [`crate::aes`] (constant time), four counter blocks per call;
 //! * GHASH two ways — a bit-by-bit reference (`ghash_mul_ref`) and the
 //!   production path built on the emulated `VPCLMULQDQ`
 //!   ([`ghash_mul_clmul`]), cross-validated against each other and the
@@ -163,19 +164,19 @@ pub fn gcm_encrypt(
 }
 
 /// XORs the CTR keystream (counters inc32(j0), inc32²(j0), …) over
-/// `input`, appending to `out` — batching eight counter blocks per
-/// bit-sliced kernel invocation (the wide lanes are the whole point of
-/// the bit-sliced layout: one transpose pays for eight blocks).
+/// `input`, appending to `out` — batching four counter blocks (64 bytes)
+/// per bit-sliced kernel invocation, so one transpose pays for four
+/// blocks.
 fn apply_ctr_keystream(key: &Aes128Key, j0: Vec128, input: &[u8], out: &mut Vec<u8>) {
     let mut counter = j0;
-    for octet in input.chunks(128) {
-        let mut ctrs = [Vec128::ZERO; 8];
+    for quad in input.chunks(64) {
+        let mut ctrs = [Vec128::ZERO; 4];
         for c in &mut ctrs {
             counter = inc32(counter);
             *c = counter;
         }
-        let ks = bitsliced::encrypt128_x8(key, ctrs);
-        for (i, &byte) in octet.iter().enumerate() {
+        let ks = bitsliced::encrypt128_x4(key, ctrs);
+        for (i, &byte) in quad.iter().enumerate() {
             out.push(byte ^ ks[i / 16].to_bytes()[i % 16]);
         }
     }

@@ -1,12 +1,12 @@
-//! The production arena scheduler: flat struct-of-arrays core state,
-//! thread-local reusable scratch, linear argmin event selection, and a
-//! batched intra-burst fast path for lone cores.
+//! The arena scheduler, the simulator's one domain loop: flat
+//! struct-of-arrays core state, thread-local reusable scratch, linear
+//! argmin event selection, and a batched intra-burst fast path for lone
+//! cores.
 //!
-//! This loop is behaviourally identical — bit for bit, including the
-//! telemetry counters — to the event-heap reference in [`crate::event`]
-//! and the legacy scan loop in [`crate::legacy`]; the differential suite
-//! in `tests/engine_equivalence.rs` pins all three against each other.
-//! What changed is purely mechanical:
+//! This loop produces bit-for-bit the results of the legacy scan loop in
+//! [`crate::legacy`]; the differential suite in
+//! `tests/engine_equivalence.rs` pins the two against each other. What
+//! differs is purely mechanical:
 //!
 //! * **Storage.** The hot per-core state lives in a [`CoreArena`]
 //!   (dense `f64`/`u32` columns) instead of per-core structs, and both
@@ -15,11 +15,11 @@
 //!   the quantum loop; [`Counter::EngineScratchAllocs`] ticks only when
 //!   a reset had to grow a buffer, which the equivalence suite asserts
 //!   stays at zero after warm-up.
-//! * **Selection.** The per-round heap rebuild of the reference engine
-//!   is replaced by a single linear scan for the minimum `(tick, id)`.
-//!   Scanning pending → timer → cores in ascending id with strictly-less
-//!   replacement reproduces the heap's pop order exactly (lowest id wins
-//!   ties), without pushing ticks that lose anyway.
+//! * **Selection.** One linear scan over the live set finds the minimum
+//!   `(tick, id)`, with ids pending 0 < timer 1 < core 2 + i. Scanning
+//!   pending → timer → cores in ascending id with strictly-less
+//!   replacement makes the lowest id win ties, the legacy loop's
+//!   priority.
 //! * **Batching.** When exactly one core is live, instructions are
 //!   enabled, and the core sits at the start of an intra-burst stride,
 //!   every event of the stride advances the identical quantum: same
@@ -60,9 +60,13 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut DomainScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// The production domain loop: runs `cores` (one shared DVFS domain) to
-/// completion against the booted `hw`/`os` state. `arena` must be
+/// The domain loop: runs `cores` (one shared DVFS domain) to completion
+/// against the booted `hw`/`os` state. `arena` must be
 /// [`reset`](CoreArena::reset) for these cores; `live` is scratch.
+///
+/// The convergence guard counts scheduler rounds, not events: a batched
+/// round commits any number of events, so a long but valid trace never
+/// trips it, while a loop that stops making progress still does.
 pub(crate) fn run_domain<I: Iterator<Item = Burst>>(
     cores: &mut [CoreStream<I>],
     arena: &mut CoreArena,
@@ -89,17 +93,15 @@ pub(crate) fn run_domain<I: Iterator<Item = Burst>>(
 
         if live.len() == 1 {
             let i = live[0] as usize;
-            let batched = burst_fast_path(arena, i, hw, tele);
-            if batched > 0 {
-                guard = guard.saturating_add(batched);
+            if burst_fast_path(arena, i, hw, tele) > 0 {
                 continue;
             }
         }
 
         // Earliest (tick, id), ids: pending 0 < timer 1 < core 2 + i.
         // Seeding with pending, then replacing only on strictly earlier
-        // ticks while visiting timer and cores in ascending id,
-        // reproduces the reference heap's pop order exactly.
+        // ticks while visiting timer and cores in ascending id, lets the
+        // lowest id win every tie.
         let perf = hw.perf();
         let mut t_next = SimTime::from_picos(u64::MAX);
         let mut kind = NextEvent::Idle;
@@ -116,7 +118,7 @@ pub(crate) fn run_domain<I: Iterator<Item = Burst>>(
         for &i in live.iter() {
             let i = i as usize;
             // The same arithmetic, in the same order, as the reference
-            // engines: instructions to the next point of interest over
+            // loop: instructions to the next point of interest over
             // the current effective rate. Byte-identity hangs on this
             // expression not being algebraically "simplified".
             let t = hw.now + SimDuration::from_secs_f64(arena.rem_next(i) / (arena.rate[i] * perf));

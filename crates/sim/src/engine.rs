@@ -208,10 +208,9 @@ impl PointTable {
 }
 
 /// Hardware-side state: everything the OS policy manipulates through
-/// [`CpuControl`], plus the accounting. Shared between the production
-/// arena scheduler in [`crate::arena`], the event-heap reference in
-/// [`crate::event`], and the legacy scan loop kept for the differential
-/// equivalence suite.
+/// [`CpuControl`], plus the accounting. Shared between the arena
+/// scheduler in [`crate::arena`] and the legacy scan loop kept for the
+/// differential equivalence suite.
 pub(crate) struct Hw {
     pub(crate) now: SimTime,
     pub(crate) point: Point,
@@ -630,8 +629,8 @@ impl CoreArena {
 }
 
 /// The kind of event a scheduler selected. Ties are resolved pending →
-/// timer → lowest core index; the legacy scan encodes that priority in
-/// its comparison order, the event heap in its component-id ordering.
+/// timer → lowest core index; both schedulers encode that priority in
+/// the order and strictness of their comparisons.
 pub(crate) enum NextEvent {
     Pending,
     Timer,
@@ -750,7 +749,7 @@ pub(crate) fn run(
 }
 
 /// Builds the per-core streams and the aggregate workload label for a
-/// profile-driven run. Shared by the event-heap engine and the legacy
+/// profile-driven run. Shared by the arena engine and the legacy
 /// reference loop so both simulate the identical instruction streams.
 pub(crate) fn build_cores<'p>(
     cpu: &CpuModel,
@@ -812,7 +811,7 @@ where
 }
 
 /// Builds the single replay core for a recorded-trace stream. Shared by
-/// the event-heap engine and the legacy reference loop.
+/// the arena engine and the legacy reference loop.
 pub(crate) fn build_stream_core<I: Iterator<Item = Burst>>(
     cpu: &CpuModel,
     meta: &TraceMeta,
@@ -924,10 +923,9 @@ pub(crate) fn boot(cpu: &CpuModel, cfg: &SimConfig, tele: &Telemetry) -> (Hw, Su
 }
 
 /// Reacts to one scheduler-selected event. Shared verbatim between the
-/// arena engine, the event-heap reference, and the legacy scan loop:
-/// the schedulers may only differ in how they *find* the next event,
-/// never in how they process it, so the differential suite checks pure
-/// scheduling.
+/// arena engine and the legacy scan loop: the two schedulers may only
+/// differ in how they *find* the next event, never in how they process
+/// it, so the differential suite checks pure scheduling.
 pub(crate) fn dispatch_event<I: Iterator<Item = Burst>>(
     kind: NextEvent,
     arena: &mut CoreArena,

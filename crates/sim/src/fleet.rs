@@ -21,17 +21,10 @@
 //! stationary, the same argument as [`crate::thermal_loop`]), so
 //! domains need no resumable engine state across epochs.
 //!
-//! Two drivers produce bit-for-bit identical [`FleetResult`]s:
-//!
-//! * [`FleetSim::run`] — the production path: epoch loop, domains
-//!   fanned out over `suit-exec`, telemetry roll-ups merged in
-//!   domain-index order.
-//! * [`FleetSim::run_event_driven`] — the same fleet driven through the
-//!   [`Component`]/[`EventHeap`] scheduler of [`crate::event`]: DVFS
-//!   domains and rack thermal loops are scheduled as components on one
-//!   global clock, ties broken by component id (thermal ids precede
-//!   domain ids, so a sync point settles before the next epoch starts).
-//!   The equality of the two is pinned by the scheduler property suite.
+//! [`FleetSim::run`] is the one driver: an epoch loop that fans the
+//! domains out over `suit-exec` and merges telemetry roll-ups in
+//! domain-index order. The scheduler property suite pins its result at
+//! one thread against four over random topologies.
 //!
 //! The *consolidation knob* (`utilization`) parks whole domains:
 //! workloads consolidate onto the lowest-indexed domains and parked
@@ -45,13 +38,12 @@ use suit_core::governor::{GovernorConfig, OffsetGovernor};
 use suit_core::StrategyKey;
 use suit_exec::Threads;
 use suit_hw::{CpuModel, UndervoltLevel};
-use suit_isa::{SimDuration, SimTime};
+use suit_isa::SimDuration;
 use suit_rng::{RngCore, SuitRng};
 use suit_telemetry::{fields, json, Telemetry, TelemetrySnapshot};
 use suit_trace::{profile, WorkloadProfile};
 
 use crate::engine::{simulate_telemetry, SimConfig};
-use crate::event::{Component, EventHeap};
 use crate::result::RunResult;
 
 /// Upper bound on racks.
@@ -518,16 +510,12 @@ impl FleetSim {
 
     /// The sync grid: one epoch of instructions at the base clock. The
     /// grid is a scheduling device (domains run different workloads at
-    /// different IPCs), but it is the *same* device in both drivers,
-    /// which is all determinism needs.
+    /// different IPCs); it depends on the config alone, which is all
+    /// determinism needs.
     fn epoch_dt(&self) -> SimDuration {
         SimDuration::from_secs_f64(
             self.cfg.epoch_insts as f64 / (self.cfg.cpu.steady.base_freq_ghz * 1e9),
         )
-    }
-
-    fn epoch_tick(&self, epoch: usize) -> SimTime {
-        SimTime::from_picos(self.epoch_dt().as_picos().saturating_mul(epoch as u64))
     }
 
     /// Per-slice seed: the `seed → domain → epoch` fork chain.
@@ -687,120 +675,6 @@ impl FleetSim {
             epochs: self.cfg.epochs,
         }
     }
-
-    /// Runs the fleet through the [`Component`]/[`EventHeap`] scheduler
-    /// of [`crate::event`]: every DVFS domain and every rack thermal
-    /// loop is a component on one global clock. Serial by construction
-    /// (components share the fleet state), bit-for-bit identical to
-    /// [`FleetSim::run`] — the scheduler property suite pins it.
-    pub fn run_event_driven(&self) -> FleetResult {
-        let dpr = self.cfg.domains_per_rack;
-        let active = self.active_domains();
-        let racks = self.cfg.racks;
-
-        let mut ctx = FleetCtx {
-            sim: self,
-            levels: (0..racks).map(|r| self.governor(r).level()).collect(),
-            governors: (0..racks).map(|r| self.governor(r)).collect(),
-            mailbox: vec![Vec::new(); racks],
-            reports: (0..racks)
-                .map(|r| {
-                    let lo = r * dpr;
-                    let act = (lo + dpr).min(active).saturating_sub(lo);
-                    RackReport::new(r, self.fan_rpm(r), self.age_years(r), act)
-                })
-                .collect(),
-        };
-
-        // Component ids: rack thermal loops first (ids 0..racks), then
-        // domains (ids racks..racks+active). At an epoch boundary every
-        // rack's sync point therefore settles — governor stepped, level
-        // re-decided — before any domain starts the next epoch: the
-        // heap's id tie-break *is* the sync-point barrier.
-        let mut comps: Vec<FleetComponent> = (0..racks)
-            .map(|rack| FleetComponent::Thermal { rack, epoch: 0 })
-            .chain((0..active).map(|domain| FleetComponent::Domain { domain, epoch: 0 }))
-            .collect();
-        let mut heap = EventHeap::with_capacity(comps.len());
-        for (id, c) in comps.iter().enumerate() {
-            if let Some(t) = c.next_tick(&ctx) {
-                heap.push(t, id as u32);
-            }
-        }
-        while let Some((tick, id)) = heap.pop() {
-            let c = &mut comps[id as usize];
-            c.on_tick(tick, &mut ctx);
-            if let Some(t) = c.next_tick(&ctx) {
-                heap.push(t, id);
-            }
-        }
-
-        FleetResult {
-            racks: ctx.reports,
-            domains: self.domains(),
-            active_domains: active,
-            cores: active * self.cfg.cores_per_domain,
-            epochs: self.cfg.epochs,
-        }
-    }
-}
-
-/// Shared fleet state the components interact through.
-struct FleetCtx<'a> {
-    sim: &'a FleetSim,
-    /// Per-rack allowed level, re-decided at each rack's sync point.
-    levels: Vec<Option<UndervoltLevel>>,
-    governors: Vec<OffsetGovernor>,
-    /// Per-rack slice results of the epoch in flight, appended in
-    /// domain-index order (domains dispatch in id order).
-    mailbox: Vec<Vec<EpochOut>>,
-    reports: Vec<RackReport>,
-}
-
-/// The fleet-level components: a DVFS domain running its epoch slices,
-/// and a rack's thermal sync point.
-enum FleetComponent {
-    /// Rack `rack`'s thermal loop; ticks at the *end* of each epoch.
-    Thermal { rack: usize, epoch: usize },
-    /// Domain `domain`; ticks at the *start* of each epoch.
-    Domain { domain: usize, epoch: usize },
-}
-
-impl<'a> Component<FleetCtx<'a>> for FleetComponent {
-    fn next_tick(&self, ctx: &FleetCtx<'a>) -> Option<SimTime> {
-        let epochs = ctx.sim.cfg.epochs;
-        match *self {
-            // The sync point for epoch k settles at the start of k+1.
-            FleetComponent::Thermal { epoch, .. } => {
-                (epoch < epochs).then(|| ctx.sim.epoch_tick(epoch + 1))
-            }
-            FleetComponent::Domain { epoch, .. } => {
-                (epoch < epochs).then(|| ctx.sim.epoch_tick(epoch))
-            }
-        }
-    }
-
-    fn on_tick(&mut self, _now: SimTime, ctx: &mut FleetCtx<'a>) {
-        match self {
-            FleetComponent::Thermal { rack, epoch } => {
-                let r = *rack;
-                let outs = std::mem::take(&mut ctx.mailbox[r]);
-                let sim = ctx.sim;
-                sim.rack_sync(&outs, &mut ctx.governors[r], &mut ctx.reports[r]);
-                ctx.levels[r] = ctx.governors[r].level();
-                *epoch += 1;
-            }
-            FleetComponent::Domain { domain, epoch } => {
-                let d = *domain;
-                let rack = d / ctx.sim.cfg.domains_per_rack;
-                let out = ctx
-                    .sim
-                    .run_domain_epoch(d, *epoch, ctx.levels[rack], &Telemetry::off());
-                ctx.mailbox[rack].push(out);
-                *epoch += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -829,12 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_matches_sharded() {
-        let sim = FleetSim::new(tiny()).unwrap();
-        assert_eq!(sim.run(Threads::Fixed(2)), sim.run_event_driven());
-    }
-
-    #[test]
     fn telemetry_is_observational_and_thread_invariant() {
         let sim = FleetSim::new(tiny()).unwrap();
         let plain = sim.run(Threads::Fixed(1));
@@ -858,7 +726,7 @@ mod tests {
         assert_eq!(r.racks[0].slices, 4);
         assert_eq!(r.racks[1].slices, 0);
         assert_eq!(r.racks[1].events, 0);
-        assert_eq!(sim.run_event_driven(), r);
+        assert_eq!(sim.run(Threads::Fixed(1)), r);
 
         // Regression: utilization low enough that a whole rack sits past
         // the active range used to panic on an out-of-range slice start.
@@ -868,7 +736,7 @@ mod tests {
         let r = sim.run(Threads::Fixed(2));
         assert_eq!(r.active_domains, 1);
         assert_eq!(r.racks[1].slices, 0);
-        assert_eq!(sim.run_event_driven(), r);
+        assert_eq!(sim.run(Threads::Fixed(1)), r);
     }
 
     #[test]

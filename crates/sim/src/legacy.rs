@@ -1,17 +1,17 @@
-//! The original (pre-event-heap) engine loop, kept as a reference
-//! implementation for the differential equivalence suite
-//! (`tests/engine_equivalence.rs`).
+//! The original engine loop, kept as the differential oracle for the
+//! equivalence suite (`tests/engine_equivalence.rs`) and the random
+//! configurations of `tests/scheduler_properties.rs`.
 //!
-//! The production engine ([`crate::arena`]) batches and scans flat
-//! arrays; the PR 8 reference ([`crate::heap_ref`]) selects events with
-//! a deterministic binary min-heap; this module selects them with the
-//! original linear scan over every core plus the timer and pending
-//! slots, visiting finished cores too. All three share the *identical*
-//! boot, per-quantum advancement, and event-dispatch code from
-//! [`crate::engine`], so any divergence is a scheduling bug — which is
-//! exactly what the suite exists to catch. Not part of the supported
-//! API: the adapters in [`crate::engine`] are the only production entry
-//! points.
+//! The production engine ([`crate::arena`]) keeps a live set, scans flat
+//! arrays and batches a lone core's intra-burst events; this module
+//! handles one event per round, found by the original linear scan over
+//! every core plus the timer and pending slots, finished cores included.
+//! It is the only independent check of the arena's batched fast path.
+//! Both share the *identical* boot, per-quantum advancement, and
+//! event-dispatch code from [`crate::engine`], so any divergence is a
+//! scheduling bug — which is exactly what the suites exist to catch. Not
+//! part of the supported API: the adapters in [`crate::engine`] are the
+//! only production entry points.
 
 use suit_hw::CpuModel;
 use suit_isa::{SimDuration, SimTime};
@@ -66,7 +66,7 @@ fn run_cores_legacy<I: Iterator<Item = Burst>>(
 ) -> (MixedResult, Option<Vec<crate::engine::PointChange>>) {
     assert!(!cores.is_empty(), "need at least one core");
     let (mut hw, mut os) = boot(cpu, cfg, tele);
-    // The reference loops build a private arena per run (no scratch
+    // The reference loop builds a private arena per run (no scratch
     // reuse): storage is shared with production, scheduling is not.
     let mut arena = CoreArena::default();
     arena.reset(&mut cores, tele);
@@ -111,8 +111,8 @@ fn run_cores_legacy<I: Iterator<Item = Burst>>(
         }
 
         // Advance execution to the event — every core of the domain is
-        // visited, finished (idle-parked) or not. The other engines
-        // instead drop finished cores from their live sets; the results
+        // visited, finished (idle-parked) or not. The arena engine
+        // instead drops finished cores from its live set; the results
         // are identical (advancing a finished core is a no-op), only
         // the per-core step accounting differs.
         let dt = t_next.saturating_since(hw.now);

@@ -14,7 +14,11 @@
 //!
 //! * [`engine`] — the discrete-event core for the curve-switching
 //!   strategies (𝑓, 𝑉, 𝑓𝑉), including multi-core runs sharing one DVFS
-//!   domain (CPU 𝒜).
+//!   domain (CPU 𝒜). Every run goes through one domain loop, the arena
+//!   scheduler; [`legacy`] keeps the original scan loop as the
+//!   differential oracle the equivalence suite compares it against.
+//! * [`fleet`] — racks of DVFS domains under per-rack thermal governors,
+//!   sharded across `suit-exec` between thermal sync points.
 //! * [`analytic`] — closed-form evaluation of the *emulation* and
 //!   *no-SIMD* modes, which never switch curves (§6.2's methodology:
 //!   no-SIMD recompile overhead plus one emulation-call delay per disabled
@@ -36,11 +40,8 @@
 pub mod analytic;
 mod arena;
 pub mod engine;
-pub mod event;
 pub mod experiment;
 pub mod fleet;
-#[doc(hidden)]
-pub mod heap_ref;
 #[doc(hidden)]
 pub mod legacy;
 pub mod montecarlo;

@@ -37,7 +37,6 @@ const USAGE: &str =
 \x20 fleet [--config <file.json>] [--racks N] [--domains N | --cores N] [--cores-per-domain N]\n\
 \x20       [--workload name[,name...]] [--epochs N] [--insts N] [--utilization F]\n\
 \x20       [--cpu a|b|c] [--strategy fv|f|v] [--offset 70|97] [--seed N] [--threads N]\n\
-\x20       [--event-driven]   (serial component-scheduler driver; same bytes)\n\
 \x20 trace record --workload <name> --out <file> [--bursts N] [--seed N]\n\
 \x20       [--format v1|v2] [--chunk-bursts N]   (v2 streams into a SUITTRC2 container)\n\
 \x20 trace pack <in.suittrc> <out.suittrc2> [--chunk-bursts N]\n\
@@ -475,12 +474,11 @@ fn cmd_trace(args: &[String]) -> CliResult {
 
 /// `fleet`: rack-scale scenario over the event engine — racks of DVFS
 /// domains with per-rack cooling/age governors, sharded between thermal
-/// sync points. Output is byte-identical at every `--threads`, and the
-/// `--event-driven` driver reproduces it exactly.
+/// sync points. Output is byte-identical at every `--threads`.
 fn cmd_fleet(args: &[String]) -> CliResult {
     use suit::sim::fleet::{FleetConfig, FleetSim};
     let flags = table_flags(FleetConfig::FIELDS, &["--config", "--cores", "--threads"]);
-    check_args(args, &flags, &["--event-driven"], 0)?;
+    check_args(args, &flags, &[], 0)?;
     let mut cfg = match opt(args, "--config") {
         Some(path) => {
             let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
@@ -509,13 +507,7 @@ fn cmd_fleet(args: &[String]) -> CliResult {
         cfg.domains_per_rack = total / per;
     }
     let threads = parse_threads(args)?;
-    let sim = FleetSim::new(cfg)?;
-    let result = if args.iter().any(|a| a == "--event-driven") {
-        sim.run_event_driven()
-    } else {
-        sim.run(threads)
-    };
-    print!("{}", result.render());
+    print!("{}", FleetSim::new(cfg)?.run(threads).render());
     Ok(())
 }
 

@@ -1,114 +1,30 @@
 //! Property tests for the discrete-event scheduler.
 //!
-//! The engine's correctness rests on three scheduler invariants, each
+//! The engine's correctness rests on two scheduler invariants, each
 //! pinned here over randomized inputs (seeds replay from
 //! `tests/corpus/` before random exploration):
 //!
-//! 1. **Total, stable order** — `EventHeap` pops form exactly the
-//!    lexicographic `(tick, component id)` sort of what was pushed:
-//!    equal ticks resolve by id, duplicates included. This is the
-//!    tie-break rule that makes replay byte-identical (pending=0 beats
-//!    timer=1 beats cores 2+i, reproducing the legacy scan priorities).
-//! 2. **Time never moves backwards** — interleaved push/pop sequences
-//!    agree with a sorted-model oracle, and every drain is
-//!    nondecreasing; at the engine level, recorded p-state timelines
-//!    are nondecreasing in time for random configurations.
-//! 3. **Sharding is invisible** — for random fleet topologies, the
-//!    domain-sharded driver at 1 and 4 threads and the serial
-//!    component-scheduler driver produce identical results.
+//! 1. **Time never moves backwards, and the arena loop agrees with the
+//!    scan oracle** — for random configurations the recorded p-state
+//!    timeline is nondecreasing in time, and the result is
+//!    `Debug`-byte-identical to `suit::sim::legacy`'s one-event-per-round
+//!    scan loop.
+//! 2. **Sharding is invisible** — for random fleet topologies, the
+//!    domain-sharded driver produces identical results at 1 and 4
+//!    threads.
 
 use suit::check::gen::{self, Gen};
 use suit::check::{corpus_dir, Checker};
 use suit::exec::Threads;
 use suit::hw::{CpuModel, UndervoltLevel};
-use suit::isa::SimTime;
 use suit::sim::engine::{simulate_with_timeline, SimConfig};
-use suit::sim::event::EventHeap;
 use suit::sim::fleet::{FleetConfig, FleetSim};
+use suit::sim::legacy;
 use suit::trace::profile;
 
-/// Random `(tick, id)` entries: tick range is tiny on purpose so ties
-/// and duplicates are common, which is where tie-break bugs live.
-fn entries() -> Gen<Vec<(u64, u32)>> {
-    gen::pair(&gen::u64_in(0..=40), &gen::u32_in(0..=6)).vec_up_to(96)
-}
-
-/// Property 1: a full drain is exactly the stable lexicographic sort.
-#[test]
-fn heap_drain_is_total_stable_order() {
-    Checker::new("scheduler_props::heap_order")
-        .cases_from_env_or(20_000)
-        .corpus(corpus_dir!())
-        .check(&entries(), |items: &Vec<(u64, u32)>| {
-            let mut heap = EventHeap::new();
-            for &(t, id) in items {
-                heap.push(SimTime::from_picos(t), id);
-            }
-            let mut drained = Vec::new();
-            while let Some((t, id)) = heap.pop() {
-                drained.push((t.as_picos(), id));
-            }
-            let mut expect = items.clone();
-            expect.sort_unstable();
-            if drained == expect {
-                Ok(())
-            } else {
-                Err(format!("drain {drained:?} != sorted {expect:?}"))
-            }
-        });
-}
-
-/// An interleaved op sequence: push `(tick, id)` or pop.
-fn op_sequence() -> Gen<Vec<Option<(u64, u32)>>> {
-    gen::one_of(vec![
-        gen::pair(&gen::u64_in(0..=40), &gen::u32_in(0..=6)).map(Some),
-        gen::u64_in(0..=1).map(|_| None),
-    ])
-    .vec_up_to(96)
-}
-
-/// Property 2 (heap level): interleaved push/pop matches a sorted-model
-/// oracle — covering *reschedule* shapes, where a popped component
-/// pushes its next tick back in while other events are pending — and
-/// consecutive pops between pushes never go backwards.
-#[test]
-fn heap_matches_sorted_model_under_interleaving() {
-    Checker::new("scheduler_props::heap_model")
-        .cases_from_env_or(20_000)
-        .corpus(corpus_dir!())
-        .check(&op_sequence(), |ops: &Vec<Option<(u64, u32)>>| {
-            let mut heap = EventHeap::new();
-            let mut model: Vec<(u64, u32)> = Vec::new();
-            for op in ops {
-                match op {
-                    Some((t, id)) => {
-                        heap.push(SimTime::from_picos(*t), *id);
-                        model.push((*t, *id));
-                        model.sort_unstable();
-                    }
-                    None => {
-                        let got = heap.pop().map(|(t, id)| (t.as_picos(), id));
-                        let want = if model.is_empty() {
-                            None
-                        } else {
-                            Some(model.remove(0))
-                        };
-                        if got != want {
-                            return Err(format!("pop {got:?}, model says {want:?}"));
-                        }
-                    }
-                }
-            }
-            if heap.len() != model.len() {
-                return Err(format!("leftover {} != model {}", heap.len(), model.len()));
-            }
-            Ok(())
-        });
-}
-
-/// Property 2 (engine level): no component observes time moving
-/// backwards — the recorded p-state timeline of a random configuration
-/// is nondecreasing.
+/// Property 1: no component observes time moving backwards — the
+/// recorded p-state timeline of a random configuration is nondecreasing
+/// — and the arena result matches the legacy scan oracle byte for byte.
 #[test]
 fn timelines_never_move_backwards() {
     let workloads: Vec<&'static str> = profile::all().iter().map(|p| p.name).collect();
@@ -117,7 +33,7 @@ fn timelines_never_move_backwards() {
         &gen::pair(&gen::usize_in(0..=n - 1), &gen::from_slice(&[1usize, 2, 4])),
         &gen::pair(
             &gen::u64_any(),
-            &gen::from_slice(&[1_000_000u64, 4_000_000]),
+            &gen::from_slice(&[1_000_000u64, 4_000_000, 20_000_000]),
         ),
     );
     Checker::new("scheduler_props::time_forward")
@@ -133,7 +49,11 @@ fn timelines_never_move_backwards() {
                     seed,
                     ..SimConfig::fv_intel(UndervoltLevel::Mv97).with_max_insts(insts)
                 };
-                let (_, timeline) = simulate_with_timeline(&cpu, p, &cfg);
+                let (run, timeline) = simulate_with_timeline(&cpu, p, &cfg);
+                let oracle = legacy::simulate(&cpu, p, &cfg);
+                if format!("{run:?}") != format!("{oracle:?}") {
+                    return Err(format!("arena {run:?} != legacy {oracle:?}"));
+                }
                 for w in timeline.windows(2) {
                     if w[1].at < w[0].at {
                         return Err(format!(
@@ -176,9 +96,8 @@ fn topologies() -> Gen<FleetConfig> {
     )
 }
 
-/// Property 3: domain-sharded execution is indistinguishable from
-/// single-threaded execution, and both from the serial event-driven
-/// driver, for random fleet topologies.
+/// Property 2: domain-sharded execution is indistinguishable from
+/// single-threaded execution for random fleet topologies.
 #[test]
 fn sharded_fleet_equals_serial_for_random_topologies() {
     Checker::new("scheduler_props::fleet_shard")
@@ -190,10 +109,6 @@ fn sharded_fleet_equals_serial_for_random_topologies() {
             let t4 = sim.run(Threads::Fixed(4));
             if format!("{t1:?}") != format!("{t4:?}") {
                 return Err("sharded run depends on thread count".to_string());
-            }
-            let ev = sim.run_event_driven();
-            if format!("{t1:?}") != format!("{ev:?}") {
-                return Err("event-driven driver diverges from sharded".to_string());
             }
             Ok(())
         });
