@@ -15,6 +15,7 @@ use suit_isa::Vec128;
 use suit_scenarios::{scrooge, sram, ScroogeConfig, SramScenarioConfig};
 use suit_sim::engine::{run_stream, simulate, SimConfig};
 use suit_sim::fleet::{FleetConfig, FleetSim};
+use suit_sim::legacy;
 use suit_sim::montecarlo::monte_carlo_with_threads;
 use suit_store as store;
 use suit_telemetry::Telemetry;
@@ -54,7 +55,10 @@ fn ms(m: &Measurement) -> f64 {
 
 /// The engine hot-path bench: single-thread Monte-Carlo throughput,
 /// quantum-loop ns per faultable-instruction event, and bit-sliced AES
-/// blocks/s — the headline numbers of the data-layout refactor.
+/// blocks/s — the headline numbers of the data-layout refactor — plus
+/// one campaign-length Nginx run. 502.gcc averages ~550 events per
+/// burst, Nginx ~50k, so only the Nginx cell shows what the lone-core
+/// fast path's closed-form batching buys.
 ///
 /// The emitted `BENCH_engine.json` carries a `baseline` section and a
 /// `current` section. On the first run both are the fresh measurement;
@@ -76,10 +80,15 @@ pub fn engine_hotpath(opts: &PerfOpts) {
     } else {
         2_000_000_000
     };
+    let nginx_insts: u64 = if opts.test_mode {
+        200_000_000
+    } else {
+        2_000_000_000
+    };
 
     println!(
         "engine_hotpath: 502.gcc fv -97 mV, mc {mc_runs} runs x {mc_insts} insts (1 thread), \
-         quantum loop {quantum_insts} insts, bit-sliced AES\n"
+         quantum loop {quantum_insts} insts, Nginx {nginx_insts} insts, bit-sliced AES\n"
     );
 
     // (1) Single-thread Monte-Carlo throughput: the metric the ROADMAP
@@ -100,7 +109,17 @@ pub fn engine_hotpath(opts: &PerfOpts) {
     });
     let quantum_ns_per_event = quantum.median.as_secs_f64() * 1e9 / q_result.events.max(1) as f64;
 
-    // (3) Bit-sliced AES block throughput through the 4-wide kernel
+    // (3) A campaign-length crypto run: Nginx's AES bursts, tens of
+    // thousands of events each, are where the fast path batches.
+    let nginx = profile::by_name("Nginx").expect("Nginx profile");
+    let n_cfg = SimConfig::fv_intel(UndervoltLevel::Mv97).with_max_insts(nginx_insts);
+    let n_result = simulate(&cpu, nginx, &n_cfg);
+    let nginx_run = bench_with_throughput("nginx_campaign (events)", Some(n_result.events), || {
+        simulate(&cpu, nginx, &n_cfg)
+    });
+    let nginx_ns_per_event = nginx_run.median.as_secs_f64() * 1e9 / n_result.events.max(1) as f64;
+
+    // (4) Bit-sliced AES block throughput through the 4-wide kernel
     // (`aes_width` blocks per invocation), the batch the GCM keystream
     // uses — the same kernel the committed baseline timed.
     let key = Aes128Key::expand([0x42; 16]);
@@ -114,8 +133,11 @@ pub fn engine_hotpath(opts: &PerfOpts) {
 
     println!(
         "\nmc {mc_runs_per_s:.2} runs/s (1 thread), quantum {quantum_ns_per_event:.1} ns/event \
-         ({} events), aes {aes_blocks_per_s:.3e} blocks/s (x{aes_width})",
-        q_result.events
+         ({} events), nginx {:.3} ms ({nginx_ns_per_event:.4} ns/event over {} events), \
+         aes {aes_blocks_per_s:.3e} blocks/s (x{aes_width})",
+        q_result.events,
+        ms(&nginx_run),
+        n_result.events
     );
 
     if let Some(path) = &opts.json_path {
@@ -126,6 +148,7 @@ pub fn engine_hotpath(opts: &PerfOpts) {
         doc.config("mc_insts", Val::U64(mc_insts));
         doc.config("mc_threads", Val::U64(1));
         doc.config("quantum_insts", Val::U64(quantum_insts));
+        doc.config("nginx_insts", Val::U64(nginx_insts));
 
         // Carry the committed baseline forward; first run seeds it with
         // the fresh measurement.
@@ -144,6 +167,9 @@ pub fn engine_hotpath(opts: &PerfOpts) {
                 Val::F64(quantum_ns_per_event, 2),
             ),
             ("quantum_events".into(), Val::U64(q_result.events)),
+            ("nginx_median_ms".into(), Val::F64(ms(&nginx_run), 3)),
+            ("nginx_ns_per_event".into(), Val::F64(nginx_ns_per_event, 4)),
+            ("nginx_events".into(), Val::U64(n_result.events)),
             (
                 "aes_median_ns".into(),
                 Val::F64(aes.median.as_nanos() as f64, 0),
@@ -174,6 +200,11 @@ pub fn engine_hotpath(opts: &PerfOpts) {
             q_result,
             simulate(&cpu, p, &q_cfg),
             "engine must be deterministic"
+        );
+        assert_eq!(
+            format!("{n_result:?}"),
+            format!("{:?}", legacy::simulate(&cpu, nginx, &n_cfg)),
+            "batched Nginx run must equal the per-event legacy loop"
         );
         assert!(
             mc_runs_per_s > 0.05,

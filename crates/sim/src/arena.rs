@@ -26,9 +26,11 @@
 //!   `dt`, same instruction count, same energy increment. The fast path
 //!   proves from the timer deadline, the pending arrival and the
 //!   remaining trace length how many consecutive events nothing can
-//!   preempt, then commits them in one pass — `n` sequential f64
-//!   subtractions and additions, exactly the operations the per-event
-//!   loop would have performed, minus the scheduling overhead.
+//!   preempt, then commits them at once. The two running f64 sums (the
+//!   trace remainder and the energy) take the closed forms of
+//!   [`crate::accum`], which land bit for bit where the per-event loop's
+//!   `n` sequential subtractions and additions would, in O(binades
+//!   crossed) work instead of O(n).
 
 use std::cell::RefCell;
 
@@ -37,6 +39,7 @@ use suit_isa::{SimDuration, SimTime};
 use suit_telemetry::{Counter, Telemetry};
 use suit_trace::Burst;
 
+use crate::accum;
 use crate::engine::{dispatch_event, CoreArena, CoreStream, Hw, NextEvent};
 
 /// Reusable per-thread simulation scratch: the hot-state arena and the
@@ -163,8 +166,9 @@ pub(crate) fn run_domain<I: Iterator<Item = Burst>>(
 ///
 /// Batch length is then bounded by whichever comes first: the burst
 /// running out of events, the trace end (`rem_total` falling to the
-/// stride length — checked against the *sequentially* decremented
-/// remainder, reproducing the per-event f64 order), the deadline timer
+/// stride length — checked against the remainder as the per-event loop
+/// would decrement it, one f64 subtraction per event, which
+/// [`accum::sub_while_above`] reproduces in closed form), the deadline timer
 /// (which each event resets, so events 2… only require `dt < deadline`,
 /// while event 1 races the currently armed expiry), or a pending
 /// p-state arrival. Timer and pending win ties by component id, hence
@@ -220,17 +224,9 @@ fn burst_fast_path(arena: &mut CoreArena, i: usize, hw: &mut Hw, tele: &Telemetr
         .min(cap_timer)
         .min(cap_pending);
 
-    let mut rem_total = arena.rem_total[i];
-    let mut n: u64 = 0;
-    while n < cap {
-        // An event with rem_total ≤ stride length is the trace-end
-        // event — full dispatch handles it.
-        if rem_total <= w {
-            break;
-        }
-        rem_total -= stride;
-        n += 1;
-    }
+    // An event with rem_total ≤ stride length is the trace-end event —
+    // full dispatch handles it.
+    let (n, rem_total) = accum::sub_while_above(arena.rem_total[i], stride, w, cap);
     if n == 0 {
         return 0;
     }

@@ -285,15 +285,13 @@ impl Hw {
 
     /// Advances `n` identical execution quanta of `dt` in one call — the
     /// batched form of [`run_for`](Self::run_for) behind the arena
-    /// engine's intra-burst fast path. Energy still accumulates with `n`
-    /// sequential additions (f64 addition is not associative, and the
-    /// batch must reproduce the per-event sums bit for bit); the integer
-    /// time accounting takes the closed form.
+    /// engine's intra-burst fast path. f64 addition is not associative,
+    /// so energy is not `n · p`: [`crate::accum::add_n`] gives the
+    /// result of `n` sequential additions bit for bit without doing
+    /// them. The integer time accounting is plain multiplication.
     pub(crate) fn run_for_n(&mut self, dt: SimDuration, n: u64) {
         let p = self.power() * dt.as_secs_f64();
-        for _ in 0..n {
-            self.energy_rel += p;
-        }
+        self.energy_rel = crate::accum::add_n(self.energy_rel, p, n);
         let total = dt * n;
         match self.point {
             Point::E => {

@@ -16,7 +16,9 @@
 //!   strategies (𝑓, 𝑉, 𝑓𝑉), including multi-core runs sharing one DVFS
 //!   domain (CPU 𝒜). Every run goes through one domain loop, the arena
 //!   scheduler; [`legacy`] keeps the original scan loop as the
-//!   differential oracle the equivalence suite compares it against.
+//!   differential oracle the equivalence suite compares it against, and
+//!   [`accum`] holds the exact closed forms that let the scheduler
+//!   commit a lone core's burst without stepping through its events.
 //! * [`fleet`] — racks of DVFS domains under per-rack thermal governors,
 //!   sharded across `suit-exec` between thermal sync points.
 //! * [`analytic`] — closed-form evaluation of the *emulation* and
@@ -37,6 +39,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[doc(hidden)]
+pub mod accum;
 pub mod analytic;
 mod arena;
 pub mod engine;

@@ -23,10 +23,12 @@
 //! idle window contributes zero per-core step events to telemetry. It
 //! asserts the arena scheduler's hot loop is allocation-free once its
 //! thread-local scratch is warm, via the telemetry `EngineScratchAllocs`
-//! counter. Finally, a release-only replay of more than 2·10⁹ events
-//! checks that the engine's convergence guard bounds scheduler rounds,
-//! not trace length.
+//! counter. A replay of more than 2·10⁹ events checks that the engine's
+//! convergence guard bounds scheduler rounds, not trace length. Finally,
+//! release-only cells run the crypto workloads at campaign length, where
+//! the fast path commits bursts of tens of thousands of events at once.
 
+use suit::core::StrategyKey;
 use suit::exec::Threads;
 use suit::hw::{CpuModel, UndervoltLevel};
 use suit::sim::engine::{run_stream, simulate, simulate_mixed, SimConfig};
@@ -234,10 +236,6 @@ fn warm_quantum_loop_never_allocates_scratch() {
 /// converge" although every scheduler round made progress. Streamed, so
 /// the trace is never resident.
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "replays 2.16e9 events; run it with --release"
-)]
 fn replay_past_two_billion_events_completes() {
     let cpu = CpuModel::xeon_4208();
     let p = profile::by_name("Nginx").expect("Nginx");
@@ -263,4 +261,30 @@ fn replay_past_two_billion_events_completes() {
         r.events, summary.events,
         "replay stopped short of the trace"
     );
+}
+
+/// Campaign-length crypto cells: Nginx and VLC at 2·10⁹ instructions
+/// under 𝑓𝑉 and adaptive, the runs whose bursts (up to ~50k events
+/// each) the fast path commits in one batch. The 20M-instruction matrix
+/// above reaches only a few such batches.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "legacy oracle at 2e9 instructions; run it with --release"
+)]
+fn campaign_length_crypto_runs_match_legacy() {
+    let cpu = CpuModel::xeon_4208();
+    for name in ["Nginx", "VLC"] {
+        let p = profile::by_name(name).expect("known profile");
+        for strategy in [StrategyKey::FreqVolt, StrategyKey::Adaptive] {
+            let cfg = SimConfig::for_point(&cpu, strategy, UndervoltLevel::Mv97)
+                .with_max_insts(2_000_000_000);
+            assert_eq!(
+                format!("{:?}", simulate(&cpu, p, &cfg)),
+                format!("{:?}", legacy::simulate(&cpu, p, &cfg)),
+                "{name} {} diverged from legacy",
+                strategy.key()
+            );
+        }
+    }
 }

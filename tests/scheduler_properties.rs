@@ -12,11 +12,15 @@
 //! 2. **Sharding is invisible** — for random fleet topologies, the
 //!    domain-sharded driver produces identical results at 1 and 4
 //!    threads.
+//! 3. **Batched accumulation is exact** — the closed forms behind the
+//!    lone-core fast path (`suit::sim::accum`) land on the bit pattern
+//!    the per-step f64 loops they replace would reach.
 
 use suit::check::gen::{self, Gen};
-use suit::check::{corpus_dir, Checker};
+use suit::check::{corpus_dir, Checker, Source};
 use suit::exec::Threads;
 use suit::hw::{CpuModel, UndervoltLevel};
+use suit::sim::accum;
 use suit::sim::engine::{simulate_with_timeline, SimConfig};
 use suit::sim::fleet::{FleetConfig, FleetSim};
 use suit::sim::legacy;
@@ -112,4 +116,137 @@ fn sharded_fleet_equals_serial_for_random_topologies() {
             }
             Ok(())
         });
+}
+
+/// The per-step loop [`accum::add_n`] replaces.
+fn add_n_per_step(mut x: f64, c: f64, n: u64) -> f64 {
+    for _ in 0..n {
+        x += c;
+    }
+    x
+}
+
+/// The per-step loop [`accum::sub_while_above`] replaces.
+fn sub_while_above_per_step(mut y: f64, s: f64, w: f64, cap: u64) -> (u64, f64) {
+    let mut n = 0;
+    while n < cap {
+        if y <= w {
+            break;
+        }
+        y -= s;
+        n += 1;
+    }
+    (n, y)
+}
+
+/// Both closed forms against their per-step loops, bit for bit, on one
+/// `(x, c, w, cap)`: `add_n(x, c, cap)` and `sub_while_above(x, c, w, cap)`.
+fn accumulation_agrees(&(x, c, w, cap): &(f64, f64, f64, u64)) -> Result<(), String> {
+    let (fast, slow) = (accum::add_n(x, c, cap), add_n_per_step(x, c, cap));
+    if fast.to_bits() != slow.to_bits() {
+        return Err(format!(
+            "add_n({x:e}, {c:e}, {cap}) = {fast:e} ({:#x}), per step {slow:e} ({:#x})",
+            fast.to_bits(),
+            slow.to_bits()
+        ));
+    }
+    let fast = accum::sub_while_above(x, c, w, cap);
+    let slow = sub_while_above_per_step(x, c, w, cap);
+    if (fast.0, fast.1.to_bits()) != (slow.0, slow.1.to_bits()) {
+        return Err(format!(
+            "sub_while_above({x:e}, {c:e}, {w:e}, {cap}) = {fast:?} ({:#x}), per step {slow:?} ({:#x})",
+            fast.1.to_bits(),
+            slow.1.to_bits()
+        ));
+    }
+    Ok(())
+}
+
+/// `2^e`, clamped to the finite range: zero below the subnormals,
+/// `2^1023` above the top binade.
+fn pow2(e: i32) -> f64 {
+    match e {
+        ..=-1075 => 0.0,
+        -1074..=-1023 => f64::from_bits(1 << (e + 1074)),
+        _ => f64::from_bits(((e.min(1023) + 1023) as u64) << 52),
+    }
+}
+
+/// A value in `[base, 2·base)` with a random mantissa (odd or even).
+fn in_binade(src: &mut Source, base: f64) -> f64 {
+    let width = base.to_bits().clamp(1, 1 << 52);
+    f64::from_bits(base.to_bits() + src.choice(width))
+}
+
+/// Kernel inputs biased toward the cases the closed form must get right:
+/// few-bit operands (exact half-ulp ties), starts at `2^k` and
+/// `2^k − ulp` (binade edges), zero and subnormal starts, steps from
+/// many binades wide down to below half an ulp, thresholds in and out
+/// of reach, and step budgets from zero up.
+fn accumulations() -> Gen<(f64, f64, f64, u64)> {
+    Gen::new(|src| {
+        // The start's binade: everyday, near the subnormals, near
+        // overflow, or anywhere.
+        let e = match src.choice(4) {
+            0 => src.choice(60) as i32 - 20,
+            1 => src.choice(80) as i32 - 1074,
+            2 => src.choice(64) as i32 + 960,
+            _ => src.choice(2098) as i32 - 1074,
+        };
+        let base = pow2(e);
+        let mut x = match src.choice(6) {
+            0 => ((1 + src.choice(255)) as f64 * base).min(f64::MAX),
+            1 => base,
+            2 => f64::from_bits(base.to_bits() - 1),
+            3 => 0.0,
+            4 => f64::from_bits(1 + src.choice((1 << 52) - 1)),
+            _ => in_binade(src, base),
+        };
+        // The step's scale below the start's: a few binades crossed per
+        // thousand steps, around one ulp (ties, tiny steps), or anywhere.
+        let j = match src.choice(3) {
+            0 => src.choice(20) as i32,
+            1 => src.choice(12) as i32 + 47,
+            _ => src.choice(80) as i32 - 8,
+        };
+        let c_base = pow2(e - j);
+        let mut c = match src.choice(3) {
+            0 => ((1 + src.choice(15)) as f64 * c_base).min(f64::MAX),
+            1 => c_base,
+            _ => in_binade(src, c_base),
+        };
+        if src.choice(4) == 0 {
+            x = -x;
+        }
+        if src.choice(4) == 0 {
+            c = -c;
+        }
+        let cap = match src.choice(8) {
+            0 => 0,
+            1 => 1 + src.choice(3),
+            2 | 3 => src.choice(65),
+            4..=6 => src.choice(4097),
+            _ => src.choice((1 << 16) + 1),
+        };
+        let w = match src.choice(7) {
+            // Roughly where a random step of the budget lands.
+            0 | 1 => x - c.abs() * src.choice(cap + 1) as f64,
+            2 => -f64::MAX,
+            3 => x,
+            4 => f64::NAN,
+            5 => [0.0, -0.0][src.choice(2) as usize],
+            _ => f64::from_bits(x.to_bits().saturating_sub(1 + src.choice(1 << 20))),
+        };
+        (x, c, w, cap)
+    })
+}
+
+/// Property 3: both closed forms behind the lone-core fast path are
+/// bit-identical to the per-step loops they replace.
+#[test]
+fn batched_accumulation_matches_per_step_loops() {
+    Checker::new("scheduler_props::batched_accumulation")
+        .cases_from_env_or(4000)
+        .corpus(corpus_dir!())
+        .check(&accumulations(), accumulation_agrees);
 }
