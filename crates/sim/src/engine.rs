@@ -774,8 +774,8 @@ pub(crate) fn build_cores<'p>(
 
 /// Simulates a *recorded* trace streamed from `bursts` on a single core
 /// — the out-of-core replay entry point. The source can be anything that
-/// yields [`Burst`]s (a `suit-store` streaming reader, a decoded
-/// `SUITTRC1` vector, a generator); the event loop is the same code path
+/// yields [`Burst`]s (a `suit-store` streaming reader, an in-memory
+/// vector, a generator); the event loop is the same code path
 /// as [`simulate`], so results are byte-identical for identical burst
 /// sequences regardless of how they are stored.
 ///

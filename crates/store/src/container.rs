@@ -19,15 +19,17 @@
 //! Each chunk is independently compressed, so decoding one chunk costs
 //! O(chunk) memory regardless of trace size, and the fixed-size index
 //! footer supports O(log n) seeks by virtual time (`first_vtime` is the
-//! cumulative instruction count at the chunk's first burst). The CRC
-//! covers the *raw* (decompressed) chunk bytes: a checksum match proves
-//! the whole decompression path, not just the stored bytes.
+//! cumulative instruction count at the chunk's first burst). Decoding a
+//! chunk checks that its bursts end at the next record's `first_vtime`,
+//! so a fully decodable container seeks where a skip from the start
+//! lands. The CRC covers the *raw* (decompressed) chunk bytes: a
+//! checksum match proves the whole decompression path, not just the
+//! stored bytes.
 //!
 //! Every length field read from a container is validated against the
 //! physically available bytes before any allocation — a hostile header
 //! can make the reader return `Corrupt`, never balloon memory.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
 use suit_isa::Opcode;
@@ -328,19 +330,20 @@ pub struct ContainerInfo {
 /// A bounded-memory, seekable reader over a `SUITTRC2` container.
 ///
 /// Opening validates the trailer, the index checksum, and every index
-/// record against the physical file size; bursts then stream through a
-/// window of at most `window_chunks` decoded chunks, so peak memory is
-/// O(window × chunk), never O(trace). [`Self::peak_resident_bursts`]
-/// reports the high-water mark so tests can pin the bound.
+/// record against the physical file size; bursts then stream out of the
+/// one decoded chunk the reader holds, so peak memory is O(chunk), never
+/// O(trace). [`Self::peak_resident_bursts`] reports the high-water mark
+/// so tests can pin the bound.
 pub struct StreamingReader<R: Read + Seek> {
     src: R,
     meta: TraceMeta,
     chunk_bursts: u64,
     index: Vec<ChunkRecord>,
     packed_bytes: u64,
-    /// Decoded chunks, least-recently-used first.
-    window: VecDeque<(usize, Vec<Burst>)>,
-    window_chunks: usize,
+    /// The decoded chunk: `bursts` holds `index[i]`'s bursts when
+    /// `loaded == Some(i)`.
+    loaded: Option<usize>,
+    bursts: Vec<Burst>,
     /// Cursor: next burst is `index[cur_chunk]`'s burst `cur_burst`
     /// (`cur_chunk == index.len()` ⇒ end of trace).
     cur_chunk: usize,
@@ -350,14 +353,8 @@ pub struct StreamingReader<R: Read + Seek> {
 }
 
 impl<R: Read + Seek> StreamingReader<R> {
-    /// Opens and validates a container with the default 2-chunk window.
-    pub fn open(src: R) -> Result<Self, StoreError> {
-        Self::with_window(src, 2)
-    }
-
-    /// Opens and validates a container holding at most `window_chunks`
-    /// decoded chunks resident (minimum 1).
-    pub fn with_window(mut src: R, window_chunks: usize) -> Result<Self, StoreError> {
+    /// Opens and validates a container.
+    pub fn open(mut src: R) -> Result<Self, StoreError> {
         let file_len = src.seek(SeekFrom::End(0))?;
         if file_len < MIN_FILE_BYTES {
             // Too short even for an empty container — check the magic so
@@ -496,8 +493,8 @@ impl<R: Read + Seek> StreamingReader<R> {
             chunk_bursts,
             index,
             packed_bytes: file_len,
-            window: VecDeque::new(),
-            window_chunks: window_chunks.max(1),
+            loaded: None,
+            bursts: Vec::new(),
             cur_chunk: 0,
             cur_burst: 0,
             peak_resident: 0,
@@ -527,8 +524,8 @@ impl<R: Read + Seek> StreamingReader<R> {
         &self.index
     }
 
-    /// High-water mark of decoded bursts resident in the window — the
-    /// memory bound the container exists to enforce.
+    /// High-water mark of decoded bursts resident — at most one chunk's
+    /// worth, the memory bound the container exists to enforce.
     pub fn peak_resident_bursts(&self) -> usize {
         self.peak_resident
     }
@@ -539,50 +536,51 @@ impl<R: Read + Seek> StreamingReader<R> {
         self.decodes
     }
 
-    /// Decodes chunk `ci` into the window (evicting LRU entries first so
-    /// residency never exceeds `window_chunks`) and returns its bursts.
+    /// Makes chunk `ci` the decoded one (a no-op when it already is) and
+    /// returns its bursts. Decoding checks the chunk CRC, every burst
+    /// record, and that the bursts end exactly where the next index
+    /// record's `first_vtime` says the next chunk starts.
     fn chunk(&mut self, ci: usize) -> Result<&[Burst], StoreError> {
-        if let Some(hit) = self.window.iter().position(|(i, _)| *i == ci) {
-            // Move to the back: most recently used.
-            let entry = self.window.remove(hit).expect("position just found");
-            self.window.push_back(entry);
-            return Ok(&self.window.back().expect("just pushed").1);
+        if self.loaded != Some(ci) {
+            // Decoding overwrites `bursts`: a failed decode leaves no
+            // chunk loaded.
+            self.loaded = None;
+            let rec = self.index[ci];
+            self.src.seek(SeekFrom::Start(rec.offset))?;
+            let mut packed = vec![0u8; rec.comp_len as usize];
+            self.src.read_exact(&mut packed)?;
+            let raw = lz::decompress(&packed, rec.raw_len as usize).map_err(StoreError::Corrupt)?;
+            if crc32(&raw) != rec.crc32 {
+                return Err(StoreError::Corrupt("chunk checksum mismatch"));
+            }
+            let end = decode_chunk(&raw, &rec, &mut self.bursts)?;
+            if self
+                .index
+                .get(ci + 1)
+                .is_some_and(|next| next.first_vtime != end)
+            {
+                return Err(StoreError::Corrupt("index vtime disagrees with the bursts"));
+            }
+            self.decodes += 1;
+            self.loaded = Some(ci);
+            self.peak_resident = self.peak_resident.max(self.bursts.len());
         }
-        while self.window.len() >= self.window_chunks {
-            self.window.pop_front();
-        }
-        let rec = self.index[ci];
-        self.src.seek(SeekFrom::Start(rec.offset))?;
-        let mut packed = vec![0u8; rec.comp_len as usize];
-        self.src.read_exact(&mut packed)?;
-        let raw = lz::decompress(&packed, rec.raw_len as usize).map_err(StoreError::Corrupt)?;
-        if crc32(&raw) != rec.crc32 {
-            return Err(StoreError::Corrupt("chunk checksum mismatch"));
-        }
-        let bursts = decode_chunk(&raw, rec.bursts)?;
-        self.decodes += 1;
-        self.window.push_back((ci, bursts));
-        let resident: usize = self.window.iter().map(|(_, b)| b.len()).sum();
-        self.peak_resident = self.peak_resident.max(resident);
-        Ok(&self.window.back().expect("just pushed").1)
+        Ok(&self.bursts)
     }
 
     /// Yields the next burst, or `None` at end of trace.
     pub fn next_burst(&mut self) -> Result<Option<Burst>, StoreError> {
-        loop {
-            if self.cur_chunk >= self.index.len() {
-                return Ok(None);
-            }
-            if self.cur_burst >= self.index[self.cur_chunk].bursts as usize {
-                self.cur_chunk += 1;
-                self.cur_burst = 0;
-                continue;
-            }
+        while self.cur_chunk < self.index.len() {
             let at = self.cur_burst;
-            let b = self.chunk(self.cur_chunk)?[at];
-            self.cur_burst += 1;
-            return Ok(Some(b));
+            if at < self.index[self.cur_chunk].bursts as usize {
+                let b = self.chunk(self.cur_chunk)?[at];
+                self.cur_burst += 1;
+                return Ok(Some(b));
+            }
+            self.cur_chunk += 1;
+            self.cur_burst = 0;
         }
+        Ok(None)
     }
 
     /// Positions the cursor on the burst covering virtual instruction
@@ -593,47 +591,31 @@ impl<R: Read + Seek> StreamingReader<R> {
     /// the end of the trace the cursor lands on end-of-trace and the
     /// trace's total burst time is returned.
     pub fn seek_to_vtime(&mut self, target: u64) -> Result<u64, StoreError> {
-        if self.index.is_empty() {
-            self.cur_chunk = 0;
-            self.cur_burst = 0;
+        // Chunks before `ci` start at or before `target`; chunk 0 starts
+        // at 0, so `ci == 0` only for an empty trace.
+        let ci = self.index.partition_point(|r| r.first_vtime <= target);
+        let Some(ci) = ci.checked_sub(1) else {
+            (self.cur_chunk, self.cur_burst) = (0, 0);
             return Ok(0);
-        }
-        // Last chunk whose first burst starts at or before `target`.
-        let mut ci = self.index.partition_point(|r| r.first_vtime <= target);
-        ci = ci.saturating_sub(1);
-        loop {
-            let start = self.index[ci].first_vtime;
-            let found = {
-                let bursts = self.chunk(ci)?;
-                let mut v = start;
-                let mut hit = None;
-                for (j, b) in bursts.iter().enumerate() {
-                    let end = v + b.total_insts();
-                    if end > target {
-                        hit = Some((j, v));
-                        break;
-                    }
-                    v = end;
-                }
-                hit.ok_or(v)
-            };
-            match found {
-                Ok((j, v)) => {
-                    self.cur_chunk = ci;
-                    self.cur_burst = j;
-                    return Ok(v);
-                }
-                Err(v) => {
-                    ci += 1;
-                    if ci >= self.index.len() {
-                        // Past the last burst: park at end of trace.
-                        self.cur_chunk = self.index.len();
-                        self.cur_burst = 0;
-                        return Ok(v);
-                    }
-                }
+        };
+        let mut v = self.index[ci].first_vtime;
+        let mut hit = None;
+        for (j, b) in self.chunk(ci)?.iter().enumerate() {
+            let end = v + b.total_insts();
+            if end > target {
+                hit = Some(j);
+                break;
             }
+            v = end;
         }
+        // Decoding checked that chunk `ci` ends where chunk `ci + 1`
+        // starts, after `target`: only the last chunk can miss it, and
+        // then the cursor parks at end of trace.
+        (self.cur_chunk, self.cur_burst) = match hit {
+            Some(j) => (ci, j),
+            None => (self.index.len(), 0),
+        };
+        Ok(v)
     }
 
     /// Converts into a plain `Iterator<Item = Burst>` for the engine's
@@ -647,11 +629,15 @@ impl<R: Read + Seek> StreamingReader<R> {
     }
 }
 
-/// Decodes one chunk's raw bytes into bursts, consuming the slice exactly.
-fn decode_chunk(raw: &[u8], count: u32) -> Result<Vec<Burst>, StoreError> {
-    let mut bursts = Vec::with_capacity(count as usize); // count ≤ raw_len/4, validated
+/// Decodes the raw bytes of chunk `rec` into `bursts`, consuming the
+/// slice exactly, and returns the vtime at which the chunk's last burst
+/// ends.
+fn decode_chunk(raw: &[u8], rec: &ChunkRecord, bursts: &mut Vec<Burst>) -> Result<u64, StoreError> {
+    bursts.clear();
+    bursts.reserve(rec.bursts as usize); // bursts ≤ raw_len/4, validated
     let mut pos = 0usize;
-    for _ in 0..count {
+    let mut vtime = rec.first_vtime;
+    for _ in 0..rec.bursts {
         let gap = read_varint(raw, &mut pos)?;
         let events = read_varint(raw, &mut pos)?;
         let within = read_varint(raw, &mut pos)?;
@@ -666,12 +652,18 @@ fn decode_chunk(raw: &[u8], count: u32) -> Result<Vec<Burst>, StoreError> {
         if !opcode.is_faultable() {
             return Err(StoreError::Corrupt("non-faultable burst opcode"));
         }
-        bursts.push(Burst::new(gap, events as u32, within as u32, opcode));
+        let b = Burst::new(gap, events as u32, within as u32, opcode);
+        // gap + (span + 1) is `total_insts`, without its overflow.
+        vtime = vtime
+            .checked_add(b.gap_insts)
+            .and_then(|v| v.checked_add(b.span_insts() + 1))
+            .ok_or(StoreError::Corrupt("virtual time overflows u64"))?;
+        bursts.push(b);
     }
     if pos != raw.len() {
         return Err(StoreError::Corrupt("trailing bytes in chunk"));
     }
-    Ok(bursts)
+    Ok(vtime)
 }
 
 /// Iterator adapter over a [`StreamingReader`].
@@ -724,7 +716,7 @@ pub fn open_bytes(bytes: &[u8]) -> Result<StreamingReader<io::Cursor<&[u8]>>, St
 }
 
 /// Fully decodes a container: metadata plus every burst. Memory is
-/// O(trace) — this is the *unpack* path, not the streaming path.
+/// O(trace) — this is the full-load path, not the streaming path.
 pub fn read_all(bytes: &[u8]) -> Result<(TraceMeta, Vec<Burst>), StoreError> {
     let mut reader = open_bytes(bytes)?;
     let mut bursts = Vec::new();
@@ -770,17 +762,28 @@ mod tests {
     #[test]
     fn pack_is_deterministic_and_compresses() {
         let bursts = sample(20_000);
-        let a = pack_to_vec(&meta(), bursts.iter().copied(), 1024).unwrap();
+        let mut a = Vec::new();
+        let stats = pack(&mut a, &meta(), bursts.iter().copied(), 1024).unwrap();
         let b = pack_to_vec(&meta(), bursts.iter().copied(), 1024).unwrap();
         assert_eq!(a, b);
-        let mut v1 = Vec::new();
-        suit_trace::io::write_trace(&mut v1, &meta(), bursts).unwrap();
         assert!(
-            a.len() < v1.len(),
-            "packed {} bytes vs v1 {} bytes",
+            (a.len() as u64) < stats.raw_bytes,
+            "packed {} bytes vs {} raw burst-record bytes",
             a.len(),
-            v1.len()
+            stats.raw_bytes
         );
+    }
+
+    #[test]
+    fn imported_bursts_roundtrip_through_the_container() {
+        let bursts = suit_trace::io::import_events(
+            "100 AESENC\n120 AESENC\n500000 VXOR\n".as_bytes(),
+            1_000,
+        )
+        .unwrap();
+        let bytes = pack_to_vec(&meta(), bursts.iter().copied(), 64).unwrap();
+        let (_, back) = read_all(&bytes).unwrap();
+        assert_eq!(back, bursts);
     }
 
     #[test]
@@ -798,7 +801,7 @@ mod tests {
     fn window_bounds_resident_memory() {
         let bursts = sample(64 * 32);
         let bytes = pack_to_vec(&meta(), bursts.iter().copied(), 32).unwrap();
-        let mut r = StreamingReader::with_window(io::Cursor::new(&bytes[..]), 2).unwrap();
+        let mut r = open_bytes(&bytes).unwrap();
         assert_eq!(r.info().chunks, 64);
         let mut n = 0;
         while let Some(b) = r.next_burst().unwrap() {
@@ -807,7 +810,7 @@ mod tests {
         }
         assert_eq!(n, bursts.len());
         assert!(
-            r.peak_resident_bursts() <= 2 * 32,
+            r.peak_resident_bursts() <= 32,
             "peak {} bursts",
             r.peak_resident_bursts()
         );
@@ -922,6 +925,31 @@ mod tests {
                 "index flip at {at} must be caught by the index CRC"
             );
         }
+    }
+
+    #[test]
+    fn rejects_index_vtimes_that_disagree_with_the_bursts() {
+        let p = profile::by_name("502.gcc").unwrap();
+        let bytes = pack_to_vec(&meta(), TraceGen::new(p, 1).take(256), 64).unwrap();
+        let index = open_bytes(&bytes).unwrap().index().to_vec();
+        assert_eq!(index.len(), 4);
+        // Move chunk 2's first_vtime halfway to chunk 3's and re-seal the
+        // index CRC: the index alone stays well-formed.
+        let moved = index[2].first_vtime + (index[3].first_vtime - index[2].first_vtime) / 2;
+        let index_start = bytes.len() - 24 - 4 * 32;
+        let mut broken = bytes.clone();
+        let at = index_start + 2 * 32 + 24;
+        broken[at..at + 8].copy_from_slice(&moved.to_le_bytes());
+        let crc = crc32(&broken[index_start..bytes.len() - 24]);
+        let crc_at = bytes.len() - 16;
+        broken[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+
+        let mut r = open_bytes(&broken).unwrap();
+        assert!(matches!(
+            r.seek_to_vtime(moved + 1),
+            Err(StoreError::Corrupt(_))
+        ));
+        assert!(matches!(read_all(&broken), Err(StoreError::Corrupt(_))));
     }
 
     #[test]

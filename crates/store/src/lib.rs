@@ -3,12 +3,12 @@
 //! Out-of-core trace storage: the `SUITTRC2` chunked, compressed,
 //! seekable container and its bounded-memory streaming reader.
 //!
-//! `suit-trace::io`'s `SUITTRC1` format is load-everything — the whole
-//! burst vector must fit in memory before a single event replays. Real
+//! `SUITTRC2` is the one trace file format: `suit-cli trace record`
+//! writes it, and `POST /v1/trace` and every replay read it. Real
 //! trace-driven studies operate at 10¹¹-instruction / GiB scale (§5.1
 //! records 25 applications once and replays them across every CPU ×
-//! strategy × offset configuration), so this crate adds the storage layer
-//! that makes replay out-of-core:
+//! strategy × offset configuration), so the container is built for
+//! out-of-core replay:
 //!
 //! * [`container::pack`] — streams bursts into fixed-size chunks, each
 //!   independently compressed with the in-tree [`lz`] LZSS codec and
@@ -18,9 +18,11 @@
 //! * [`container::StreamingReader`] — validates the trailer, index
 //!   checksum and every index record against the physical file size
 //!   before trusting any length field, then yields [`suit_trace::Burst`]s
-//!   through a window of at most N decoded chunks: replay memory is
-//!   O(chunk), not O(trace), with the high-water mark observable via
-//!   [`container::StreamingReader::peak_resident_bursts`].
+//!   out of the one chunk it holds decoded: replay memory is O(chunk),
+//!   not O(trace), with the high-water mark observable via
+//!   [`container::StreamingReader::peak_resident_bursts`]. Decoding a
+//!   chunk also checks that its bursts end where the index says the next
+//!   chunk starts.
 //! * [`container::StreamingReader::seek_to_vtime`] — O(log chunks)
 //!   binary search of the index to the burst covering any virtual
 //!   instruction offset, decoding at most one chunk, with semantics

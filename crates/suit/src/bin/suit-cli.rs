@@ -6,8 +6,7 @@
 //! suit-cli simulate --workload Nginx --cpu a --strategy adaptive --insts 2000000000
 //! suit-cli profile Nginx --trace-out trace.json --insts 200000000
 //! suit-cli validate-trace trace.json
-//! suit-cli trace record --workload 502.gcc --out gcc.suittrc --bursts 5000
-//! suit-cli trace pack gcc.suittrc gcc.suittrc2
+//! suit-cli trace record --workload 502.gcc --out gcc.suittrc2 --bursts 5000
 //! suit-cli trace seek gcc.suittrc2 --vtime 1000000
 //! suit-cli trace info gcc.suittrc2
 //! suit-cli security
@@ -23,7 +22,7 @@ use suit::hw::{CpuKind, CpuModel, UndervoltLevel};
 use suit::serve::api::SimPoint;
 use suit::sim::engine::{simulate_telemetry, SimConfig};
 use suit::telemetry::{fields, validate_perfetto, Telemetry};
-use suit::trace::io::{read_trace, write_trace, TraceMeta};
+use suit::trace::io::TraceMeta;
 use suit::trace::{profile, TraceGen};
 
 const USAGE: &str =
@@ -38,11 +37,9 @@ const USAGE: &str =
 \x20       [--workload name[,name...]] [--epochs N] [--insts N] [--utilization F]\n\
 \x20       [--cpu a|b|c] [--strategy fv|f|v] [--offset 70|97] [--seed N] [--threads N]\n\
 \x20 trace record --workload <name> --out <file> [--bursts N] [--seed N]\n\
-\x20       [--format v1|v2] [--chunk-bursts N]   (v2 streams into a SUITTRC2 container)\n\
-\x20 trace pack <in.suittrc> <out.suittrc2> [--chunk-bursts N]\n\
-\x20 trace unpack <in.suittrc2> <out.suittrc>\n\
-\x20 trace info <file>                           (SUITTRC1 or SUITTRC2)\n\
-\x20 trace seek <file.suittrc2> --vtime N\n\
+\x20       [--chunk-bursts N]                   (streams into a SUITTRC2 container)\n\
+\x20 trace info <file>\n\
+\x20 trace seek <file> --vtime N\n\
 \x20 scenario <sram|scrooge> [--config <file.json>] [--seed N] [--threads N] [--json]\n\
 \x20          (SRAM fault-domain sweep / Scrooge attacker-economics search)\n\
 \x20 serve [--addr HOST:PORT] [--threads N] [--queue-depth N] [--deadline-ms N]\n\
@@ -261,30 +258,13 @@ fn parse_chunk_bursts(args: &[String]) -> Result<usize, String> {
     }
 }
 
-/// All non-flag tokens, in order (the counterpart of [`first_positional`];
-/// only meaningful after [`check_args`] accepted the list).
-fn positionals(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            out.push(args[i].clone());
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Reads the 8-byte magic of a trace file to pick the container format.
-fn is_suittrc2(path: &str) -> Result<bool, String> {
-    use std::io::Read;
-    let mut f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut magic = [0u8; 8];
-    f.read_exact(&mut magic)
-        .map_err(|e| format!("{path}: {e}"))?;
-    Ok(&magic == b"SUITTRC2")
+/// Opens a `SUITTRC2` container file for streaming.
+fn open_container(
+    path: &str,
+) -> Result<suit::store::StreamingReader<std::io::BufReader<std::fs::File>>, String> {
+    let f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    suit::store::StreamingReader::open(std::io::BufReader::new(f))
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_trace(args: &[String]) -> CliResult {
@@ -297,7 +277,6 @@ fn cmd_trace(args: &[String]) -> CliResult {
                     "--out",
                     "--bursts",
                     "--seed",
-                    "--format",
                     "--chunk-bursts",
                 ],
                 &[],
@@ -312,124 +291,64 @@ fn cmd_trace(args: &[String]) -> CliResult {
             let seed: u64 = opt(args, "--seed").map_or(Ok(0x5017), |v| {
                 v.parse().map_err(|e| format!("--seed: {e}"))
             })?;
+            let chunk_bursts = parse_chunk_bursts(args)?;
+            // The header must not claim more instructions than the kept
+            // bursts cover, or a replay runs the rest with no faultable
+            // instruction. A counting pass of the deterministic generator
+            // sizes it without holding the bursts.
+            let covered: u64 = TraceGen::new(p, seed)
+                .take(bursts)
+                .map(|b| b.total_insts())
+                .sum();
             let meta = TraceMeta {
                 name: p.name.into(),
                 ipc: p.ipc,
-                total_insts: p.total_insts,
+                total_insts: p.total_insts.min(covered),
             };
             let f = std::fs::File::create(&out).map_err(|e| format!("{out}: {e}"))?;
             let mut w = std::io::BufWriter::new(f);
-            match opt(args, "--format").as_deref().unwrap_or("v1") {
-                "v1" => {
-                    write_trace(&mut w, &meta, TraceGen::new(p, seed).take(bursts))
-                        .map_err(|e| e.to_string())?;
-                    println!("wrote {bursts} bursts of {} to {out}", p.name);
-                }
-                // v2 streams generator → compressor → disk: memory stays
-                // O(chunk) no matter how long the recording runs.
-                "v2" => {
-                    let chunk_bursts = parse_chunk_bursts(args)?;
-                    let stats = suit::store::pack(
-                        &mut w,
-                        &meta,
-                        TraceGen::new(p, seed).take(bursts),
-                        chunk_bursts,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    println!(
-                        "packed {} bursts of {} into {out} ({} chunks, {} -> {} bytes)",
-                        stats.bursts, p.name, stats.chunks, stats.raw_bytes, stats.packed_bytes
-                    );
-                }
-                other => return Err(format!("unknown --format '{other}' (expected v1 or v2)")),
-            }
+            // Generator → compressor → disk: memory stays O(chunk) no
+            // matter how long the recording runs.
+            let stats = suit::store::pack(
+                &mut w,
+                &meta,
+                TraceGen::new(p, seed).take(bursts),
+                chunk_bursts,
+            )
+            .map_err(|e| e.to_string())?;
             use std::io::Write;
             w.flush().map_err(|e| format!("{out}: {e}"))?;
-            Ok(())
-        }
-        Some("pack") => {
-            check_args(args, &["--chunk-bursts"], &[], 3)?;
-            let pos = positionals(args);
-            let (src, dst) = match (pos.get(1), pos.get(2)) {
-                (Some(s), Some(d)) => (s.clone(), d.clone()),
-                _ => return Err("usage: trace pack <in.suittrc> <out.suittrc2>".into()),
-            };
-            let chunk_bursts = parse_chunk_bursts(args)?;
-            let mut f = std::fs::File::open(&src).map_err(|e| format!("{src}: {e}"))?;
-            let (meta, bursts) = read_trace(&mut f).map_err(|e| e.to_string())?;
-            let out = std::fs::File::create(&dst).map_err(|e| format!("{dst}: {e}"))?;
-            let mut w = std::io::BufWriter::new(out);
-            let stats = suit::store::pack(&mut w, &meta, bursts.iter().copied(), chunk_bursts)
-                .map_err(|e| e.to_string())?;
-            use std::io::Write;
-            w.flush().map_err(|e| format!("{dst}: {e}"))?;
             println!(
-                "packed {src} -> {dst}: {} bursts, {} chunks, {} -> {} bytes ({:.2}x)",
-                stats.bursts,
-                stats.chunks,
-                stats.raw_bytes,
-                stats.packed_bytes,
-                stats.raw_bytes as f64 / stats.packed_bytes.max(1) as f64
+                "packed {} bursts of {} into {out} ({} chunks, {} -> {} bytes)",
+                stats.bursts, p.name, stats.chunks, stats.raw_bytes, stats.packed_bytes
             );
-            Ok(())
-        }
-        Some("unpack") => {
-            check_args(args, &[], &[], 3)?;
-            let pos = positionals(args);
-            let (src, dst) = match (pos.get(1), pos.get(2)) {
-                (Some(s), Some(d)) => (s.clone(), d.clone()),
-                _ => return Err("usage: trace unpack <in.suittrc2> <out.suittrc>".into()),
-            };
-            let f = std::fs::File::open(&src).map_err(|e| format!("{src}: {e}"))?;
-            let reader = suit::store::StreamingReader::open(std::io::BufReader::new(f))
-                .map_err(|e| format!("{src}: {e}"))?;
-            let info = reader.info();
-            let out = std::fs::File::create(&dst).map_err(|e| format!("{dst}: {e}"))?;
-            let mut w = std::io::BufWriter::new(out);
-            // The index knows the burst count up front, so the v1 write
-            // streams too — chunk window in, varint records out.
-            let mut bursts = reader.bursts();
-            suit::trace::io::write_trace_counted(&mut w, &info.meta, info.bursts, &mut bursts)
-                .map_err(|e| e.to_string())?;
-            if let Some(e) = bursts.error() {
-                return Err(format!("{src}: {e}"));
-            }
-            use std::io::Write;
-            w.flush().map_err(|e| format!("{dst}: {e}"))?;
-            println!("unpacked {src} -> {dst}: {} bursts", info.bursts);
             Ok(())
         }
         Some("info") => {
             check_args(args, &[], &[], 2)?;
             let path = args.get(1).ok_or("missing <file>")?;
-            if is_suittrc2(path)? {
-                let f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-                let reader = suit::store::StreamingReader::open(std::io::BufReader::new(f))
-                    .map_err(|e| format!("{path}: {e}"))?;
-                let info = reader.info();
-                println!(
-                    "{path}: SUITTRC2 container, workload {} (ipc {:.1})",
-                    info.meta.name, info.meta.ipc
-                );
-                println!("  bursts: {}", info.bursts);
-                println!(
-                    "  chunks: {} ({} bursts per full chunk)",
-                    info.chunks, info.chunk_bursts
-                );
-                println!(
-                    "  bytes: {} raw -> {} packed ({:.2}x)",
-                    info.raw_bytes,
-                    info.packed_bytes,
-                    info.raw_bytes as f64 / info.packed_bytes.max(1) as f64
-                );
-                println!("  virtual length: {} instructions", info.meta.total_insts);
-                return Ok(());
-            }
-            let mut f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-            let (meta, bursts) = read_trace(&mut f).map_err(|e| e.to_string())?;
-            let summary = suit::trace::event::TraceSummary::from_bursts(bursts.iter().copied());
-            println!("{path}: workload {} (ipc {:.1})", meta.name, meta.ipc);
-            println!("  bursts: {}", summary.bursts);
+            let reader = open_container(path)?;
+            let info = reader.info();
+            // One streaming pass over the bursts, O(chunk) memory.
+            let mut bursts = reader.bursts();
+            let summary = suit::trace::event::TraceSummary::from_bursts(bursts.by_ref());
+            bursts.finish().map_err(|e| format!("{path}: {e}"))?;
+            println!(
+                "{path}: SUITTRC2 container, workload {} (ipc {:.1})",
+                info.meta.name, info.meta.ipc
+            );
+            println!("  bursts: {}", info.bursts);
+            println!(
+                "  chunks: {} ({} bursts per full chunk)",
+                info.chunks, info.chunk_bursts
+            );
+            println!(
+                "  bytes: {} raw -> {} packed ({:.2}x)",
+                info.raw_bytes,
+                info.packed_bytes,
+                info.raw_bytes as f64 / info.packed_bytes.max(1) as f64
+            );
+            println!("  virtual length: {} instructions", info.meta.total_insts);
             println!("  faultable instructions: {}", summary.events);
             println!("  instructions covered: {}", summary.insts);
             println!("  mean gap: {:.0} instructions", summary.insts_per_event());
@@ -438,17 +357,12 @@ fn cmd_trace(args: &[String]) -> CliResult {
         }
         Some("seek") => {
             check_args(args, &["--vtime"], &[], 2)?;
-            let pos = positionals(args);
-            let path = pos
-                .get(1)
-                .ok_or("usage: trace seek <file.suittrc2> --vtime N")?;
+            let path = first_positional(&args[1..]).ok_or("usage: trace seek <file> --vtime N")?;
             let vtime: u64 = opt(args, "--vtime")
                 .ok_or("missing --vtime <instructions>")?
                 .parse()
                 .map_err(|e| format!("--vtime: {e}"))?;
-            let f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-            let mut reader = suit::store::StreamingReader::open(std::io::BufReader::new(f))
-                .map_err(|e| format!("{path}: {e}"))?;
+            let mut reader = open_container(&path)?;
             let start = reader
                 .seek_to_vtime(vtime)
                 .map_err(|e| format!("{path}: {e}"))?;
@@ -468,7 +382,7 @@ fn cmd_trace(args: &[String]) -> CliResult {
             }
             Ok(())
         }
-        _ => Err("usage: trace <record|pack|unpack|info|seek> ...".into()),
+        _ => Err("usage: trace <record|info|seek> ...".into()),
     }
 }
 

@@ -1,30 +1,17 @@
-//! Binary trace serialization — record once, replay exactly.
+//! Trace metadata and event-list import — record once, replay exactly.
 //!
 //! The paper's pipeline records QEMU traces once and replays them through
 //! the simulator many times (every CPU × strategy × offset combination).
-//! This module gives synthetic traces the same property: a compact
-//! varint-encoded `.suittrc` format with the workload metadata needed to
-//! resimulate (IPC, virtual length), so expensive generation or external
-//! trace imports happen once.
-//!
-//! Format (little-endian):
-//!
-//! ```text
-//! magic  "SUITTRC1"                      8 bytes
-//! name   varint len + UTF-8 bytes
-//! ipc    f64 bits                        8 bytes
-//! total  varint (virtual instructions)
-//! count  varint (number of bursts)
-//! bursts count × { gap varint, events varint, within varint, opcode u8 }
-//! ```
+//! [`TraceMeta`] is the workload metadata a replay needs (name, IPC,
+//! virtual length); `suit-store`'s `SUITTRC2` container stores it ahead
+//! of the bursts, so expensive generation or an external import happens
+//! once. [`import_events`] turns a QEMU-plugin event list into bursts.
 
-use std::io::{self, Read, Write};
+use std::io;
 
 use suit_isa::Opcode;
 
 use crate::event::Burst;
-
-const MAGIC: &[u8; 8] = b"SUITTRC1";
 
 /// Metadata carried alongside the bursts.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,14 +24,13 @@ pub struct TraceMeta {
     pub total_insts: u64,
 }
 
-/// Serialization/deserialization failures.
+/// Event-list import failures.
 #[derive(Debug)]
 pub enum TraceIoError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The stream does not start with the `SUITTRC1` magic.
-    BadMagic,
-    /// A varint ran past 10 bytes or the stream ended mid-value.
+    /// A line does not parse as `<instruction-index> <mnemonic>`, or the
+    /// indices do not increase.
     Corrupt(&'static str),
 }
 
@@ -58,204 +44,12 @@ impl core::fmt::Display for TraceIoError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             TraceIoError::Io(e) => write!(f, "trace I/O error: {e}"),
-            TraceIoError::BadMagic => write!(f, "not a SUIT trace (bad magic)"),
             TraceIoError::Corrupt(what) => write!(f, "corrupt trace: {what}"),
         }
     }
 }
 
 impl std::error::Error for TraceIoError {}
-
-fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
-    // Encode into a stack buffer first: one write_all per varint instead
-    // of one syscall-able write per byte.
-    let mut buf = [0u8; 10];
-    let mut n = 0;
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf[n] = byte;
-            n += 1;
-            return w.write_all(&buf[..n]);
-        }
-        buf[n] = byte | 0x80;
-        n += 1;
-    }
-}
-
-fn read_varint<R: Read>(r: &mut R) -> Result<u64, TraceIoError> {
-    let mut v: u64 = 0;
-    for shift in (0..70).step_by(7) {
-        let mut b = [0u8; 1];
-        r.read_exact(&mut b)
-            .map_err(|_| TraceIoError::Corrupt("varint truncated"))?;
-        if shift == 63 && b[0] > 1 {
-            return Err(TraceIoError::Corrupt("varint overflow"));
-        }
-        v |= u64::from(b[0] & 0x7F) << shift;
-        if b[0] & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(TraceIoError::Corrupt("varint too long"))
-}
-
-/// Writes a trace (metadata + bursts) to `w`.
-pub fn write_trace<W: Write, I>(w: &mut W, meta: &TraceMeta, bursts: I) -> Result<(), TraceIoError>
-where
-    I: IntoIterator<Item = Burst>,
-{
-    let bursts: Vec<Burst> = bursts.into_iter().collect();
-    let count = bursts.len() as u64;
-    write_trace_counted(w, meta, count, bursts)
-}
-
-/// Streaming variant of [`write_trace`] for callers that already know the
-/// burst count (e.g. unpacking a chunked container whose index carries
-/// it): the iterator is consumed as it is written, so memory stays O(1)
-/// instead of collecting the whole trace first.
-///
-/// Returns `Corrupt` if the iterator yields a different number of bursts
-/// than `count` — the header has been written by then, so the output must
-/// be discarded on error.
-pub fn write_trace_counted<W: Write, I>(
-    w: &mut W,
-    meta: &TraceMeta,
-    count: u64,
-    bursts: I,
-) -> Result<(), TraceIoError>
-where
-    I: IntoIterator<Item = Burst>,
-{
-    w.write_all(MAGIC)?;
-    write_varint(w, meta.name.len() as u64)?;
-    w.write_all(meta.name.as_bytes())?;
-    w.write_all(&meta.ipc.to_bits().to_le_bytes())?;
-    write_varint(w, meta.total_insts)?;
-    write_varint(w, count)?;
-    let mut written = 0u64;
-    for b in bursts {
-        write_varint(w, b.gap_insts)?;
-        write_varint(w, u64::from(b.events))?;
-        write_varint(w, u64::from(b.within_gap_insts))?;
-        w.write_all(&[b.opcode.index() as u8])?;
-        written += 1;
-    }
-    if written != count {
-        return Err(TraceIoError::Corrupt("declared burst count mismatch"));
-    }
-    Ok(())
-}
-
-/// A serialized burst is at least 3 varints (1 byte each) + 1 opcode byte.
-const MIN_BURST_BYTES: u64 = 4;
-
-/// How far `Vec` preallocation may run ahead of bytes actually seen when
-/// the stream length is unknown. The vector still *grows* to any real
-/// count — this only caps what a 10-byte hostile header can reserve.
-const UNSIZED_PREALLOC_CAP: usize = 4096;
-
-struct CountingReader<R> {
-    inner: R,
-    read: u64,
-}
-
-impl<R: Read> Read for CountingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.read += n as u64;
-        Ok(n)
-    }
-}
-
-/// Reads a trace written by [`write_trace`].
-///
-/// The declared burst count is untrusted: on a plain `Read` the stream
-/// length is unknowable, so preallocation is capped at a small constant
-/// and the vector grows only as real burst bytes arrive. When the input
-/// is in memory, prefer [`read_trace_bytes`], which rejects counts that
-/// cannot fit the remaining bytes before allocating anything.
-pub fn read_trace<R: Read>(r: &mut R) -> Result<(TraceMeta, Vec<Burst>), TraceIoError> {
-    let mut counting = CountingReader { inner: r, read: 0 };
-    read_trace_impl(&mut counting, None)
-}
-
-/// Reads a trace from an in-memory buffer, validating the declared burst
-/// count against the physically remaining bytes (each burst costs ≥ 4
-/// bytes) before any allocation — a hostile header cannot OOM the loader.
-pub fn read_trace_bytes(bytes: &[u8]) -> Result<(TraceMeta, Vec<Burst>), TraceIoError> {
-    let mut counting = CountingReader {
-        inner: bytes,
-        read: 0,
-    };
-    read_trace_impl(&mut counting, Some(bytes.len() as u64))
-}
-
-fn read_trace_impl<R: Read>(
-    r: &mut CountingReader<R>,
-    stream_len: Option<u64>,
-) -> Result<(TraceMeta, Vec<Burst>), TraceIoError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(TraceIoError::BadMagic);
-    }
-    let name_len = read_varint(r)? as usize;
-    if name_len > 4096 {
-        return Err(TraceIoError::Corrupt("name too long"));
-    }
-    let mut name = vec![0u8; name_len];
-    r.read_exact(&mut name)?;
-    let name = String::from_utf8(name).map_err(|_| TraceIoError::Corrupt("name not UTF-8"))?;
-    let mut ipc_bits = [0u8; 8];
-    r.read_exact(&mut ipc_bits)?;
-    let ipc = f64::from_bits(u64::from_le_bytes(ipc_bits));
-    if !ipc.is_finite() || ipc <= 0.0 {
-        return Err(TraceIoError::Corrupt("non-positive IPC"));
-    }
-    let total_insts = read_varint(r)?;
-    let count = read_varint(r)? as usize;
-    let capacity = match stream_len {
-        Some(len) => {
-            let remaining = len.saturating_sub(r.read);
-            if (count as u64).saturating_mul(MIN_BURST_BYTES) > remaining {
-                return Err(TraceIoError::Corrupt(
-                    "burst count exceeds the remaining stream",
-                ));
-            }
-            count
-        }
-        None => count.min(UNSIZED_PREALLOC_CAP),
-    };
-    let mut bursts = Vec::with_capacity(capacity);
-    for _ in 0..count {
-        let gap = read_varint(r)?;
-        let events = read_varint(r)?;
-        let within = read_varint(r)?;
-        let mut op = [0u8; 1];
-        r.read_exact(&mut op)?;
-        let opcode = *Opcode::ALL
-            .get(op[0] as usize)
-            .ok_or(TraceIoError::Corrupt("opcode index out of range"))?;
-        if events == 0
-            || events > u64::from(u32::MAX)
-            || within > u64::from(u32::MAX)
-            || !opcode.is_faultable()
-        {
-            return Err(TraceIoError::Corrupt("invalid burst"));
-        }
-        bursts.push(Burst::new(gap, events as u32, within as u32, opcode));
-    }
-    Ok((
-        TraceMeta {
-            name,
-            ipc,
-            total_insts,
-        },
-        bursts,
-    ))
-}
 
 /// Imports an *event list* — the raw format a QEMU-plugin recording
 /// produces: one faultable instruction per line as
@@ -336,80 +130,6 @@ pub fn import_events<R: std::io::BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::TraceGen;
-    use crate::profile;
-
-    fn sample_meta() -> TraceMeta {
-        TraceMeta {
-            name: "502.gcc".into(),
-            ipc: 1.2,
-            total_insts: 1_000_000,
-        }
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let p = profile::by_name("502.gcc").unwrap();
-        let bursts: Vec<Burst> = TraceGen::new(p, 42).take(2_000).collect();
-        let meta = sample_meta();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &meta, bursts.clone()).unwrap();
-        let (meta2, bursts2) = read_trace(&mut buf.as_slice()).unwrap();
-        assert_eq!(meta, meta2);
-        assert_eq!(bursts, bursts2);
-    }
-
-    #[test]
-    fn format_is_compact() {
-        let p = profile::by_name("502.gcc").unwrap();
-        let bursts: Vec<Burst> = TraceGen::new(p, 1).take(10_000).collect();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &sample_meta(), bursts).unwrap();
-        // Varints keep the per-burst cost well under the 21-byte fixed
-        // encoding.
-        assert!(buf.len() < 10_000 * 12, "{} bytes", buf.len());
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &sample_meta(), Vec::new()).unwrap();
-        buf[0] = b'X';
-        assert!(matches!(
-            read_trace(&mut buf.as_slice()),
-            Err(TraceIoError::BadMagic)
-        ));
-    }
-
-    #[test]
-    fn rejects_truncation_anywhere() {
-        let p = profile::by_name("557.xz").unwrap();
-        let bursts: Vec<Burst> = TraceGen::new(p, 3).take(50).collect();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &sample_meta(), bursts).unwrap();
-        for cut in [4usize, 9, 20, buf.len() - 1] {
-            let r = read_trace(&mut buf[..cut].to_vec().as_slice());
-            assert!(r.is_err(), "cut at {cut} must fail");
-        }
-    }
-
-    #[test]
-    fn rejects_invalid_opcode_and_ipc() {
-        let mut buf = Vec::new();
-        write_trace(
-            &mut buf,
-            &sample_meta(),
-            vec![Burst::new(10, 1, 0, Opcode::Aesenc)],
-        )
-        .unwrap();
-        // Corrupt the trailing opcode byte.
-        let last = buf.len() - 1;
-        buf[last] = 200;
-        assert!(matches!(
-            read_trace(&mut buf.as_slice()),
-            Err(TraceIoError::Corrupt(_))
-        ));
-    }
 
     #[test]
     fn import_clusters_events_into_bursts() {
@@ -459,88 +179,5 @@ mod tests {
             import_events("10 AESENC\n5 AESENC\n".as_bytes(), 10),
             Err(TraceIoError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn imported_bursts_roundtrip_through_the_binary_format() {
-        let bursts =
-            import_events("100 AESENC\n120 AESENC\n500000 VXOR\n".as_bytes(), 1_000).unwrap();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &sample_meta(), bursts.clone()).unwrap();
-        let (_, back) = read_trace(&mut buf.as_slice()).unwrap();
-        assert_eq!(back, bursts);
-    }
-
-    #[test]
-    fn hostile_burst_count_is_rejected_before_allocation() {
-        // A 10-byte-ish header declaring u64::MAX bursts: the slice reader
-        // must reject it from the length equation, not try to reserve.
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &sample_meta(), Vec::new()).unwrap();
-        // Replace the trailing count varint (0 → one byte) with u64::MAX.
-        buf.pop();
-        buf.extend(std::iter::repeat_n(0xFF, 9));
-        buf.push(0x01);
-        match read_trace_bytes(&buf) {
-            Err(TraceIoError::Corrupt(msg)) => assert!(msg.contains("remaining stream"), "{msg}"),
-            other => panic!("hostile count must be rejected, got {other:?}"),
-        }
-        // The generic reader caps preallocation and then fails on the
-        // (absent) burst bytes — still an error, never an OOM.
-        assert!(read_trace(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn read_trace_bytes_matches_read_trace() {
-        let p = profile::by_name("502.gcc").unwrap();
-        let bursts: Vec<Burst> = TraceGen::new(p, 7).take(500).collect();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &sample_meta(), bursts.clone()).unwrap();
-        let a = read_trace(&mut buf.as_slice()).unwrap();
-        let b = read_trace_bytes(&buf).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(b.1, bursts);
-    }
-
-    #[test]
-    fn counted_write_streams_and_validates_the_count() {
-        let p = profile::by_name("557.xz").unwrap();
-        let bursts: Vec<Burst> = TraceGen::new(p, 5).take(200).collect();
-        let mut collected = Vec::new();
-        write_trace(&mut collected, &sample_meta(), bursts.clone()).unwrap();
-        let mut streamed = Vec::new();
-        write_trace_counted(&mut streamed, &sample_meta(), 200, bursts.iter().copied()).unwrap();
-        assert_eq!(collected, streamed, "counted write must be byte-identical");
-
-        let mut out = Vec::new();
-        assert!(matches!(
-            write_trace_counted(&mut out, &sample_meta(), 7, bursts.iter().copied().take(3)),
-            Err(TraceIoError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn varint_boundaries() {
-        for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v).unwrap();
-            assert_eq!(read_varint(&mut buf.as_slice()).unwrap(), v, "{v}");
-        }
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("suit_trace_test_{}.suittrc", std::process::id()));
-        let p = profile::by_name("Nginx").unwrap();
-        let bursts: Vec<Burst> = TraceGen::new(p, 9).take(100).collect();
-        {
-            let mut f = std::fs::File::create(&path).unwrap();
-            write_trace(&mut f, &sample_meta(), bursts.clone()).unwrap();
-        }
-        let mut f = std::fs::File::open(&path).unwrap();
-        let (_, back) = read_trace(&mut f).unwrap();
-        assert_eq!(back, bursts);
-        let _ = std::fs::remove_file(&path);
     }
 }

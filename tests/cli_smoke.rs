@@ -366,3 +366,162 @@ fn profile_trace_round_trips_through_validate_trace() {
         assert!(report.contains(required), "missing {required}: {report}");
     }
 }
+
+/// A per-test temp path for a trace container.
+fn temp_trace(tag: &str) -> String {
+    std::env::temp_dir()
+        .join(format!("suit-cli-{tag}-{}.suittrc2", std::process::id()))
+        .to_str()
+        .expect("utf-8 temp path")
+        .to_string()
+}
+
+#[test]
+fn trace_record_info_and_seek_round_trip() {
+    use suit::trace::{event::TraceSummary, profile, TraceGen};
+    let path = temp_trace("record");
+    let out = cli(&[
+        "trace",
+        "record",
+        "--workload",
+        "502.gcc",
+        "--out",
+        &path,
+        "--bursts",
+        "500",
+        "--seed",
+        "3",
+        "--chunk-bursts",
+        "64",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("packed 500 bursts of 502.gcc"),
+        "{}",
+        stdout(&out)
+    );
+
+    let p = profile::by_name("502.gcc").expect("502.gcc profile");
+    let want = TraceSummary::from_bursts(TraceGen::new(p, 3).take(500));
+    let out = cli(&["trace", "info", &path]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let info = stdout(&out);
+    for line in [
+        "SUITTRC2 container, workload 502.gcc".to_string(),
+        "  bursts: 500\n".to_string(),
+        "  chunks: 8 (64 bursts per full chunk)\n".to_string(),
+        format!("  faultable instructions: {}\n", want.events),
+        format!("  instructions covered: {}\n", want.insts),
+        format!("  mean gap: {:.0} instructions\n", want.insts_per_event()),
+        format!("  largest burst gap: {}\n", want.max_gap),
+    ] {
+        assert!(info.contains(&line), "missing {line:?} in {info}");
+    }
+
+    let out = cli(&["trace", "seek", &path, "--vtime", "1000000"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let seek = stdout(&out);
+    assert!(seek.contains("vtime 1000000: burst starting at"), "{seek}");
+    assert!(seek.contains("chunks decoded to get here: 1"), "{seek}");
+    let out = cli(&["trace", "seek", "--vtime", &u64::MAX.to_string(), &path]);
+    std::fs::remove_file(&path).ok();
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains(&format!(
+            "past the end of the trace (length {})",
+            want.insts
+        )),
+        "{}",
+        stdout(&out)
+    );
+}
+
+#[test]
+fn trace_record_header_never_claims_more_than_its_bursts_cover() {
+    use suit::trace::profile;
+    let gcc = profile::by_name("502.gcc").expect("502.gcc profile");
+    let record_and_inspect = |bursts: &str| {
+        let path = temp_trace(&format!("header-{bursts}"));
+        let out = cli(&[
+            "trace",
+            "record",
+            "--workload",
+            "502.gcc",
+            "--out",
+            &path,
+            "--bursts",
+            bursts,
+            "--seed",
+            "7",
+        ]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let out = cli(&["trace", "info", &path]);
+        std::fs::remove_file(&path).ok();
+        assert!(out.status.success(), "{}", stderr(&out));
+        let info = stdout(&out);
+        let field = |name: &str| -> u64 {
+            info.lines()
+                .find_map(|l| l.trim().strip_prefix(name))
+                .and_then(|v| v.split_whitespace().next())
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("no {name:?} in {info}"))
+        };
+        (
+            field("virtual length:"),
+            field("instructions covered:"),
+            field("bursts:"),
+        )
+    };
+
+    // 100 bursts cover about 5% of 502.gcc's pass: the header declares
+    // exactly what they cover, not the profile's 2·10¹⁰.
+    let (declared, covered, bursts) = record_and_inspect("100");
+    assert_eq!(bursts, 100);
+    assert_eq!(covered, 1_030_362_753);
+    assert_eq!(declared, covered);
+
+    // A full pass (the generator stops at the profile's length, 2,285
+    // bursts) keeps the profile's length in its header.
+    let (declared, covered, bursts) = record_and_inspect("100000");
+    assert_eq!(bursts, 2_285);
+    assert_eq!(declared, gcc.total_insts);
+    assert!(covered >= declared, "{covered} < {declared}");
+}
+
+#[test]
+fn removed_trace_verbs_and_flags_fail() {
+    let path = temp_trace("removed");
+    for (args, needle) in [
+        (
+            ["trace", "pack", "a.suittrc", "b.suittrc2"].as_slice(),
+            "usage",
+        ),
+        (
+            ["trace", "unpack", "a.suittrc2", "b.suittrc"].as_slice(),
+            "usage",
+        ),
+        (
+            [
+                "trace",
+                "record",
+                "--workload",
+                "502.gcc",
+                "--out",
+                &path,
+                "--format",
+                "v2",
+            ]
+            .as_slice(),
+            "unknown flag '--format'",
+        ),
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(needle), "{args:?}: {err}");
+    }
+    assert!(
+        !std::path::Path::new(&path).exists(),
+        "a rejected record must not create its output"
+    );
+}

@@ -7,7 +7,7 @@
 //! come back as a typed [`suit::store::StoreError`], never a panic, and
 //! never an allocation the physical input size cannot justify.
 //!
-//! Three properties pin this:
+//! Four properties pin this:
 //!
 //! 1. `total` — full-load ([`suit::store::read_all`]) and streaming
 //!    ([`suit::store::open_bytes`] + drain) decoding are total over the
@@ -17,7 +17,11 @@
 //!    packs deterministically and decodes back to exactly the input;
 //! 3. `seek` — on a valid container, seeking to any virtual time lands on
 //!    the same burst boundary that skipping burst-by-burst from the start
-//!    reaches.
+//!    reaches;
+//! 4. `reindexed` — a valid container with one index field edited and the
+//!    index CRC recomputed either fails to decode, or keeps property 3 at
+//!    every chunk start its index declares (decoding checks each chunk's
+//!    bursts against the next record's `first_vtime`).
 //!
 //! CI drives property 1 with `SUIT_CHECK_CASES=100000` as the fuzz-smoke
 //! gate. Committed corpus seeds in `tests/corpus/` pin the interesting
@@ -28,6 +32,7 @@ use suit::check::gen::{self, Gen};
 use suit::check::{corpus_dir, Checker, Source};
 use suit::isa::Opcode;
 use suit::store;
+use suit::store::crc::crc32;
 use suit::trace::event::Burst;
 use suit::trace::io::TraceMeta;
 
@@ -109,6 +114,37 @@ fn smashed_tail_container() -> Gen<Vec<u8>> {
         let len = bytes.len();
         let start = len.saturating_sub(tail.len());
         bytes[start..].copy_from_slice(&tail[..len - start]);
+        bytes
+    })
+}
+
+/// A valid container with one field of one index record moved by up to
+/// ±2²⁰ and the index CRC recomputed, so the edit gets past the checksum
+/// to the per-record checks: offsets, lengths, burst counts and the
+/// vtimes a seek trusts.
+fn reindexed_container() -> Gen<Vec<u8>> {
+    gen::pair(
+        &valid_container(),
+        &gen::pair(&gen::usize_in(0..=4095), &gen::u64_in(0..=1 << 21)),
+    )
+    .map(|(mut bytes, (pick, delta))| {
+        let len = bytes.len();
+        let chunks = u32::from_le_bytes(bytes[len - 12..len - 8].try_into().unwrap()) as usize;
+        if chunks == 0 {
+            return bytes;
+        }
+        let index = len - 24 - 32 * chunks;
+        // offset, comp_len, raw_len, bursts, crc32, first_vtime.
+        let (at, width) = [(0, 8), (8, 4), (12, 4), (16, 4), (20, 4), (24, 8)][pick % 6];
+        let field = index + 32 * (pick / 6 % chunks) + at;
+        let mut word = [0u8; 8];
+        word[..width].copy_from_slice(&bytes[field..field + width]);
+        let moved = u64::from_le_bytes(word)
+            .wrapping_add(delta)
+            .wrapping_sub(1 << 20);
+        bytes[field..field + width].copy_from_slice(&moved.to_le_bytes()[..width]);
+        let crc = crc32(&bytes[index..len - 24]);
+        bytes[len - 16..len - 12].copy_from_slice(&crc.to_le_bytes());
         bytes
     })
 }
@@ -198,6 +234,42 @@ fn constructed_containers_roundtrip_exactly() {
         );
 }
 
+/// Skip-from-start oracle: the index and start vtime of the first burst
+/// whose end passes `target`, or `None` past the end.
+fn skip_to(bursts: &[Burst], target: u64) -> Option<(usize, u64)> {
+    let mut vtime = 0u64;
+    for (i, b) in bursts.iter().enumerate() {
+        let end = vtime + b.total_insts();
+        if end > target {
+            return Some((i, vtime));
+        }
+        vtime = end;
+    }
+    None
+}
+
+/// Seeks a fresh reader over `bytes` to `target` and checks that it
+/// lands on the burst and start vtime a skip from the start reaches.
+fn seek_lands_like_skip(bytes: &[u8], bursts: &[Burst], target: u64) -> Result<(), String> {
+    let total: u64 = bursts.iter().map(Burst::total_insts).sum();
+    let mut reader = store::open_bytes(bytes).map_err(|e| format!("open failed: {e}"))?;
+    let start = reader
+        .seek_to_vtime(target)
+        .map_err(|e| format!("seek failed: {e}"))?;
+    let landed = reader
+        .next_burst()
+        .map_err(|e| format!("read failed: {e}"))?;
+    match (skip_to(bursts, target), landed) {
+        (Some((i, s)), Some(b)) if b == bursts[i] && start == s => Ok(()),
+        (None, None) if start == total => Ok(()),
+        (want, got) => Err(format!(
+            "seek({target}) landed at vtime {start} / burst {got:?}, expected \
+             {want:?} of {} bursts (total {total})",
+            bursts.len()
+        )),
+    }
+}
+
 /// Property 3: seeking lands where skipping from the start lands.
 #[test]
 fn seek_agrees_with_skip_from_start() {
@@ -210,44 +282,32 @@ fn seek_agrees_with_skip_from_start() {
             |((meta, bursts, chunk_bursts), raw_target): &((TraceMeta, Vec<Burst>, usize), u64)| {
                 let bytes = store::pack_to_vec(meta, bursts.iter().copied(), *chunk_bursts)
                     .map_err(|e| format!("pack failed: {e}"))?;
-
-                // Skip-from-start oracle: walk bursts accumulating
-                // their total (gap + events + internal-gap) length; the
-                // cursor must stop on the first burst whose end passes
-                // the target.
-                let mut vtime = 0u64;
-                let mut expect = None;
                 // Keep targets inside (and slightly past) the trace.
                 let total: u64 = bursts.iter().map(Burst::total_insts).sum();
-                let target = raw_target % (total + 2);
-                for (i, b) in bursts.iter().enumerate() {
-                    let end = vtime + b.total_insts();
-                    if expect.is_none() && end > target {
-                        expect = Some((i, vtime));
-                    }
-                    vtime = end;
-                }
-
-                let mut reader =
-                    store::open_bytes(&bytes).map_err(|e| format!("open failed: {e}"))?;
-                let start = reader
-                    .seek_to_vtime(target)
-                    .map_err(|e| format!("seek failed: {e}"))?;
-                let landed = reader
-                    .next_burst()
-                    .map_err(|e| format!("read failed: {e}"))?;
-
-                match (expect, landed) {
-                    (Some((i, s)), Some(b)) if b == bursts[i] && start == s => Ok(()),
-                    (None, None) if start == total => Ok(()),
-                    (want, got) => Err(format!(
-                        "seek({target}) landed at vtime {start} / burst {got:?}, expected \
-                         {want:?} of {} bursts (total {total})",
-                        bursts.len()
-                    )),
-                }
+                seek_lands_like_skip(&bytes, bursts, raw_target % (total + 2))
             },
         );
+}
+
+/// Property 4: a container whose index was edited and re-sealed is
+/// decoded totally, and if it decodes at all, a seek to any chunk start
+/// its index declares lands where skipping from the start lands.
+#[test]
+fn reindexed_containers_decode_only_if_their_index_is_true() {
+    Checker::new("store_fuzz::reindexed")
+        .cases_from_env_or(5_000)
+        .corpus(corpus_dir!())
+        .check(&reindexed_container(), |input: &Vec<u8>| {
+            decoder_is_total_and_consistent(input)?;
+            let Ok((_, bursts)) = store::read_all(input) else {
+                return Ok(());
+            };
+            let reader = store::open_bytes(input).map_err(|e| format!("open failed: {e}"))?;
+            reader
+                .index()
+                .iter()
+                .try_for_each(|r| seek_lands_like_skip(input, &bursts, r.first_vtime))
+        });
 }
 
 /// The committed corpus seeds must keep generating the shapes they were
