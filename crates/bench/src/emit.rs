@@ -1,8 +1,9 @@
 //! The one shared `BENCH_*.json` emitter.
 //!
 //! Every committed benchmark baseline in the repository root
-//! (`BENCH_engine.json`, `BENCH_fleet.json`, `BENCH_trace_replay.json`)
-//! is written through [`BenchDoc`], so all of them share one schema:
+//! (`BENCH_engine.json`, `BENCH_fleet.json`, `BENCH_trace_replay.json`,
+//! `BENCH_scenarios.json`) is written through [`BenchDoc`], so all four
+//! share one schema:
 //!
 //! ```json
 //! {

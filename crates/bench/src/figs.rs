@@ -7,7 +7,7 @@ use suit_hw::undervolt::SteadyStateModel;
 use suit_hw::{CpuModel, DvfsCurve, UndervoltLevel};
 use suit_ooo::fig14::{self, FIG14_LATENCIES};
 use suit_sim::engine::{simulate_with_timeline_telemetry, Point, SimConfig};
-use suit_sim::experiment::{run_row_threads, table6_rows};
+use suit_sim::experiment::{params_for, run_row_with, table6_rows};
 use suit_sim::timeline::fv_series;
 use suit_telemetry::Telemetry;
 use suit_trace::{profile, TraceGen};
@@ -17,13 +17,9 @@ use suit_rng::SuitRng;
 use crate::render::{num, pct, pct2, TextTable};
 
 /// Fig. 5: a crypto burst and the DVFS-curve reaction — gap-size events
-/// interleaved with the recorded curve switches.
-pub fn fig5(cap: Option<u64>) -> TextTable {
-    fig5_telemetry(cap, &Telemetry::off())
-}
-
-/// [`fig5`] recording simulator telemetry into `tele` along the way.
-pub fn fig5_telemetry(cap: Option<u64>, tele: &Telemetry) -> TextTable {
+/// interleaved with the recorded curve switches — recording simulator
+/// telemetry into `tele` along the way.
+pub fn fig5(cap: Option<u64>, tele: &Telemetry) -> TextTable {
     let cpu = CpuModel::xeon_4208();
     let p = profile::by_name("Nginx").expect("profile");
     let cfg = SimConfig::fv_intel(UndervoltLevel::Mv97)
@@ -49,13 +45,9 @@ pub fn fig5_telemetry(cap: Option<u64>, tele: &Telemetry) -> TextTable {
 }
 
 /// Fig. 6: the 𝑓𝑉 sequence on a long burst — frequency drops first, the
-/// voltage raise lands later, expiry returns to the efficient curve.
-pub fn fig6() -> TextTable {
-    fig6_telemetry(&Telemetry::off())
-}
-
-/// [`fig6`] recording simulator telemetry into `tele` along the way.
-pub fn fig6_telemetry(tele: &Telemetry) -> TextTable {
+/// voltage raise lands later, expiry returns to the efficient curve —
+/// recording simulator telemetry into `tele` along the way.
+pub fn fig6(tele: &Telemetry) -> TextTable {
     let cpu = CpuModel::xeon_4208();
     // A dedicated single-long-burst workload makes the sequence crisp.
     let mut p = profile::by_name("Nginx").expect("profile").clone();
@@ -251,8 +243,9 @@ pub fn fig14(uops: u64) -> TextTable {
 /// workloads of each level fan out over `threads` workers.
 pub fn fig16(cap: Option<u64>, threads: Threads) -> TextTable {
     let spec = &table6_rows()[5];
-    let r70 = run_row_threads(spec, UndervoltLevel::Mv70, cap, threads);
-    let r97 = run_row_threads(spec, UndervoltLevel::Mv97, cap, threads);
+    let params = params_for(&spec.cpu);
+    let r70 = run_row_with(spec, UndervoltLevel::Mv70, params, cap, threads);
+    let r97 = run_row_with(spec, UndervoltLevel::Mv97, params, cap, threads);
     let mut t = TextTable::new(
         "Fig. 16 — Per-application impact on CPU C (fV strategy)",
         &[
@@ -284,14 +277,14 @@ mod tests {
 
     #[test]
     fn fig5_shows_curve_switches() {
-        let s = fig5(CAP).to_string();
+        let s = fig5(CAP, &Telemetry::off()).to_string();
         assert!(s.contains("conservative"));
         assert!(s.contains("efficient"));
     }
 
     #[test]
     fn fig6_reaches_all_three_points() {
-        let s = fig6().to_string();
+        let s = fig6(&Telemetry::off()).to_string();
         assert!(s.contains("Cf"), "{s}");
         assert!(s.contains("Cv"), "{s}");
         assert!(s.contains("E"), "{s}");

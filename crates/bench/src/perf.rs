@@ -1,30 +1,36 @@
-//! The performance benches behind the committed `BENCH_*.json`
-//! baselines, as library functions so both the standalone binaries
-//! (`engine_hotpath`, `fleet_throughput`, `trace_replay`,
-//! `scenario_sweep`) and the `render_all` driver run the identical
-//! measurement code.
+//! The performance benches: the bodies of the [`crate::PERF`] rows.
+//! Four write the committed `BENCH_*.json` baselines; the rest only
+//! print.
 //!
 //! Every document is written through [`crate::emit::BenchDoc`], so all
 //! baselines share the one schema and are validated with the in-tree
 //! JSON parser before they touch disk.
 
-use suit_emu::aes::{bitsliced, Aes128Key};
+use std::hint::black_box;
+use std::time::Instant;
+
+use suit_emu::aes::{bitsliced, reference, Aes128Key};
+use suit_emu::{emulate, EmuOperands};
 use suit_exec::Threads;
 use suit_hw::{CpuModel, UndervoltLevel};
-use suit_isa::Vec128;
+use suit_isa::{Opcode, Vec128};
+use suit_ooo::config::O3Config;
+use suit_ooo::core::O3Core;
+use suit_ooo::workload::UopStream;
 use suit_scenarios::{scrooge, sram, ScroogeConfig, SramScenarioConfig};
 use suit_sim::engine::{run_stream, simulate, SimConfig};
 use suit_sim::fleet::{FleetConfig, FleetSim};
 use suit_sim::legacy;
 use suit_sim::montecarlo::monte_carlo_with_threads;
 use suit_store as store;
-use suit_telemetry::Telemetry;
+use suit_telemetry::{Counter, Telemetry};
 use suit_trace::event::TraceSummary;
 use suit_trace::io::TraceMeta;
 use suit_trace::{profile, TraceGen};
 
 use crate::emit::{read_section, BenchDoc, Val};
-use crate::harness::{bench_with_throughput, Measurement};
+use crate::harness::{bench, bench_with_throughput, Measurement};
+use crate::{Opts, Scale, ARTEFACTS};
 
 /// Options shared by the perf benches.
 #[derive(Debug, Clone, Default)]
@@ -33,20 +39,6 @@ pub struct PerfOpts {
     pub test_mode: bool,
     /// Write the measurement document to this path.
     pub json_path: Option<String>,
-}
-
-impl PerfOpts {
-    /// Parses the conventional `--test` / `--json <path>` arguments.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        PerfOpts {
-            test_mode: args.iter().any(|a| a == "--test"),
-            json_path: args
-                .iter()
-                .position(|a| a == "--json")
-                .map(|i| args.get(i + 1).expect("--json needs a path").clone()),
-        }
-    }
 }
 
 fn ms(m: &Measurement) -> f64 {
@@ -127,7 +119,7 @@ pub fn engine_hotpath(opts: &PerfOpts) {
         std::array::from_fn(|i| Vec128::from_u128(0x0123_4567_89ab_cdef ^ ((i as u128) << 96)));
     let aes_width: u64 = 4;
     let aes = bench_with_throughput("aes_encrypt128_x4 (blocks)", Some(aes_width), || {
-        bitsliced::encrypt128_x4(&key, std::hint::black_box(blocks))
+        bitsliced::encrypt128_x4(&key, black_box(blocks))
     });
     let aes_blocks_per_s = aes_width as f64 / aes.median.as_secs_f64().max(1e-12);
 
@@ -297,8 +289,7 @@ pub fn fleet_throughput(opts: &PerfOpts) {
 const CHUNK_BURSTS: usize = 1024;
 
 /// The out-of-core trace pipeline bench (`SUITTRC2` pack, decode, and
-/// streaming replay). Moved verbatim from the `trace_replay` binary;
-/// the JSON now goes through the shared schema.
+/// streaming replay) over one multi-chunk 502.gcc container.
 pub fn trace_replay(opts: &PerfOpts) {
     let n_bursts: usize = if opts.test_mode { 20_000 } else { 200_000 };
     let p = profile::by_name("502.gcc").expect("502.gcc profile");
@@ -501,5 +492,161 @@ pub fn scenario_sweep(opts: &PerfOpts) {
             "scrooge below 1 point/s: {scrooge_pps:.2}"
         );
         println!("OK: scenario campaigns deterministic and within sanity bounds");
+    }
+}
+
+fn time_ns_per_op<F: FnMut(u64)>(iters: u64, mut f: F) -> f64 {
+    let t0 = Instant::now();
+    for i in 0..iters {
+        f(i);
+    }
+    t0.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// The cost of a disabled telemetry hook: the one-branch no-op fast path
+/// that lets hooks stay compiled into the hot simulator loops.
+///
+/// Three loops over the same hook site: no call at all (baseline), a
+/// disabled handle (`Telemetry::off()`, one `Option` branch), and a
+/// recording handle (relaxed atomic add). The disabled column is what
+/// every run without `--telemetry` pays. `--test` shrinks the iteration
+/// count and asserts the disabled hook stays within a generous per-op
+/// bound.
+pub fn telemetry_overhead(opts: &PerfOpts) {
+    let iters: u64 = if opts.test_mode {
+        5_000_000
+    } else {
+        100_000_000
+    };
+
+    // Warm up the allocator/timer paths once.
+    let _ = time_ns_per_op(100_000, |i| {
+        black_box(i);
+    });
+
+    let baseline = time_ns_per_op(iters, |i| {
+        black_box(i);
+    });
+
+    let off = Telemetry::off();
+    let disabled = time_ns_per_op(iters, |i| {
+        black_box(&off).count(Counter::DoTraps);
+        black_box(i);
+    });
+
+    let on = Telemetry::recording();
+    let enabled = time_ns_per_op(iters, |i| {
+        black_box(&on).count(Counter::DoTraps);
+        black_box(i);
+    });
+    assert_eq!(on.snapshot().counter(Counter::DoTraps), iters);
+
+    println!("telemetry hook overhead ({iters} iterations per loop)");
+    println!("{:<26} {:>12}", "variant", "ns/op");
+    println!("{:<26} {:>12.3}", "no hook (baseline)", baseline);
+    println!("{:<26} {:>12.3}", "disabled (Option branch)", disabled);
+    println!("{:<26} {:>12.3}", "recording (atomic add)", enabled);
+    println!(
+        "\ndisabled-hook overhead vs baseline: {:.3} ns/op",
+        (disabled - baseline).max(0.0)
+    );
+
+    if opts.test_mode {
+        let overhead = (disabled - baseline).max(0.0);
+        assert!(
+            overhead < 20.0,
+            "disabled hook costs {overhead:.3} ns/op — more than a branch should"
+        );
+        println!("OK: disabled hook within the no-op budget");
+    }
+}
+
+/// Emulation-cost microbenchmarks: the bit-sliced (side-channel
+/// resilient) AES the paper prescribes vs. the table-based reference —
+/// the ablation of DESIGN.md item 5 — plus the `#DO` emulation
+/// dispatcher itself.
+pub fn aes(_: &PerfOpts) {
+    let key = Aes128Key::expand([0x42; 16]);
+    let block = Vec128::from_u128(0x0123_4567_89ab_cdef_0011_2233_4455_6677);
+    let rk = key.round_key(5);
+
+    println!("# aes_round");
+    bench_with_throughput("aesenc_reference_table", Some(1), || {
+        reference::aesenc(black_box(block), black_box(rk))
+    });
+    bench_with_throughput("aesenc_bitsliced_single", Some(1), || {
+        bitsliced::aesenc(black_box(block), black_box(rk))
+    });
+
+    println!("# aes_round_x4");
+    let blocks = [block; 4];
+    bench_with_throughput("aesenc_bitsliced_x4", Some(4), || {
+        bitsliced::aesenc4(black_box(blocks), black_box(rk))
+    });
+
+    println!("# aes_block (16 bytes each)");
+    bench_with_throughput("encrypt128_reference", Some(16), || {
+        reference::encrypt128(&key, black_box(block))
+    });
+    bench_with_throughput("encrypt128_bitsliced", Some(16), || {
+        bitsliced::encrypt128(&key, black_box(block))
+    });
+
+    let a = Vec128::from_u128(0xdead_beef);
+    let b = Vec128::from_u128(0x1234_5678);
+    println!("# do_emulation_dispatch");
+    for op in [
+        Opcode::Vor,
+        Opcode::Vpclmulqdq,
+        Opcode::Aesenc,
+        Opcode::Imul,
+    ] {
+        bench_with_throughput(&format!("{op}"), Some(1), || {
+            emulate(black_box(op), EmuOperands::new(black_box(a), black_box(b)))
+        });
+    }
+}
+
+/// Simulator throughput: the event-based system simulator, the trace
+/// generator, and the out-of-order core model.
+pub fn simulator(_: &PerfOpts) {
+    let cpu = CpuModel::xeon_4208();
+    println!("# trace_engine (500M simulated instructions per iteration)");
+    for name in ["557.xz", "502.gcc", "520.omnetpp", "Nginx"] {
+        let p = profile::by_name(name).expect("profile");
+        let cfg = SimConfig::fv_intel(UndervoltLevel::Mv97).with_max_insts(500_000_000);
+        bench_with_throughput(&format!("fv_{name}"), Some(500_000_000), || {
+            simulate(&cpu, p, &cfg)
+        });
+    }
+
+    let p = profile::by_name("502.gcc").expect("profile");
+    println!("# trace_generation");
+    bench_with_throughput("gcc_10k_bursts", Some(10_000), || {
+        let gen = TraceGen::new(p, 1);
+        black_box(gen.take(10_000).map(|b| b.gap_insts).sum::<u64>())
+    });
+
+    println!("# ooo_core (200k uops per iteration)");
+    for name in ["525.x264", "505.mcf"] {
+        let p = suit_ooo::workload::by_name(name).expect("profile");
+        bench_with_throughput(&format!("o3_{name}_200k_uops"), Some(200_000), || {
+            let mut core = O3Core::new(O3Config::default());
+            black_box(core.run(UopStream::new(p.clone(), 1), 200_000))
+        });
+    }
+}
+
+/// Wall-clock cost of regenerating each artefact row, at the `--test`
+/// scale on one worker so a full pass stays in minutes.
+pub fn paper_tables(_: &PerfOpts) {
+    let opts = Opts {
+        scale: Scale::Test,
+        threads: Threads::Fixed(1),
+        telemetry: false,
+    };
+    println!("# paper_tables (--test scale, 1 thread)");
+    for (id, render) in ARTEFACTS {
+        bench(id, || render(&opts));
     }
 }

@@ -1,51 +1,31 @@
-//! The parallel render-all driver: one run that regenerates the complete
-//! EXPERIMENTS.md artefact set and all committed `BENCH_*.json` files.
+//! The parallel render-all driver: one run that regenerates every
+//! artefact in [`ARTEFACTS`] and every committed `BENCH_*.json` baseline
+//! in [`PERF`].
 //!
-//! Every table and figure regenerator (the same library calls behind the
-//! `table1` … `fig16` binaries) becomes one *job*; the jobs fan out over
-//! the [`suit_exec`] executor at the caller's `--threads`, each job
-//! rendering with a single-threaded inner executor so the outer driver
-//! owns all parallelism. Rendering is a pure function of the models, so
-//! the artefacts are byte-identical at every worker count.
+//! The artefact rows fan out over the [`suit_exec`] executor at the
+//! caller's `--threads`, each row rendering with a single-threaded inner
+//! executor so the outer driver owns all parallelism. Rendering is a
+//! pure function of the models, so the artefacts are byte-identical at
+//! every worker count.
 //!
-//! The performance benches (`engine_hotpath`, `fleet_throughput`,
-//! `trace_replay`, `scenario_sweep`) then run **serially after** the
+//! The perf rows that write a baseline then run **serially after** the
 //! render fan-out: timings must not share the machine with other jobs,
 //! or the medians would measure scheduler contention instead of the
 //! code.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use suit_exec::Threads;
-use suit_hw::UndervoltLevel;
 
-use crate::perf::{self, PerfOpts};
-use crate::{ablation, emit, figs, tables};
+use crate::perf::PerfOpts;
+use crate::{emit, Opts, Scale, ARTEFACTS, PERF};
 
-/// The committed benchmark baselines, with the bench name each must
-/// carry — the contract [`check_bench_files`] enforces.
-pub const BENCH_FILES: [(&str, &str); 4] = [
-    ("BENCH_engine.json", "engine_hotpath"),
-    ("BENCH_fleet.json", "fleet_throughput"),
-    ("BENCH_trace_replay.json", "trace_replay"),
-    ("BENCH_scenarios.json", "scenario_sweep"),
-];
-
-/// Options for one render-all run.
-#[derive(Debug, Clone)]
-pub struct RenderAllOpts {
-    /// Directory the rendered text artefacts are written into.
-    pub out_dir: PathBuf,
-    /// Directory the `BENCH_*.json` files are written into — the
-    /// repository root for baseline regeneration, the artefact directory
-    /// in `--test` mode so CI never dirties committed baselines.
-    pub bench_dir: PathBuf,
-    /// Per-workload instruction cap for the sweeping tables.
-    pub cap: Option<u64>,
-    /// Outer fan-out worker count.
-    pub threads: Threads,
-    /// CI mode: shrink the scenarios and assert the perf sanity bounds.
-    pub test_mode: bool,
+/// The committed benchmark baselines as `(file, bench id)`: the
+/// [`PERF`] rows that write one, and the name each file must carry —
+/// the contract [`check_bench_files`] enforces.
+pub fn bench_files() -> impl Iterator<Item = (&'static str, &'static str)> {
+    PERF.iter()
+        .filter_map(|&(id, file, _)| file.map(|file| (file, id)))
 }
 
 /// Validates every committed `BENCH_*.json` against the shared emitter
@@ -55,7 +35,7 @@ pub struct RenderAllOpts {
 /// regenerated baselines.
 pub fn check_bench_files(dir: &Path) -> Result<Vec<String>, String> {
     let mut report = Vec::new();
-    for (file, bench) in BENCH_FILES {
+    for (file, bench) in bench_files() {
         let path = dir.join(file);
         let src = std::fs::read_to_string(&path)
             .map_err(|e| format!("{file}: cannot read committed baseline: {e}"))?;
@@ -65,121 +45,53 @@ pub fn check_bench_files(dir: &Path) -> Result<Vec<String>, String> {
     Ok(report)
 }
 
-type Job = (&'static str, Box<dyn Fn() -> String + Sync>);
-
-/// The job list: every EXPERIMENTS.md table and figure, rendered through
-/// the same library functions as the standalone binaries. Inner sweeps
-/// run single-threaded — the outer driver owns the parallelism.
-fn jobs(cap: Option<u64>, test_mode: bool) -> Vec<Job> {
-    let t1 = Threads::Fixed(1);
-    let fig14_uops: u64 = if test_mode { 100_000 } else { 400_000 };
-    let (chips, insts) = if test_mode { (8, 1_000) } else { (20, 5_000) };
-    vec![
-        ("table1", Box::new(|| tables::table1().to_string())),
-        ("table2", Box::new(|| tables::table2().to_string())),
-        ("table3", Box::new(|| tables::table3().to_string())),
-        ("table4", Box::new(|| tables::table4().to_string())),
-        ("table5", Box::new(|| tables::table5().to_string())),
-        (
-            "table6",
-            Box::new(move || {
-                UndervoltLevel::ALL
-                    .iter()
-                    .map(|&level| tables::table6(level, cap, t1).to_string())
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            }),
-        ),
-        (
-            "table7",
-            Box::new(move || tables::table7(cap, t1).to_string()),
-        ),
-        (
-            "table8",
-            Box::new(move || tables::table8(cap, t1).to_string()),
-        ),
-        (
-            "residency",
-            Box::new(move || tables::residency(cap, t1).to_string()),
-        ),
-        ("delays", Box::new(|| tables::delays().to_string())),
-        (
-            "security",
-            Box::new(move || tables::security_report(chips, insts).to_string()),
-        ),
-        ("fig5", Box::new(move || figs::fig5(cap).to_string())),
-        ("fig6", Box::new(|| figs::fig6().to_string())),
-        ("fig7", Box::new(|| figs::fig7().to_string())),
-        ("fig8", Box::new(|| figs::fig8().to_string())),
-        ("fig9", Box::new(|| figs::fig9().to_string())),
-        ("fig10", Box::new(|| figs::fig10().to_string())),
-        ("fig11", Box::new(|| figs::fig11().to_string())),
-        ("fig12", Box::new(|| figs::fig12().to_string())),
-        ("fig13", Box::new(|| figs::fig13().to_string())),
-        (
-            "fig14",
-            Box::new(move || figs::fig14(fig14_uops).to_string()),
-        ),
-        ("fig16", Box::new(move || figs::fig16(cap, t1).to_string())),
-        (
-            "ablations",
-            Box::new(move || {
-                [
-                    ablation::thrash_prevention(cap, t1),
-                    ablation::strategies(cap, t1),
-                    ablation::imul_hardening(cap, t1),
-                    ablation::noisy_neighbor(cap, t1),
-                ]
-                .map(|t| t.to_string())
-                .join("\n")
-            }),
-        ),
-    ]
-}
-
-/// Runs the full driver: fans the render jobs out, writes one
-/// `<out_dir>/<id>.txt` per artefact plus an `INDEX.txt`, then runs the
-/// perf benches serially, writing `BENCH_*.json` into `bench_dir`.
-pub fn render_all(opts: &RenderAllOpts) {
-    let jobs = jobs(opts.cap, opts.test_mode);
+/// Runs the full driver: fans the artefact rows out over `threads`,
+/// writes one `<out_dir>/<id>.txt` per artefact plus an `INDEX.txt`,
+/// then runs the baseline perf rows serially. At [`Scale::Test`] the
+/// perf rows shrink, assert their sanity bounds and write their
+/// `BENCH_*.json` into `out_dir`, so CI never dirties the committed
+/// baselines; otherwise they refresh the baselines in the current
+/// directory.
+pub fn render_all(out_dir: &Path, scale: Scale, threads: Threads) {
+    let n_bench = bench_files().count();
     println!(
-        "render_all: {} artefacts over {} worker(s), then {} serial perf benches\n",
-        jobs.len(),
-        opts.threads.count().min(jobs.len()),
-        BENCH_FILES.len()
+        "render_all: {} artefacts over {} worker(s), then {n_bench} serial perf benches\n",
+        ARTEFACTS.len(),
+        threads.count().min(ARTEFACTS.len()),
     );
 
-    let rendered: Vec<(&'static str, String)> =
-        suit_exec::run(jobs.len(), opts.threads, |i| (jobs[i].0, (jobs[i].1)()));
+    let inner = Opts {
+        scale,
+        threads: Threads::Fixed(1),
+        telemetry: false,
+    };
+    let rendered = suit_exec::run(ARTEFACTS.len(), threads, |i| (ARTEFACTS[i].1)(&inner));
 
-    std::fs::create_dir_all(&opts.out_dir).expect("create artefact directory");
+    std::fs::create_dir_all(out_dir).expect("create artefact directory");
     let mut index = String::from("EXPERIMENTS.md artefact set, one file per regenerator:\n");
-    for (name, text) in &rendered {
-        let path = opts.out_dir.join(format!("{name}.txt"));
+    for ((id, _), text) in ARTEFACTS.iter().zip(&rendered) {
+        let path = out_dir.join(format!("{id}.txt"));
         std::fs::write(&path, text).expect("write artefact");
-        index.push_str(&format!("  {name}.txt\n"));
+        index.push_str(&format!("  {id}.txt\n"));
         println!("wrote {}", path.display());
     }
-    for (file, _) in BENCH_FILES {
+    for (file, _) in bench_files() {
         index.push_str(&format!("  {file} (perf baseline)\n"));
     }
-    std::fs::write(opts.out_dir.join("INDEX.txt"), index).expect("write index");
+    std::fs::write(out_dir.join("INDEX.txt"), index).expect("write index");
 
     // Serial perf phase: the medians must not time other jobs' cache and
     // scheduler pressure.
-    std::fs::create_dir_all(&opts.bench_dir).expect("create bench directory");
-    for (file, _) in BENCH_FILES {
-        let popts = PerfOpts {
-            test_mode: opts.test_mode,
-            json_path: Some(opts.bench_dir.join(file).to_string_lossy().into_owned()),
-        };
-        println!();
-        match file {
-            "BENCH_engine.json" => perf::engine_hotpath(&popts),
-            "BENCH_fleet.json" => perf::fleet_throughput(&popts),
-            "BENCH_trace_replay.json" => perf::trace_replay(&popts),
-            "BENCH_scenarios.json" => perf::scenario_sweep(&popts),
-            other => unreachable!("no perf bench registered for {other}"),
+    let test_mode = scale == Scale::Test;
+    let bench_dir = if test_mode { out_dir } else { Path::new(".") };
+    std::fs::create_dir_all(bench_dir).expect("create bench directory");
+    for (_, file, run) in PERF {
+        if let Some(file) = file {
+            println!();
+            run(&PerfOpts {
+                test_mode,
+                json_path: Some(bench_dir.join(file).to_string_lossy().into_owned()),
+            });
         }
     }
 }
@@ -188,6 +100,7 @@ pub fn render_all(opts: &RenderAllOpts) {
 mod tests {
     use super::*;
     use crate::emit::{BenchDoc, Val};
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -207,11 +120,11 @@ mod tests {
     #[test]
     fn check_accepts_schema_valid_baselines() {
         let dir = tmp_dir("ok");
-        for (file, bench) in BENCH_FILES {
+        for (file, bench) in bench_files() {
             write_doc(&dir, file, bench);
         }
         let report = check_bench_files(&dir).expect("all valid");
-        assert_eq!(report.len(), BENCH_FILES.len());
+        assert_eq!(report.len(), bench_files().count());
     }
 
     #[test]
@@ -219,12 +132,13 @@ mod tests {
         let dir = tmp_dir("stale");
         // Missing file.
         assert!(check_bench_files(&dir).is_err());
-        for (file, bench) in BENCH_FILES {
+        for (file, bench) in bench_files() {
             write_doc(&dir, file, bench);
         }
+        let (first, _) = bench_files().next().expect("a baseline");
         // Pre-schema shape (no schema_version) is stale.
         std::fs::write(
-            dir.join(BENCH_FILES[0].0),
+            dir.join(first),
             r#"{"bench": "engine_hotpath", "results": {}}"#,
         )
         .unwrap();
@@ -232,27 +146,53 @@ mod tests {
             .unwrap_err()
             .contains("schema_version"));
         // Wrong bench name in the right envelope is also rejected.
-        write_doc(&dir, BENCH_FILES[0].0, "something_else");
+        write_doc(&dir, first, "something_else");
         assert!(check_bench_files(&dir).is_err());
+    }
+
+    /// The ids a document cites as `bench <id>`: in backticks, after
+    /// `suit-cli`, or after cargo's `--`. A placeholder such as `<id>`
+    /// cites nothing.
+    fn cited_ids(doc: &str) -> Vec<&str> {
+        ["`bench ", "suit-cli bench ", "-- bench "]
+            .iter()
+            .flat_map(|prefix| doc.match_indices(prefix).map(|(at, p)| at + p.len()))
+            .map(|start| {
+                let rest = &doc[start..];
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .filter(|id| !id.is_empty())
+            .collect()
     }
 
     #[test]
     fn job_list_covers_the_experiments_set() {
-        let names: Vec<&str> = jobs(Some(1), true).iter().map(|(n, _)| *n).collect();
-        for expect in [
-            "table1",
-            "table6",
-            "table8",
-            "fig5",
-            "fig14",
-            "fig16",
-            "residency",
-            "delays",
-            "security",
-            "ablations",
-        ] {
-            assert!(names.contains(&expect), "missing artefact job {expect}");
+        let experiments = include_str!("../../../EXPERIMENTS.md");
+        let docs = [
+            ("README.md", include_str!("../../../README.md")),
+            ("EXPERIMENTS.md", experiments),
+            ("DESIGN.md", include_str!("../../../DESIGN.md")),
+        ];
+        let known = |id: &str| {
+            ARTEFACTS.iter().any(|(a, _)| *a == id)
+                || PERF.iter().any(|(p, _, _)| *p == id)
+                || id == "all"
+                || id == "check-bench"
+        };
+        for (name, doc) in docs {
+            for id in cited_ids(doc) {
+                assert!(known(id), "{name} cites `bench {id}`, which names no row");
+            }
         }
-        assert!(names.len() >= 23, "artefact set shrank: {}", names.len());
+        let cited = cited_ids(experiments);
+        for (id, _) in ARTEFACTS {
+            assert!(
+                cited.contains(&id),
+                "EXPERIMENTS.md never cites `bench {id}`"
+            );
+        }
     }
 }

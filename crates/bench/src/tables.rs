@@ -9,20 +9,21 @@ use suit_hw::undervolt::SteadyStateModel;
 use suit_hw::UndervoltLevel;
 use suit_isa::TABLE1;
 use suit_ooo::O3Config;
-use suit_sim::experiment::{run_row_threads, table6_rows, table8_counts, RowResult};
+use suit_sim::experiment::{params_for, run_row_with, table6_rows, table8_counts, RowResult};
 use suit_trace::profile;
 
 use crate::render::{num, pct, TextTable};
 
 /// Table 1: undervolting-induced instruction faults — fault-injection
 /// campaign over several simulated chips, tallied per opcode family, next
-/// to the counts Kogler et al. measured.
-pub fn table1() -> TextTable {
+/// to the counts Kogler et al. measured. Each chip's campaign fans out
+/// over `threads` workers.
+pub fn table1(threads: Threads) -> TextTable {
     // Aggregate a few chips like the original multi-CPU study.
     let mut totals = [0u32; suit_isa::Opcode::COUNT];
     for seed in 0..3 {
         let chip = ChipVminModel::sample(4, 12.0, seed);
-        let report = Campaign::standard(chip, seed).run();
+        let report = Campaign::standard(chip, seed).run_with_threads(threads.count());
         for row in TABLE1 {
             totals[row.opcode.index()] += report.faults(row.opcode);
         }
@@ -209,7 +210,7 @@ pub fn table6(level: UndervoltLevel, cap: Option<u64>, threads: Threads) -> Text
         ],
     );
     for spec in table6_rows() {
-        let row = run_row_threads(&spec, level, cap, threads);
+        let row = run_row_with(&spec, level, params_for(&spec.cpu), cap, threads);
         for cells in deltas_row(spec.label, &row) {
             t.row(cells);
         }
@@ -219,13 +220,12 @@ pub fn table6(level: UndervoltLevel, cap: Option<u64>, threads: Threads) -> Text
 }
 
 /// Table 7: the optimal operating-strategy parameters, with a deadline
-/// sweep demonstrating the flat optimum the paper reports. The deadline
-/// sweep points fan out over `threads` workers.
+/// sweep demonstrating the flat optimum the paper reports. Each sweep
+/// point's row fans out over `threads` workers.
 pub fn table7(cap: Option<u64>, threads: Threads) -> TextTable {
     use suit_core::strategy::StrategyParams;
     use suit_core::OperatingStrategy;
     use suit_hw::CpuModel;
-    use suit_sim::experiment::run_row_with_params;
     use suit_sim::experiment::RowSpec;
 
     let spec = RowSpec {
@@ -239,13 +239,15 @@ pub fn table7(cap: Option<u64>, threads: Threads) -> TextTable {
         &["p_dl (us)", "SPEC eff (gmean)", "delta vs optimum"],
     );
     const DEADLINES_US: [u64; 6] = [10, 20, 30, 40, 60, 120];
-    let results: Vec<(u64, f64)> = suit_exec::run(DEADLINES_US.len(), threads, |i| {
-        let dl_us = DEADLINES_US[i];
-        let params =
-            StrategyParams::intel().with_deadline(suit_isa::SimDuration::from_micros(dl_us));
-        let row = run_row_with_params(&spec, UndervoltLevel::Mv97, params, cap);
-        (dl_us, row.spec_gmean().eff)
-    });
+    let results: Vec<(u64, f64)> = DEADLINES_US
+        .iter()
+        .map(|&dl_us| {
+            let params =
+                StrategyParams::intel().with_deadline(suit_isa::SimDuration::from_micros(dl_us));
+            let row = run_row_with(&spec, UndervoltLevel::Mv97, params, cap, threads);
+            (dl_us, row.spec_gmean().eff)
+        })
+        .collect();
     let best = results
         .iter()
         .map(|r| r.1)
@@ -274,7 +276,13 @@ pub fn table8(cap: Option<u64>, threads: Threads) -> TextTable {
         ("Cinf fV", 16),
     ];
     for (spec, (_, paper_wins)) in table6_rows().iter().zip(paper) {
-        let row = run_row_threads(spec, UndervoltLevel::Mv97, cap, threads);
+        let row = run_row_with(
+            spec,
+            UndervoltLevel::Mv97,
+            params_for(&spec.cpu),
+            cap,
+            threads,
+        );
         let (ns, suit) = table8_counts(&row);
         t.row(vec![
             spec.label.to_string(),
@@ -289,7 +297,13 @@ pub fn table8(cap: Option<u64>, threads: Threads) -> TextTable {
 /// §6.4 residency report: fraction of time on the efficient curve.
 pub fn residency(cap: Option<u64>, threads: Threads) -> TextTable {
     let spec = &table6_rows()[5]; // C∞ fV
-    let row = run_row_threads(spec, UndervoltLevel::Mv97, cap, threads);
+    let row = run_row_with(
+        spec,
+        UndervoltLevel::Mv97,
+        params_for(&spec.cpu),
+        cap,
+        threads,
+    );
     let mut t = TextTable::new(
         "Efficient-curve residency on CPU C, fV, -97 mV (paper §6.4)",
         &["Workload", "Residency", "Paper"],
@@ -346,9 +360,8 @@ pub fn delays() -> TextTable {
     t
 }
 
-/// The §6.9 security audit summary shared by `suit-cli security` and the
-/// `security` bench binary: silent-error counts for naive undervolting
-/// vs. SUIT over a chip population.
+/// The §6.9 security audit summary: silent-error counts for naive
+/// undervolting vs. SUIT over a chip population.
 pub fn security_report(chips: u64, instructions: usize) -> TextTable {
     use suit_faults::vmin::ChipVminModel;
     use suit_faults::{audit_naive_undervolt, audit_suit_system};
@@ -392,7 +405,7 @@ mod tests {
 
     #[test]
     fn table1_preserves_paper_ordering_at_the_ends() {
-        let t = table1();
+        let t = table1(Threads::Fixed(2));
         assert_eq!(t.rows.len(), 12);
         assert!(t.rows[0][0].contains("IMUL"));
         // Model count for IMUL (scaled to 79) exceeds the tail entries.

@@ -183,37 +183,17 @@ impl RowResult {
 /// `max_insts` caps the per-workload virtual trace; `None` runs the full
 /// 2 × 10¹⁰ instructions (use caps in debug builds).
 pub fn run_row(spec: &RowSpec, level: UndervoltLevel, max_insts: Option<u64>) -> RowResult {
-    run_row_with_params(spec, level, params_for(&spec.cpu), max_insts)
+    run_row_with(spec, level, params_for(&spec.cpu), max_insts, Threads::Auto)
 }
 
-/// [`run_row`] with an explicit worker policy.
-pub fn run_row_threads(
-    spec: &RowSpec,
-    level: UndervoltLevel,
-    max_insts: Option<u64>,
-    threads: Threads,
-) -> RowResult {
-    run_row_with_params_threads(spec, level, params_for(&spec.cpu), max_insts, threads)
-}
-
-/// Like [`run_row`] with explicit strategy parameters (used by the Table 7
-/// parameter sweep and the ablations).
-pub fn run_row_with_params(
-    spec: &RowSpec,
-    level: UndervoltLevel,
-    params: StrategyParams,
-    max_insts: Option<u64>,
-) -> RowResult {
-    run_row_with_params_threads(spec, level, params, max_insts, Threads::Auto)
-}
-
-/// [`run_row_with_params`] with an explicit worker policy: the 25
-/// workloads plus the SPECnoSIMD set form one indexed job set on the
-/// [`suit_exec`] executor. Each job is a pure function of its index, so
-/// the row is byte-identical at every thread count; stealing keeps
-/// workers busy even though per-workload costs vary by an order of
-/// magnitude (520.omnetpp switches curves far more often than 557.xz).
-pub fn run_row_with_params_threads(
+/// [`run_row`] with explicit strategy parameters (the Table 7 sweep) and
+/// worker policy: the 25 workloads plus the SPECnoSIMD set form one
+/// indexed job set on the [`suit_exec`] executor. Each job is a pure
+/// function of its index, so the row is byte-identical at every thread
+/// count; stealing keeps workers busy even though per-workload costs
+/// vary by an order of magnitude (520.omnetpp switches curves far more
+/// often than 557.xz).
+pub fn run_row_with(
     spec: &RowSpec,
     level: UndervoltLevel,
     params: StrategyParams,
@@ -252,7 +232,7 @@ pub fn run_table6(threads: Threads, max_insts: Option<u64>) -> Vec<RowResult> {
         .collect();
     suit_exec::run(cells.len(), threads, |i| {
         let (spec, level) = cells[i];
-        run_row_with_params_threads(
+        run_row_with(
             spec,
             level,
             params_for(&spec.cpu),
@@ -328,8 +308,9 @@ mod tests {
         // The fan-out across the 25 + 23 workload jobs is index-ordered,
         // so a parallel row must be byte-identical to the serial one.
         let spec = &table6_rows()[5];
-        let serial = run_row_threads(spec, UndervoltLevel::Mv97, CAP, Threads::Fixed(1));
-        let parallel = run_row_threads(spec, UndervoltLevel::Mv97, CAP, Threads::Fixed(4));
+        let params = params_for(&spec.cpu);
+        let serial = run_row_with(spec, UndervoltLevel::Mv97, params, CAP, Threads::Fixed(1));
+        let parallel = run_row_with(spec, UndervoltLevel::Mv97, params, CAP, Threads::Fixed(4));
         assert_eq!(serial, parallel);
         assert_eq!(serial.per_workload.len(), 25);
         assert_eq!(serial.no_simd.len(), 23);

@@ -9,7 +9,8 @@
 //! suit-cli trace record --workload 502.gcc --out gcc.suittrc2 --bursts 5000
 //! suit-cli trace seek gcc.suittrc2 --vtime 1000000
 //! suit-cli trace info gcc.suittrc2
-//! suit-cli security
+//! suit-cli bench table6 --threads 2
+//! suit-cli bench all --test --out artifacts
 //! ```
 //!
 //! Unknown subcommands and unknown flags print the usage text and exit
@@ -26,7 +27,7 @@ use suit::trace::io::TraceMeta;
 use suit::trace::{profile, TraceGen};
 
 const USAGE: &str =
-    "usage: suit-cli <list|simulate|profile|validate-trace|mix|fleet|trace|analyze|security|scenario|serve|client> [options]\n\
+    "usage: suit-cli <list|simulate|profile|validate-trace|mix|fleet|trace|analyze|scenario|serve|client|bench> [options]\n\
 \x20 simulate --workload <name[,name...]|all> [--cpu a|b|c] [--strategy fv|f|v|e|adaptive]\n\
 \x20          [--offset 70|97] [--cores N] [--insts N] [--seed N] [--threads N]\n\
 \x20 profile <workload> [--trace-out <file>] [--cpu a|b|c] [--strategy fv|f|v|adaptive]\n\
@@ -47,6 +48,10 @@ const USAGE: &str =
 \x20       [--trace-entries N] [--trace-bytes N]   (bounds the /v1/trace store)\n\
 \x20 client <path> [--addr HOST:PORT] [--method GET|POST] [--body <json>|-]\n\
 \x20        [--body-file <file>] [--timeout-ms N] [--expect-json] [--etag TAG] [--show-etag]\n\
+\x20 bench <id>... [--full|--test] [--threads N] [--telemetry]   (paper tables and figures)\n\
+\x20 bench <perf id> [--test] [--json <file>]                    (perf benches)\n\
+\x20 bench all [--full|--test] [--threads N] [--out DIR]   (every artefact + BENCH_*.json)\n\
+\x20 bench check-bench                      (validate the committed BENCH_*.json)\n\
 \x20 --threads N fans workloads out over N workers; results are identical for every N";
 
 fn main() -> ExitCode {
@@ -71,13 +76,13 @@ fn main() -> ExitCode {
         Some("profile") => cmd_profile(&args[1..]),
         Some("validate-trace") => cmd_validate_trace(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
-        Some("security") => cmd_security(&args[1..]),
         Some("scenario") => cmd_scenario(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("mix") => cmd_mix(&args[1..]),
         Some("fleet") => cmd_fleet(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
+        Some("bench") => cmd_bench(&args[1..]),
         Some(other) => Err(format!("unknown subcommand '{other}'")),
         None => Err("missing subcommand".into()),
     };
@@ -89,6 +94,9 @@ fn main() -> ExitCode {
                 || e.contains("missing subcommand")
                 || e.contains("unknown flag")
                 || e.contains("unexpected argument")
+                || e.contains("needs a value")
+                || e.contains("bench id")
+                || e.contains("does not take")
                 || e.contains("--threads")
                 || e.contains("--addr")
                 || e.contains("--queue-depth")
@@ -109,21 +117,6 @@ fn opt(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// The first token that is neither a `--flag` nor a flag's value.
-/// Only meaningful after [`check_args`] has accepted the argument list
-/// (every `--flag` a subcommand takes consumes a value).
-fn first_positional(args: &[String]) -> Option<String> {
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            return Some(args[i].clone());
-        }
-    }
-    None
-}
-
 /// Parses `--threads N` into an executor policy. Absent means
 /// sequential; `0` or junk is rejected with the parse error (which names
 /// the flag, so `main` prints the usage text).
@@ -135,36 +128,40 @@ fn parse_threads(args: &[String]) -> Result<suit::exec::Threads, String> {
 }
 
 /// Strict argument validation: every `--flag` must be in `value_flags`
-/// (which consume the following token) or `bool_flags`, and at most
-/// `max_positionals` non-flag tokens may remain. Anything else is an
-/// error, so typos fail loudly instead of being silently ignored.
-fn check_args(
-    args: &[String],
+/// (which consume the following token, never another `--flag`) or
+/// `bool_flags`, and at most `max_positionals` non-flag tokens may
+/// remain. Anything else is an error, so typos fail loudly instead of
+/// being silently ignored. Returns the positionals in order.
+fn check_args<'a>(
+    args: &'a [String],
     value_flags: &[&str],
     bool_flags: &[&str],
     max_positionals: usize,
-) -> CliResult {
-    let mut positionals = 0;
+) -> Result<Vec<&'a str>, String> {
+    let mut positionals = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        let a = &args[i];
+        let a = args[i].as_str();
         if a.starts_with("--") {
-            if value_flags.contains(&a.as_str()) {
-                i += 2;
-            } else if bool_flags.contains(&a.as_str()) {
+            if value_flags.contains(&a) {
+                match args.get(i + 1) {
+                    Some(v) if !v.starts_with("--") => i += 2,
+                    _ => return Err(format!("flag '{a}' needs a value")),
+                }
+            } else if bool_flags.contains(&a) {
                 i += 1;
             } else {
                 return Err(format!("unknown flag '{a}'"));
             }
         } else {
-            positionals += 1;
-            if positionals > max_positionals {
+            if positionals.len() == max_positionals {
                 return Err(format!("unexpected argument '{a}'"));
             }
+            positionals.push(a);
             i += 1;
         }
     }
-    Ok(())
+    Ok(positionals)
 }
 
 fn cmd_list(args: &[String]) -> CliResult {
@@ -325,8 +322,9 @@ fn cmd_trace(args: &[String]) -> CliResult {
             Ok(())
         }
         Some("info") => {
-            check_args(args, &[], &[], 2)?;
-            let path = args.get(1).ok_or("missing <file>")?;
+            let path = *check_args(args, &[], &[], 2)?
+                .get(1)
+                .ok_or("missing <file>")?;
             let reader = open_container(path)?;
             let info = reader.info();
             // One streaming pass over the bursts, O(chunk) memory.
@@ -356,13 +354,14 @@ fn cmd_trace(args: &[String]) -> CliResult {
             Ok(())
         }
         Some("seek") => {
-            check_args(args, &["--vtime"], &[], 2)?;
-            let path = first_positional(&args[1..]).ok_or("usage: trace seek <file> --vtime N")?;
+            let path = *check_args(args, &["--vtime"], &[], 2)?
+                .get(1)
+                .ok_or("usage: trace seek <file> --vtime N")?;
             let vtime: u64 = opt(args, "--vtime")
                 .ok_or("missing --vtime <instructions>")?
                 .parse()
                 .map_err(|e| format!("--vtime: {e}"))?;
-            let mut reader = open_container(&path)?;
+            let mut reader = open_container(path)?;
             let start = reader
                 .seek_to_vtime(vtime)
                 .map_err(|e| format!("{path}: {e}"))?;
@@ -427,18 +426,19 @@ fn cmd_fleet(args: &[String]) -> CliResult {
 
 fn cmd_mix(args: &[String]) -> CliResult {
     use suit::sim::engine::simulate_mixed;
-    check_args(args, &["--cpu", "--insts", "--threads"], &[], 1)?;
-    let name = first_positional(args).ok_or_else(|| {
-        format!(
-            "usage: mix <{}|all> [--cpu a|b|c] [--insts N] [--threads N]",
-            suit::trace::profile::MIX_NAMES.join("|")
-        )
-    })?;
+    let name = *check_args(args, &["--cpu", "--insts", "--threads"], &[], 1)?
+        .first()
+        .ok_or_else(|| {
+            format!(
+                "usage: mix <{}|all> [--cpu a|b|c] [--insts N] [--threads N]",
+                suit::trace::profile::MIX_NAMES.join("|")
+            )
+        })?;
     // `all` fans every named mix out over the executor.
     let names: Vec<&str> = if name == "all" {
         suit::trace::profile::MIX_NAMES.to_vec()
     } else {
-        vec![name.as_str()]
+        vec![name]
     };
     let mixes: Vec<Vec<&suit::trace::profile::WorkloadProfile>> = names
         .iter()
@@ -455,24 +455,26 @@ fn cmd_mix(args: &[String]) -> CliResult {
     // Mixes model consolidation on ONE shared DVFS domain — only the
     // i9-9900K class has that topology (CPU C's per-core p-states would
     // never couple the workloads), so default to CPU a.
-    let cpu: CpuModel = opt(args, "--cpu").as_deref().unwrap_or("a").parse()?;
+    let mut point = SimPoint {
+        cpu: CpuModel::i9_9900k(),
+        insts: Some(1_000_000_000),
+        ..SimPoint::default()
+    };
+    fields::apply_flags(SimPoint::FIELDS, &mut point, |flag| opt(args, flag))?;
+    let cpu = point.cpu;
     if !matches!(cpu.domains, suit::hw::DomainLayout::SharedAll) {
         eprintln!(
             "note: {} has per-core DVFS domains; a shared-domain mix is a what-if here",
             cpu.name
         );
     }
-    let insts = opt(args, "--insts")
-        .map(|v| v.parse::<u64>().map_err(|e| format!("--insts: {e}")))
-        .transpose()?
-        .unwrap_or(1_000_000_000);
     // ℬ's cores share no voltage domain worth switching: it runs 𝑓.
     let strategy = match cpu.kind {
         CpuKind::AmdRyzen7700X => StrategyKey::Frequency,
         _ => StrategyKey::FreqVolt,
     };
     let cfg = SimConfig {
-        max_insts: Some(insts),
+        max_insts: point.insts,
         ..SimConfig::for_point(&cpu, strategy, UndervoltLevel::Mv97)
     };
     let results = suit::exec::run(mixes.len(), threads, |i| {
@@ -502,10 +504,10 @@ fn cmd_mix(args: &[String]) -> CliResult {
 }
 
 fn cmd_analyze(args: &[String]) -> CliResult {
-    check_args(args, &[], &[], 2)?;
-    let name = args.first().ok_or("usage: analyze <workload> [bursts]")?;
+    let pos = check_args(args, &[], &[], 2)?;
+    let name = *pos.first().ok_or("usage: analyze <workload> [bursts]")?;
     let p = profile::by_name(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
-    let bursts: usize = args
+    let bursts: usize = pos
         .get(1)
         .map_or(Ok(2_000), |v| v.parse().map_err(|e| format!("bursts: {e}")))?;
     let report = suit::trace::analyze::TraceReport::from_bursts(
@@ -535,12 +537,6 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         print!(" 1e{d}:{}", report.histogram.bucket(d));
     }
     println!();
-    Ok(())
-}
-
-fn cmd_security(args: &[String]) -> CliResult {
-    check_args(args, &[], &[], 0)?;
-    println!("{}", suit::bench::tables::security_report(10, 3_000));
     Ok(())
 }
 
@@ -610,14 +606,15 @@ fn cmd_scenario(args: &[String]) -> CliResult {
 /// on stdout, optional Chrome/Perfetto trace via `--trace-out`.
 fn cmd_profile(args: &[String]) -> CliResult {
     let flags = table_flags(SimPoint::FIELDS, &["--trace-out", "--events", "--threads"]);
-    check_args(args, &flags, &[], 1)?;
+    let name = *check_args(args, &flags, &[], 1)?
+        .first()
+        .ok_or("missing <workload> (see `suit-cli list`)")?;
     // A profile run is one instrumented simulation, so `--threads` has
     // nothing to fan out — but every subcommand accepts the flag through
     // the same strict parse-and-usage path, so a bad value fails the
     // same way everywhere instead of being silently ignored here.
     let _ = parse_threads(args)?;
-    let name = first_positional(args).ok_or("missing <workload> (see `suit-cli list`)")?;
-    let p = profile::by_name(&name).ok_or_else(|| format!("unknown workload '{name}'"))?;
+    let p = profile::by_name(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
     let events: usize = opt(args, "--events").map_or(Ok(1 << 16), |v| {
         v.parse().map_err(|e| format!("--events: {e}"))
     })?;
@@ -670,8 +667,9 @@ fn cmd_profile(args: &[String]) -> CliResult {
 /// the trace from stdin, so `suit-cli profile ... --trace-out /dev/stdout`
 /// style pipelines work without a temp file.
 fn cmd_validate_trace(args: &[String]) -> CliResult {
-    check_args(args, &[], &[], 1)?;
-    let path = args.first().ok_or("missing <file|-> (- reads stdin)")?;
+    let path = *check_args(args, &[], &[], 1)?
+        .first()
+        .ok_or("missing <file|-> (- reads stdin)")?;
     let src = if path == "-" {
         let mut s = String::new();
         use std::io::Read;
@@ -803,7 +801,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
 /// `--body-file <file>` POSTs the file's raw bytes as
 /// `application/octet-stream` — the upload path for `/v1/trace`.
 fn cmd_client(args: &[String]) -> CliResult {
-    check_args(
+    let path = *check_args(
         args,
         &[
             "--addr",
@@ -815,8 +813,9 @@ fn cmd_client(args: &[String]) -> CliResult {
         ],
         &["--expect-json", "--show-etag"],
         1,
-    )?;
-    let path = first_positional(args).ok_or("missing <path> (e.g. /v1/healthz)")?;
+    )?
+    .first()
+    .ok_or("missing <path> (e.g. /v1/healthz)")?;
     if !path.starts_with('/') {
         return Err(format!("path must start with '/', got '{path}'"));
     }
@@ -879,12 +878,12 @@ fn cmd_client(args: &[String]) -> CliResult {
     let resp = match body_file {
         Some(file) => {
             let bytes = std::fs::read(&file).map_err(|e| format!("{file}: {e}"))?;
-            suit::serve::request_bytes(&addr, &method, &path, &bytes, timeout)
+            suit::serve::request_bytes(&addr, &method, path, &bytes, timeout)
         }
         None => suit::serve::request_with_headers(
             &addr,
             &method,
-            &path,
+            path,
             body.as_deref(),
             &headers,
             timeout,
@@ -911,6 +910,119 @@ fn cmd_client(args: &[String]) -> CliResult {
     if args.iter().any(|a| a == "--show-etag") {
         if let Some(etag) = resp.header("etag") {
             println!("etag: {etag}");
+        }
+    }
+    Ok(())
+}
+
+/// `bench <id>...`: the paper's tables and figures and the perf benches,
+/// one row each in `suit::bench`'s [`ARTEFACTS`](suit::bench::ARTEFACTS)
+/// and [`PERF`](suit::bench::PERF) tables. `bench all` renders every
+/// artefact and baseline; `bench check-bench` validates the committed
+/// `BENCH_*.json`. Each id takes only the flags that mean something to
+/// it, so a flag it would ignore is an error.
+fn cmd_bench(args: &[String]) -> CliResult {
+    use suit::bench::{perf::PerfOpts, render_all, Opts, Scale, ARTEFACTS, PERF};
+    let ids = check_args(
+        args,
+        &["--threads", "--json", "--out"],
+        &["--full", "--test", "--telemetry"],
+        usize::MAX,
+    )?;
+    // `check_args` refuses a value that looks like a flag, so every
+    // `--` token here is a flag.
+    let flags: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| a.starts_with("--"))
+        .collect();
+    let has = |flag: &str| flags.contains(&flag);
+    let takes = |id: &str| -> Option<&[&str]> {
+        match id {
+            "all" => Some(&["--full", "--test", "--threads", "--out"]),
+            "check-bench" => Some(&[]),
+            _ if ARTEFACTS.iter().any(|(a, _)| *a == id) => {
+                Some(&["--full", "--test", "--threads", "--telemetry"])
+            }
+            _ => PERF.iter().find(|(p, _, _)| *p == id).map(|(_, file, _)| {
+                if file.is_some() {
+                    &["--test", "--json"][..]
+                } else {
+                    &["--test"][..]
+                }
+            }),
+        }
+    };
+    let known = || {
+        let rows = ARTEFACTS.iter().map(|(id, _)| *id);
+        let perf = PERF.iter().map(|(id, _, _)| *id);
+        let ids: Vec<&str> = rows.chain(perf).chain(["all", "check-bench"]).collect();
+        ids.join(", ")
+    };
+    if ids.is_empty() {
+        return Err(format!("missing bench id (one of: {})", known()));
+    }
+    for id in &ids {
+        let allowed =
+            takes(id).ok_or_else(|| format!("unknown bench id '{id}' (one of: {})", known()))?;
+        if let Some(flag) = flags.iter().find(|f| !allowed.contains(f)) {
+            return Err(format!("bench {id} does not take {flag}"));
+        }
+    }
+    if ids.len() > 1 {
+        if let Some(id) = ids.iter().find(|id| matches!(**id, "all" | "check-bench")) {
+            return Err(format!("bench {id} does not take another id"));
+        }
+        if has("--json") {
+            return Err("bench --json does not take more than one id".into());
+        }
+    }
+    let scale = match (has("--full"), has("--test")) {
+        (true, true) => return Err("--full and --test are mutually exclusive".into()),
+        (true, false) => Scale::Full,
+        (false, true) => Scale::Test,
+        (false, false) => Scale::Quick,
+    };
+    let threads = match opt(args, "--threads") {
+        Some(v) => suit::exec::Threads::parse(&v)?,
+        None => suit::exec::Threads::Auto,
+    };
+
+    match ids[0] {
+        "check-bench" => {
+            let report = render_all::check_bench_files(std::path::Path::new("."))
+                .map_err(|e| format!("{e}\nregenerate with: suit-cli bench all"))?;
+            for line in report {
+                println!("{line}");
+            }
+            println!("all committed BENCH_*.json files match the emitter schema");
+        }
+        "all" => {
+            let out = opt(args, "--out").unwrap_or_else(|| "artifacts".into());
+            render_all::render_all(std::path::Path::new(&out), scale, threads);
+        }
+        _ => {
+            let opts = Opts {
+                scale,
+                threads,
+                telemetry: has("--telemetry"),
+            };
+            let perf = PerfOpts {
+                test_mode: has("--test"),
+                json_path: opt(args, "--json"),
+            };
+            for id in ids {
+                match ARTEFACTS.iter().find(|(a, _)| *a == id) {
+                    Some((_, render)) => println!("{}", render(&opts)),
+                    None => {
+                        let (_, _, run) = PERF
+                            .iter()
+                            .find(|(p, _, _)| *p == id)
+                            .expect("every id was checked above");
+                        run(&perf);
+                    }
+                }
+            }
         }
     }
     Ok(())

@@ -53,6 +53,31 @@ fn unexpected_positional_fails() {
 }
 
 #[test]
+fn a_value_flag_without_a_value_prints_usage_and_fails() {
+    for (args, flag) in [
+        (
+            ["simulate", "--workload", "557.xz", "--seed"].as_slice(),
+            "--seed",
+        ),
+        (
+            ["simulate", "--seed", "--workload", "557.xz"].as_slice(),
+            "--seed",
+        ),
+        (["fleet", "--racks"].as_slice(), "--racks"),
+        (["bench", "engine_hotpath", "--json"].as_slice(), "--json"),
+    ] {
+        let out = cli(args);
+        assert!(!out.status.success(), "{args:?} should fail");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("flag '{flag}' needs a value")),
+            "{args:?}: {err}"
+        );
+        assert!(err.contains("usage: suit-cli"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn list_succeeds() {
     let out = cli(&["list"]);
     assert!(out.status.success());
@@ -76,6 +101,7 @@ fn bad_flag_values_fail_cleanly() {
         .as_slice(),
         ["profile", "Nginx", "--cores", "0"].as_slice(),
         ["profile", "Nginx", "--insts", "0"].as_slice(),
+        ["mix", "all", "--insts", "0"].as_slice(),
         ["validate-trace", "/no/such/file.json"].as_slice(),
     ] {
         let out = cli(args);
@@ -282,6 +308,60 @@ fn client_flag_validation_fails_cleanly() {
         assert!(!out.status.success(), "{args:?} should fail");
         assert!(stderr(&out).contains("error:"), "{args:?}");
     }
+    // A boolean flag before the path must not swallow it.
+    let out = cli(&["client", "--expect-json", "v1/healthz"]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(err.contains("path must start with '/'"), "{err}");
+}
+
+#[test]
+fn bench_rejects_bad_ids_flags_and_values() {
+    for (args, needle) in [
+        (["bench"].as_slice(), "missing bench id"),
+        (["bench", "table9"].as_slice(), "unknown bench id 'table9'"),
+        (
+            ["bench", "table1", "--bogus"].as_slice(),
+            "unknown flag '--bogus'",
+        ),
+        (
+            ["bench", "table2", "--threads", "0"].as_slice(),
+            "--threads must be a positive integer",
+        ),
+        (
+            ["bench", "table2", "--json", "t.json"].as_slice(),
+            "bench table2 does not take --json",
+        ),
+        (
+            ["bench", "aes", "--json", "a.json"].as_slice(),
+            "bench aes does not take --json",
+        ),
+        (
+            ["bench", "engine_hotpath", "--threads", "2"].as_slice(),
+            "bench engine_hotpath does not take --threads",
+        ),
+        (
+            ["bench", "all", "table1"].as_slice(),
+            "bench all does not take another id",
+        ),
+    ] {
+        let out = cli(args);
+        assert!(!out.status.success(), "{args:?} should fail");
+        let err = stderr(&out);
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(err.contains("usage: suit-cli"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn bench_renders_the_named_rows_in_order() {
+    let out = cli(&["bench", "table5", "delays"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let log = stdout(&out);
+    let table5 = log.find("Table 5").expect("table5");
+    let delays = log.find("transition delays").expect("delays");
+    assert!(table5 < delays, "{log}");
 }
 
 #[test]

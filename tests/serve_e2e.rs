@@ -319,13 +319,15 @@ fn graceful_shutdown_drains_the_inflight_job() {
         threads: Threads::Fixed(1),
         ..ServeConfig::default()
     });
-    // Park a slow job on the single worker…
+    // Park a slow job on the single worker: a shared 4-core domain runs
+    // every round on the general path (a lone core's bursts commit in
+    // closed form, so a single-core batch ends before a poll sees it)…
     let slow_addr = addr.clone();
     let slow = std::thread::spawn(move || {
         post(
             &slow_addr,
             "/v1/batch",
-            "{\"workloads\":\"all\",\"insts\":2000000000}",
+            "{\"workloads\":[\"Nginx\"],\"insts\":50000000,\"cores\":4}",
         )
     });
     // …wait until it is actually inflight…
