@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 
 use suit_core::strategy::StrategyParams;
-use suit_core::OperatingStrategy;
+use suit_core::StrategyKey;
 use suit_exec::Threads;
 use suit_hw::{CpuModel, UndervoltLevel};
 use suit_isa::Opcode;
@@ -69,35 +69,24 @@ pub fn strategies(cap: Option<u64>, threads: Threads) -> TextTable {
         &["Workload", "Strategy", "Perf", "Power", "Eff"],
     );
     const NAMES: [&str; 3] = ["557.xz", "502.gcc", "Nginx"];
-    const VARIANTS: usize = 4; // f, V, fV, adaptive
-    let rows = suit_exec::run(NAMES.len() * VARIANTS, threads, |i| {
-        let name = NAMES[i / VARIANTS];
+    const STRATEGIES: [StrategyKey; 4] = [
+        StrategyKey::Frequency,
+        StrategyKey::Voltage,
+        StrategyKey::FreqVolt,
+        StrategyKey::Adaptive, // §6.8 dynamic selection
+    ];
+    let rows = suit_exec::run(NAMES.len() * STRATEGIES.len(), threads, |i| {
+        let name = NAMES[i / STRATEGIES.len()];
         let p = profile::by_name(name).expect("profile");
-        let (label, cfg) = match i % VARIANTS {
-            v @ 0..=2 => {
-                let strategy = [
-                    OperatingStrategy::Frequency,
-                    OperatingStrategy::Voltage,
-                    OperatingStrategy::FreqVolt,
-                ][v];
-                let cfg = SimConfig {
-                    strategy,
-                    params: StrategyParams::intel(),
-                    level: UndervoltLevel::Mv97,
-                    cores: 1,
-                    seed: 0x5017,
-                    max_insts: cap,
-                    record_timeline: false,
-                    adaptive: None,
-                };
-                (strategy.to_string(), cfg)
-            }
-            _ => {
-                // §6.8 dynamic selection.
-                let mut cfg = SimConfig::adaptive_intel(UndervoltLevel::Mv97);
-                cfg.max_insts = cap;
-                ("adaptive".to_string(), cfg)
-            }
+        let strategy = STRATEGIES[i % STRATEGIES.len()];
+        let cfg = SimConfig {
+            strategy,
+            max_insts: cap,
+            ..SimConfig::fv_intel(UndervoltLevel::Mv97)
+        };
+        let label = match strategy {
+            StrategyKey::Adaptive => "adaptive".to_string(),
+            s => s.strategy().to_string(),
         };
         let r = simulate(&cpu, p, &cfg);
         vec![

@@ -1,13 +1,14 @@
 //! Regenerators for the paper's Figures 5–16 (the data series; the paper
 //! plots them, we print them).
 
+use suit_core::strategy::StrategyParams;
 use suit_exec::Threads;
 use suit_hw::delays::{frequency_settle_curve, voltage_settle_curve, TransitionDelays};
 use suit_hw::undervolt::SteadyStateModel;
-use suit_hw::{CpuModel, DvfsCurve, UndervoltLevel};
+use suit_hw::{CpuModel, DvfsCurve, Point, UndervoltLevel};
 use suit_ooo::fig14::{self, FIG14_LATENCIES};
-use suit_sim::engine::{simulate_with_timeline_telemetry, Point, SimConfig};
-use suit_sim::experiment::{params_for, run_row_with, table6_rows};
+use suit_sim::engine::{simulate_with_timeline_telemetry, SimConfig};
+use suit_sim::experiment::{run_row_with, table6_rows};
 use suit_sim::timeline::fv_series;
 use suit_telemetry::Telemetry;
 use suit_trace::{profile, TraceGen};
@@ -243,7 +244,7 @@ pub fn fig14(uops: u64) -> TextTable {
 /// workloads of each level fan out over `threads` workers.
 pub fn fig16(cap: Option<u64>, threads: Threads) -> TextTable {
     let spec = &table6_rows()[5];
-    let params = params_for(&spec.cpu);
+    let params = StrategyParams::for_cpu(&spec.cpu);
     let r70 = run_row_with(spec, UndervoltLevel::Mv70, params, cap, threads);
     let r97 = run_row_with(spec, UndervoltLevel::Mv97, params, cap, threads);
     let mut t = TextTable::new(

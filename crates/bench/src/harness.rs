@@ -64,7 +64,7 @@ pub fn bench<T>(name: &str, f: impl FnMut() -> T) -> Measurement {
     bench_with_throughput(name, None, f)
 }
 
-/// Like [`bench`], but additionally reports `elems / median` as a rate
+/// Like [`bench`](fn@bench), but additionally reports `elems / median` as a rate
 /// (elements per second) when `elems` is given.
 pub fn bench_with_throughput<T>(
     name: &str,

@@ -1,5 +1,6 @@
 //! Regenerators for the paper's Tables 1–8.
 
+use suit_core::strategy::StrategyParams;
 use suit_exec::Threads;
 use suit_faults::vmin::ChipVminModel;
 use suit_faults::Campaign;
@@ -9,7 +10,7 @@ use suit_hw::undervolt::SteadyStateModel;
 use suit_hw::UndervoltLevel;
 use suit_isa::TABLE1;
 use suit_ooo::O3Config;
-use suit_sim::experiment::{params_for, run_row_with, table6_rows, table8_counts, RowResult};
+use suit_sim::experiment::{run_row_with, table6_rows, table8_counts, RowResult};
 use suit_trace::profile;
 
 use crate::render::{num, pct, TextTable};
@@ -210,7 +211,8 @@ pub fn table6(level: UndervoltLevel, cap: Option<u64>, threads: Threads) -> Text
         ],
     );
     for spec in table6_rows() {
-        let row = run_row_with(&spec, level, params_for(&spec.cpu), cap, threads);
+        let params = StrategyParams::for_cpu(&spec.cpu);
+        let row = run_row_with(&spec, level, params, cap, threads);
         for cells in deltas_row(spec.label, &row) {
             t.row(cells);
         }
@@ -223,8 +225,7 @@ pub fn table6(level: UndervoltLevel, cap: Option<u64>, threads: Threads) -> Text
 /// sweep demonstrating the flat optimum the paper reports. Each sweep
 /// point's row fans out over `threads` workers.
 pub fn table7(cap: Option<u64>, threads: Threads) -> TextTable {
-    use suit_core::strategy::StrategyParams;
-    use suit_core::OperatingStrategy;
+    use suit_core::StrategyKey;
     use suit_hw::CpuModel;
     use suit_sim::experiment::RowSpec;
 
@@ -232,7 +233,7 @@ pub fn table7(cap: Option<u64>, threads: Threads) -> TextTable {
         label: "Cinf fV",
         cpu: CpuModel::xeon_4208(),
         cores: 1,
-        strategy: OperatingStrategy::FreqVolt,
+        strategy: StrategyKey::FreqVolt,
     };
     let mut t = TextTable::new(
         "Table 7 — Operating-strategy parameter sweep (deadline p_dl on CPU C)",
@@ -276,13 +277,8 @@ pub fn table8(cap: Option<u64>, threads: Threads) -> TextTable {
         ("Cinf fV", 16),
     ];
     for (spec, (_, paper_wins)) in table6_rows().iter().zip(paper) {
-        let row = run_row_with(
-            spec,
-            UndervoltLevel::Mv97,
-            params_for(&spec.cpu),
-            cap,
-            threads,
-        );
+        let params = StrategyParams::for_cpu(&spec.cpu);
+        let row = run_row_with(spec, UndervoltLevel::Mv97, params, cap, threads);
         let (ns, suit) = table8_counts(&row);
         t.row(vec![
             spec.label.to_string(),
@@ -297,13 +293,8 @@ pub fn table8(cap: Option<u64>, threads: Threads) -> TextTable {
 /// §6.4 residency report: fraction of time on the efficient curve.
 pub fn residency(cap: Option<u64>, threads: Threads) -> TextTable {
     let spec = &table6_rows()[5]; // C∞ fV
-    let row = run_row_with(
-        spec,
-        UndervoltLevel::Mv97,
-        params_for(&spec.cpu),
-        cap,
-        threads,
-    );
+    let params = StrategyParams::for_cpu(&spec.cpu);
+    let row = run_row_with(spec, UndervoltLevel::Mv97, params, cap, threads);
     let mut t = TextTable::new(
         "Efficient-curve residency on CPU C, fV, -97 mV (paper §6.4)",
         &["Workload", "Residency", "Paper"],

@@ -25,6 +25,7 @@
 //!   burst is deliberately emulated to refresh the estimate, which lets
 //!   the chooser fall back to emulation when a workload quiets down.
 
+use suit_hw::{CpuKind, CpuModel};
 use suit_isa::{SimDuration, SimTime};
 
 use crate::strategy::OperatingStrategy;
@@ -75,13 +76,12 @@ impl AdaptiveConfig {
         }
     }
 
-    /// The configuration matching a CPU's measured delays and Table 7
-    /// parameters.
-    pub fn for_cpu(delays: &suit_hw::TransitionDelays) -> Self {
-        if delays.emulation_call_us < 0.5 {
-            Self::amd()
-        } else {
-            Self::intel()
+    /// The configuration for `cpu`, chosen by vendor like
+    /// [`StrategyParams::for_cpu`](crate::StrategyParams::for_cpu).
+    pub fn for_cpu(cpu: &CpuModel) -> Self {
+        match cpu.kind {
+            CpuKind::AmdRyzen7700X => Self::amd(),
+            _ => Self::intel(),
         }
     }
 }
@@ -251,6 +251,28 @@ mod tests {
 
     fn at(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_micros(us)
+    }
+
+    #[test]
+    fn vendor_switch_picks_the_amd_rows_for_b_only() {
+        use crate::StrategyParams;
+        for cpu in [
+            CpuModel::i9_9900k(),
+            CpuModel::ryzen_7700x(),
+            CpuModel::xeon_4208(),
+            CpuModel::i5_1035g1(),
+        ] {
+            let amd = cpu.kind == CpuKind::AmdRyzen7700X;
+            // The chooser's AMD costs assume ℬ's cheap emulation call.
+            assert_eq!(cpu.delays.emulation_call_us < 0.5, amd, "{}", cpu.name);
+            let (params, chooser) = if amd {
+                (StrategyParams::amd(), AdaptiveConfig::amd())
+            } else {
+                (StrategyParams::intel(), AdaptiveConfig::intel())
+            };
+            assert_eq!(StrategyParams::for_cpu(&cpu), params, "{}", cpu.name);
+            assert_eq!(AdaptiveConfig::for_cpu(&cpu), chooser, "{}", cpu.name);
+        }
     }
 
     #[test]

@@ -49,5 +49,5 @@ pub use exception::{DisabledOpcode, DO_VECTOR};
 pub use frontend::{MachineState, StepOutcome, SuitFrontend};
 pub use governor::{GovernorConfig, OffsetGovernor};
 pub use msr::{CurveSelect, DisableOpcodeMsr, DvfsCurveMsr, MsrError, SuitMsrs};
-pub use os::{CpuControl, CurveTarget, HandlerAction, OsStats, SuitOs};
+pub use os::{CpuControl, HandlerAction, OsStats, SuitOs};
 pub use strategy::{OperatingStrategy, StrategyKey, StrategyParams};

@@ -12,6 +12,7 @@
 //! does not involve the OS; the simulator performs it directly on its
 //! [`crate::deadline::DeadlineTimer`].
 
+use suit_hw::Point;
 use suit_isa::{SimDuration, SimTime};
 use suit_telemetry::{Counter, EventKind, Telemetry};
 
@@ -20,30 +21,20 @@ use crate::exception::DisabledOpcode;
 use crate::strategy::{OperatingStrategy, StrategyParams};
 use crate::thrash::ThrashGuard;
 
-/// The p-state targets of Fig. 4 as the OS names them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CurveTarget {
-    /// The efficient curve.
-    E,
-    /// Conservative by frequency: efficient voltage, reduced clock.
-    Cf,
-    /// Conservative by voltage: nominal voltage, full clock.
-    Cv,
-}
-
 /// The hardware controls the OS drives — the `cpu.*` calls of Listing 1.
+/// P-state targets are Fig. 4's operating points.
 pub trait CpuControl {
     /// Current time (the OS reads the clock for thrashing detection).
     fn now(&self) -> SimTime;
 
     /// Requests a p-state change and blocks until it takes effect
     /// (`cpu.change_pstate_wait`).
-    fn change_pstate_wait(&mut self, target: CurveTarget);
+    fn change_pstate_wait(&mut self, target: Point);
 
     /// Requests a p-state change and returns immediately
     /// (`cpu.change_pstate_async`). A later request supersedes a pending
     /// one — §4.3: returning to `E` "cancels the voltage change".
-    fn change_pstate_async(&mut self, target: CurveTarget);
+    fn change_pstate_async(&mut self, target: Point);
 
     /// Writes the disable-opcode MSR for the whole vendor faultable set
     /// (`cpu.set_instructions_disabled`).
@@ -204,13 +195,13 @@ impl SuitOs {
         // Switch to the conservative curve; we wait for the part of the
         // p-state that makes execution safe.
         match self.strategy {
-            OperatingStrategy::Frequency => cpu.change_pstate_wait(CurveTarget::Cf),
-            OperatingStrategy::Voltage => cpu.change_pstate_wait(CurveTarget::Cv),
+            OperatingStrategy::Frequency => cpu.change_pstate_wait(Point::Cf),
+            OperatingStrategy::Voltage => cpu.change_pstate_wait(Point::Cv),
             OperatingStrategy::FreqVolt => {
                 // Listing 1: wait for the (fast) frequency change, request
                 // the (slow) voltage change asynchronously.
-                cpu.change_pstate_wait(CurveTarget::Cf);
-                cpu.change_pstate_async(CurveTarget::Cv);
+                cpu.change_pstate_wait(Point::Cf);
+                cpu.change_pstate_async(Point::Cv);
             }
             OperatingStrategy::Emulation => unreachable!("handled above"),
         }
@@ -242,7 +233,7 @@ impl SuitOs {
         self.tele.instant(EventKind::DeadlineFire, cpu.now(), 0);
         cpu.set_instructions_disabled(true);
         self.tele.count(Counter::MsrDisableWrites);
-        cpu.change_pstate_async(CurveTarget::E);
+        cpu.change_pstate_async(Point::E);
     }
 }
 
@@ -262,10 +253,10 @@ mod tests {
         fn now(&self) -> SimTime {
             self.now
         }
-        fn change_pstate_wait(&mut self, t: CurveTarget) {
+        fn change_pstate_wait(&mut self, t: Point) {
             self.calls.push(format!("wait:{t:?}"));
         }
-        fn change_pstate_async(&mut self, t: CurveTarget) {
+        fn change_pstate_async(&mut self, t: Point) {
             self.calls.push(format!("async:{t:?}"));
         }
         fn set_instructions_disabled(&mut self, d: bool) {

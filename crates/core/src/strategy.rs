@@ -18,6 +18,7 @@
 use suit_isa::SimDuration;
 
 use suit_hw::measured::{params_amd, params_intel};
+use suit_hw::{CpuKind, CpuModel};
 
 /// The four operating strategies of §4.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,6 +148,15 @@ impl StrategyParams {
             timespan: SimDuration::from_micros_f64(params_amd::P_TS_US),
             max_exceptions: params_amd::P_EC,
             deadline_factor: params_amd::P_DF,
+        }
+    }
+
+    /// The Table 7 row for `cpu`: the AMD row for ℬ, the Intel row for
+    /// every Intel part.
+    pub fn for_cpu(cpu: &CpuModel) -> Self {
+        match cpu.kind {
+            CpuKind::AmdRyzen7700X => Self::amd(),
+            _ => Self::intel(),
         }
     }
 

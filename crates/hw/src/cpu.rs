@@ -104,6 +104,24 @@ pub struct OperatingPoint {
     pub power: f64,
 }
 
+/// The three operating points of Fig. 4. The OS policy names its p-state
+/// targets with it, and its discriminant indexes every per-point table
+/// (operating points, transition delays, residency time).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Point {
+    /// The efficient (undervolted) curve.
+    E,
+    /// Conservative by frequency: efficient voltage, reduced clock.
+    Cf,
+    /// Conservative by voltage: nominal voltage, full clock.
+    Cv,
+}
+
+impl Point {
+    /// Every operating point, in index order.
+    pub const ALL: [Point; 3] = [Point::E, Point::Cf, Point::Cv];
+}
+
 /// A complete CPU model consumed by the trace-driven simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpuModel {

@@ -14,6 +14,7 @@
 use suit_isa::SimDuration;
 use suit_rng::Rng;
 
+use crate::cpu::Point;
 use crate::measured;
 
 /// The fixed delays of one CPU model, i.e. everything §5.2–§5.3 measures.
@@ -120,32 +121,9 @@ impl TransitionDelays {
     }
 }
 
-/// The three operating points as the precomputed delay table indexes
-/// them: the efficient curve and the two conservative points (frequency
-/// raise only, or full voltage + frequency move).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum PointKind {
-    /// The efficient (undervolted) curve, `E`.
-    Efficient = 0,
-    /// Conservative via frequency raise only, `C_f`.
-    ConservativeFreq = 1,
-    /// Conservative via voltage raise at full frequency, `C_V`.
-    ConservativeVolt = 2,
-}
-
-impl PointKind {
-    /// Every operating point, in index order.
-    pub const ALL: [PointKind; 3] = [
-        PointKind::Efficient,
-        PointKind::ConservativeFreq,
-        PointKind::ConservativeVolt,
-    ];
-}
-
 /// Every delay the inner simulation loop charges, precomputed once per
 /// simulation as fixed-point [`SimDuration`]s and indexed by
-/// ([`PointKind`], transition kind).
+/// (target [`Point`], transition kind).
 ///
 /// [`TransitionDelays`] stores the measured values as f64 microseconds,
 /// so every transition used to pay a float multiply + round to convert
@@ -168,20 +146,20 @@ pub struct DelayTable {
 impl DelayTable {
     /// Precomputes every delay of `d`.
     pub fn new(d: &TransitionDelays) -> Self {
-        let sync = |target: PointKind| match target {
+        let sync = |target: Point| match target {
             // Frequency-only move: the core (domain) waits for the clock.
-            PointKind::Efficient | PointKind::ConservativeFreq => d.freq_change(),
+            Point::E | Point::Cf => d.freq_change(),
             // Full p-state move: voltage first, then frequency (§5.2,
             // Xeon PCPS behaviour).
-            PointKind::ConservativeVolt => d.volt_change() + d.freq_change(),
+            Point::Cv => d.volt_change() + d.freq_change(),
         };
-        let async_ = |target: PointKind| match target {
-            PointKind::Efficient | PointKind::ConservativeFreq => d.freq_change(),
-            PointKind::ConservativeVolt => d.volt_change(),
+        let async_ = |target: Point| match target {
+            Point::E | Point::Cf => d.freq_change(),
+            Point::Cv => d.volt_change(),
         };
         DelayTable {
-            sync_wait: PointKind::ALL.map(sync),
-            async_delay: PointKind::ALL.map(async_),
+            sync_wait: Point::ALL.map(sync),
+            async_delay: Point::ALL.map(async_),
             freq_stall: d.freq_stall(),
             exception: d.exception(),
             emulation_call: d.emulation_call(),
@@ -191,13 +169,13 @@ impl DelayTable {
 
     /// Stall charged by a synchronous p-state change to `target`.
     #[inline]
-    pub fn sync_wait(&self, target: PointKind) -> SimDuration {
+    pub fn sync_wait(&self, target: Point) -> SimDuration {
         self.sync_wait[target as usize]
     }
 
     /// Transport delay of an asynchronous p-state change to `target`.
     #[inline]
-    pub fn async_delay(&self, target: PointKind) -> SimDuration {
+    pub fn async_delay(&self, target: Point) -> SimDuration {
         self.async_delay[target as usize]
     }
 
@@ -355,15 +333,12 @@ mod tests {
             TransitionDelays::xeon_4208(),
         ] {
             let t = DelayTable::new(&d);
-            assert_eq!(t.sync_wait(PointKind::Efficient), d.freq_change());
-            assert_eq!(t.sync_wait(PointKind::ConservativeFreq), d.freq_change());
-            assert_eq!(
-                t.sync_wait(PointKind::ConservativeVolt),
-                d.volt_change() + d.freq_change()
-            );
-            assert_eq!(t.async_delay(PointKind::Efficient), d.freq_change());
-            assert_eq!(t.async_delay(PointKind::ConservativeFreq), d.freq_change());
-            assert_eq!(t.async_delay(PointKind::ConservativeVolt), d.volt_change());
+            assert_eq!(t.sync_wait(Point::E), d.freq_change());
+            assert_eq!(t.sync_wait(Point::Cf), d.freq_change());
+            assert_eq!(t.sync_wait(Point::Cv), d.volt_change() + d.freq_change());
+            assert_eq!(t.async_delay(Point::E), d.freq_change());
+            assert_eq!(t.async_delay(Point::Cf), d.freq_change());
+            assert_eq!(t.async_delay(Point::Cv), d.volt_change());
             assert_eq!(t.freq_stall(), d.freq_stall());
             assert_eq!(t.exception(), d.exception());
             assert_eq!(t.emulation_call(), d.emulation_call());

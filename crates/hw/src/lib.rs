@@ -43,6 +43,6 @@ pub mod pstate;
 pub mod thermal;
 pub mod undervolt;
 
-pub use cpu::{CpuKind, CpuModel, DomainLayout, OperatingPoint, UndervoltLevel};
-pub use delays::{DelayTable, PointKind, TransitionDelays};
+pub use cpu::{CpuKind, CpuModel, DomainLayout, OperatingPoint, Point, UndervoltLevel};
+pub use delays::{DelayTable, TransitionDelays};
 pub use pstate::{DvfsCurve, PState};

@@ -1,5 +1,5 @@
 //! x86-64 instruction *encoding* for the faultable set — the inverse of
-//! [`crate::decode`].
+//! [`crate::decode`](mod@crate::decode).
 //!
 //! The `#DO` security argument needs the decoder to agree with the
 //! architectural encodings on every faultable instruction; this module

@@ -1,7 +1,7 @@
 //! The SRAM fault-domain scenario: campaign sweep + dual-class audit.
 //!
 //! One scenario run is (a) the thread-count-invariant
-//! [`SramCampaign`](suit_faults::SramCampaign) sweep of a sampled
+//! [`SramCampaign`] sweep of a sampled
 //! per-bank array over the configured offsets, and (b) the extended
 //! §6.9 audit matrix at the *deepest* configured offset, covering both
 //! fault classes: instruction-Vmin datapath faults (naive undervolt,

@@ -24,7 +24,6 @@ use suit_hw::{CpuModel, UndervoltLevel};
 use suit_isa::TABLE1;
 use suit_rng::SuitRng;
 use suit_scenarios::ScenarioConfig;
-use suit_sim::analytic::simulate_emulation;
 use suit_sim::engine::{run_stream, simulate, SimConfig, MAX_DOMAIN_CORES};
 use suit_sim::experiment::{run_table6, RowResult};
 use suit_sim::result::RunResult;
@@ -129,8 +128,7 @@ impl SimPoint {
         ];
     }
 
-    /// This point's engine configuration (meaningless for `e`, which is
-    /// closed-form).
+    /// This point's simulation configuration.
     pub fn config(&self) -> SimConfig {
         SimConfig {
             cores: self.cores,
@@ -140,22 +138,13 @@ impl SimPoint {
         }
     }
 
-    /// Simulates `p` at this point with `seed` — `e` closed-form, every
-    /// other strategy through the engine.
+    /// Simulates `p` at this point with `seed`.
     pub fn simulate(&self, p: &WorkloadProfile, seed: u64) -> RunResult {
-        match self.strategy {
-            StrategyKey::Emulation => {
-                simulate_emulation(&self.cpu, p, self.level, seed, self.insts)
-            }
-            _ => simulate(
-                &self.cpu,
-                p,
-                &SimConfig {
-                    seed,
-                    ..self.config()
-                },
-            ),
-        }
+        let cfg = SimConfig {
+            seed,
+            ..self.config()
+        };
+        simulate(&self.cpu, p, &cfg)
     }
 }
 
@@ -349,9 +338,9 @@ pub fn parse_simulate(body: &str) -> Result<(Job, Option<u64>), BadRequest> {
     Ok((Job::Simulate(Box::new(point)), deadline_ms))
 }
 
-/// Validates the body of `POST /v1/batch`. Keys of the other mode are
-/// accepted and ignored: `max_insts` with a workload list, the point
-/// fields with the Table 6 sweep.
+/// Validates the body of `POST /v1/batch`. Each mode takes only its own
+/// keys: `max_insts` with the Table 6 sweep, the point fields with a
+/// workload list; the other mode's keys are a `400`.
 pub fn parse_batch(body: &str) -> Result<(Job, Option<u64>), BadRequest> {
     let (v, deadline_ms) = parse_body(body)?;
     let spec = match v.get("sweep") {
@@ -361,8 +350,7 @@ pub fn parse_batch(body: &str) -> Result<(Job, Option<u64>), BadRequest> {
                     "'sweep' and 'workloads' are mutually exclusive".into(),
                 ));
             }
-            let names = SimPoint::FIELDS.iter().map(|f| f.name);
-            let skip: Vec<&str> = names.chain(["deadline_ms", "sweep"]).collect();
+            let skip = ["deadline_ms", "sweep"];
             BatchSpec::Table6(parse_fields(Table6Spec::FIELDS, &v, &skip)?)
         }
         Some(Value::Str(other)) => {
@@ -398,7 +386,7 @@ pub fn parse_batch(body: &str) -> Result<(Job, Option<u64>), BadRequest> {
             if workloads.is_empty() {
                 return Err(BadRequest("field 'workloads' must not be empty".into()));
             }
-            let skip = ["deadline_ms", "max_insts", "workloads"];
+            let skip = ["deadline_ms", "workloads"];
             let template = Box::new(parse_fields(SimPoint::FIELDS, &v, &skip)?);
             BatchSpec::Workloads {
                 workloads,
@@ -748,6 +736,20 @@ mod tests {
             "{}",
         ] {
             assert!(parse_batch(bad).is_err(), "accepted {bad:?}");
+        }
+        // A key of the other mode is rejected, not silently dropped.
+        for (bad, key) in [
+            (
+                "{\"workloads\":[\"557.xz\"],\"max_insts\":1000}",
+                "max_insts",
+            ),
+            ("{\"sweep\":\"table6\",\"insts\":1000}", "insts"),
+        ] {
+            let err = parse_batch(bad).unwrap_err().0;
+            assert!(
+                err.starts_with(&format!("unknown key '{key}'")),
+                "{bad}: {err}"
+            );
         }
     }
 

@@ -14,8 +14,12 @@
 //!
 //! Both still carry the 4-cycle-IMUL penalty, like everything on a SUIT
 //! CPU.
+//!
+//! Callers need not pick the path: [`crate::engine::simulate`] hands a
+//! [`crate::engine::SimConfig`] whose strategy is `e` to
+//! [`simulate_emulation`], and runs every other strategy on the engine.
 
-use suit_hw::{CpuKind, CpuModel, UndervoltLevel};
+use suit_hw::{CpuKind, CpuModel, Point, UndervoltLevel};
 use suit_isa::SimDuration;
 use suit_trace::{TraceGen, WorkloadProfile};
 
@@ -39,7 +43,7 @@ fn analytic_run(
 ) -> RunResult {
     assert!(cap > 0, "instruction budget must be positive");
     let pen = 1.0 - imul_penalty(profile);
-    let e = point_table(cpu, level, OperatingStrategy::Emulation, 1.0).e_point();
+    let e = point_table(cpu, level, OperatingStrategy::Emulation)[Point::E as usize];
     let no_simd = profile.no_simd_overhead(is_intel(cpu));
     let base_rate = profile.ipc * cpu.steady.base_freq_ghz * 1e9;
     let base_secs = cap as f64 / base_rate;

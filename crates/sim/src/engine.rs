@@ -25,10 +25,10 @@ use suit_core::adaptive::AdaptiveConfig;
 use suit_core::deadline::DeadlineTimer;
 use suit_core::strategy::StrategyParams;
 use suit_core::{
-    CpuControl, CurveSelect, CurveTarget, DisabledOpcode, HandlerAction, OperatingStrategy,
-    StrategyKey, SuitMsrs, SuitOs,
+    CpuControl, CurveSelect, DisabledOpcode, HandlerAction, OperatingStrategy, StrategyKey,
+    SuitMsrs, SuitOs,
 };
-use suit_hw::{CpuModel, DelayTable, OperatingPoint, PointKind, UndervoltLevel};
+use suit_hw::{CpuModel, DelayTable, OperatingPoint, Point, UndervoltLevel};
 use suit_isa::{SimDuration, SimTime};
 use suit_telemetry::{Counter, EventKind, Hist, Telemetry};
 use suit_trace::io::TraceMeta;
@@ -43,9 +43,10 @@ pub const MAX_DOMAIN_CORES: usize = 1024;
 /// Configuration of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Operating strategy (must be a curve-switching one for the engine;
-    /// use [`crate::analytic`] for emulation / no-SIMD).
-    pub strategy: OperatingStrategy,
+    /// Operating strategy. The engine runs 𝑓, 𝑉, 𝑓𝑉 and §6.8's adaptive
+    /// chooser (on 𝑓𝑉's operating points, with the CPU vendor's chooser
+    /// costs); [`simulate`] evaluates `e` in closed form instead.
+    pub strategy: StrategyKey,
     /// Strategy parameters (Table 7).
     pub params: StrategyParams,
     /// Undervolt level of the efficient curve.
@@ -58,62 +59,28 @@ pub struct SimConfig {
     /// Optional cap on simulated instructions per core (tests use small
     /// caps; `None` runs the profile's full virtual length).
     pub max_insts: Option<u64>,
-    /// Record p-state changes for timeline figures.
-    pub record_timeline: bool,
-    /// §6.8 dynamic strategy selection: when set, the OS starts in
-    /// emulation mode and flips between emulation and 𝑓𝑉 per the observed
-    /// `#DO` traffic (the `strategy` field then only shapes the operating
-    /// points; use [`OperatingStrategy::FreqVolt`]).
-    pub adaptive: Option<AdaptiveConfig>,
 }
 
 impl SimConfig {
-    /// A single-core 𝑓𝑉 run at −97 mV with Intel Table 7 parameters.
+    /// A single-core 𝑓𝑉 run at `level` with Intel Table 7 parameters.
     pub fn fv_intel(level: UndervoltLevel) -> Self {
         SimConfig {
-            strategy: OperatingStrategy::FreqVolt,
+            strategy: StrategyKey::FreqVolt,
             params: StrategyParams::intel(),
             level,
             cores: 1,
             seed: 0x5017,
             max_insts: None,
-            record_timeline: false,
-            adaptive: None,
         }
     }
 
-    /// The single-core run of one named evaluation point: `strategy`'s
-    /// operating strategy (with §6.8's chooser for `adaptive`) under
-    /// `cpu`'s Table 7 parameters. `e` is closed-form
-    /// ([`crate::analytic::simulate_emulation`]), never an engine run.
+    /// The single-core run of one named evaluation point: `strategy`
+    /// under `cpu`'s Table 7 parameters.
     pub fn for_point(cpu: &CpuModel, strategy: StrategyKey, level: UndervoltLevel) -> Self {
         SimConfig {
-            strategy: strategy.strategy(),
-            params: crate::experiment::params_for(cpu),
-            adaptive: (strategy == StrategyKey::Adaptive)
-                .then(|| AdaptiveConfig::for_cpu(&cpu.delays)),
+            strategy,
+            params: StrategyParams::for_cpu(cpu),
             ..SimConfig::fv_intel(level)
-        }
-    }
-
-    /// A single-core run with the §6.8 adaptive emulation/𝑓𝑉 chooser.
-    pub fn adaptive_intel(level: UndervoltLevel) -> Self {
-        let mut cfg = Self::fv_intel(level);
-        cfg.adaptive = Some(AdaptiveConfig::intel());
-        cfg
-    }
-
-    /// A single-core frequency-only run with AMD Table 7 parameters.
-    pub fn f_amd(level: UndervoltLevel) -> Self {
-        SimConfig {
-            strategy: OperatingStrategy::Frequency,
-            params: StrategyParams::amd(),
-            level,
-            cores: 1,
-            seed: 0x5017,
-            max_insts: None,
-            record_timeline: false,
-            adaptive: None,
         }
     }
 
@@ -144,38 +111,6 @@ pub fn imul_penalty(profile: &WorkloadProfile) -> f64 {
     profile.imul_fraction * profile.ipc * exposure
 }
 
-/// The three operating points of Fig. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Point {
-    /// Efficient curve.
-    E,
-    /// Conservative by frequency.
-    Cf,
-    /// Conservative by voltage.
-    Cv,
-}
-
-impl Point {
-    /// The telemetry payload identifying this point in curve-switch and
-    /// residency events.
-    fn arg(self) -> u64 {
-        match self {
-            Point::E => 0,
-            Point::Cf => 1,
-            Point::Cv => 2,
-        }
-    }
-
-    /// The delay-table row for transitions targeting this point.
-    fn kind(self) -> PointKind {
-        match self {
-            Point::E => PointKind::Efficient,
-            Point::Cf => PointKind::ConservativeFreq,
-            Point::Cv => PointKind::ConservativeVolt,
-        }
-    }
-}
-
 /// One recorded p-state change (for Figs. 5 and 6).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointChange {
@@ -183,28 +118,6 @@ pub struct PointChange {
     pub at: SimTime,
     /// The point reached.
     pub point: Point,
-}
-
-pub(crate) struct PointTable {
-    e: OperatingPoint,
-    cf: OperatingPoint,
-    cv: OperatingPoint,
-}
-
-impl PointTable {
-    fn get(&self, p: Point) -> OperatingPoint {
-        match p {
-            Point::E => self.e,
-            Point::Cf => self.cf,
-            Point::Cv => self.cv,
-        }
-    }
-
-    /// The efficient operating point (used by the analytic modes, which
-    /// never leave `E`).
-    pub(crate) fn e_point(&self) -> OperatingPoint {
-        self.e
-    }
 }
 
 /// Hardware-side state: everything the OS policy manipulates through
@@ -225,12 +138,12 @@ pub(crate) struct Hw {
     /// at boot — the hot path does one table lookup where it used to
     /// re-derive sums from the µs-valued [`suit_hw::TransitionDelays`].
     pub(crate) dtab: DelayTable,
-    points: PointTable,
+    /// Fig. 4's operating points, indexed by [`Point`].
+    points: [OperatingPoint; 3],
     // Accounting.
     energy_rel: f64,
-    time_e: SimDuration,
-    time_cf: SimDuration,
-    time_cv: SimDuration,
+    /// Execution time per operating point, indexed by [`Point`].
+    time: [SimDuration; 3],
     time_stall: SimDuration,
     timeline: Option<Vec<PointChange>>,
     // Observability (never feeds back into simulation state, so results
@@ -243,6 +156,14 @@ pub(crate) struct Hw {
     conservative_since: Option<SimTime>,
 }
 
+/// The telemetry counter of each operating point's execution time,
+/// indexed by [`Point`].
+const TIME_COUNTERS: [Counter; 3] = [
+    Counter::TimeEfficientPs,
+    Counter::TimeConservativeFreqPs,
+    Counter::TimeConservativeVoltPs,
+];
+
 impl Hw {
     pub(crate) fn disabled(&self) -> bool {
         // The engine's opcode check: is the (shared) faultable set armed?
@@ -250,37 +171,18 @@ impl Hw {
     }
 
     pub(crate) fn perf(&self) -> f64 {
-        self.points.get(self.point).perf
+        self.points[self.point as usize].perf
     }
 
     fn power(&self) -> f64 {
-        self.points.get(self.point).power
+        self.points[self.point as usize].power
     }
 
     /// Advances time with execution: instructions flow, state time and
     /// energy accumulate.
     pub(crate) fn run_for(&mut self, dt: SimDuration) {
         self.energy_rel += self.power() * dt.as_secs_f64();
-        // The telemetry time counters accumulate the *same* dt as the
-        // engine aggregates, so residency re-derived from telemetry is
-        // exact, not approximate.
-        match self.point {
-            Point::E => {
-                self.time_e += dt;
-                self.tele.add(Counter::TimeEfficientPs, dt.as_picos());
-            }
-            Point::Cf => {
-                self.time_cf += dt;
-                self.tele
-                    .add(Counter::TimeConservativeFreqPs, dt.as_picos());
-            }
-            Point::Cv => {
-                self.time_cv += dt;
-                self.tele
-                    .add(Counter::TimeConservativeVoltPs, dt.as_picos());
-            }
-        }
-        self.now += dt;
+        self.account(dt);
     }
 
     /// Advances `n` identical execution quanta of `dt` in one call — the
@@ -292,24 +194,18 @@ impl Hw {
     pub(crate) fn run_for_n(&mut self, dt: SimDuration, n: u64) {
         let p = self.power() * dt.as_secs_f64();
         self.energy_rel = crate::accum::add_n(self.energy_rel, p, n);
-        let total = dt * n;
-        match self.point {
-            Point::E => {
-                self.time_e += total;
-                self.tele.add(Counter::TimeEfficientPs, total.as_picos());
-            }
-            Point::Cf => {
-                self.time_cf += total;
-                self.tele
-                    .add(Counter::TimeConservativeFreqPs, total.as_picos());
-            }
-            Point::Cv => {
-                self.time_cv += total;
-                self.tele
-                    .add(Counter::TimeConservativeVoltPs, total.as_picos());
-            }
-        }
-        self.now += total;
+        self.account(dt * n);
+    }
+
+    /// Charges `dt` of execution to the current point's time and moves
+    /// the clock. The telemetry time counters accumulate the *same* dt as
+    /// the engine aggregates, so residency re-derived from telemetry is
+    /// exact, not approximate.
+    fn account(&mut self, dt: SimDuration) {
+        self.time[self.point as usize] += dt;
+        self.tele
+            .add(TIME_COUNTERS[self.point as usize], dt.as_picos());
+        self.now += dt;
     }
 
     /// Advances time without execution (switch waits, exception entries).
@@ -331,9 +227,10 @@ impl Hw {
             EventKind::Residency,
             self.point_since,
             self.now,
-            self.point.arg(),
+            self.point as u64,
         );
-        self.tele.instant(EventKind::CurveSwitch, self.now, p.arg());
+        self.tele
+            .instant(EventKind::CurveSwitch, self.now, p as u64);
         self.tele.count(Counter::CurveSwitches);
         match p {
             Point::E => self.tele.count(Counter::CurveSwitchToEfficient),
@@ -354,14 +251,6 @@ impl Hw {
                 at: self.now,
                 point: p,
             });
-        }
-    }
-
-    fn target_point(t: CurveTarget) -> Point {
-        match t {
-            CurveTarget::E => Point::E,
-            CurveTarget::Cf => Point::Cf,
-            CurveTarget::Cv => Point::Cv,
         }
     }
 
@@ -399,11 +288,9 @@ impl CpuControl for Hw {
         self.now
     }
 
-    fn change_pstate_wait(&mut self, target: CurveTarget) {
+    fn change_pstate_wait(&mut self, target: Point) {
         // A synchronous change supersedes any in-flight request.
         self.pending = None;
-        let raw_target = target;
-        let target = Self::target_point(target);
         if self.point == target {
             return;
         }
@@ -413,19 +300,18 @@ impl CpuControl for Hw {
         // return to E), the instruction can execute immediately and the
         // p-state change completes in the background.
         if self.point != Point::E {
-            self.change_pstate_async(raw_target);
+            self.change_pstate_async(target);
             return;
         }
         // Frequency-only moves (→ `C_f`, → `E`) wait for the clock; a
         // full p-state move (→ `C_V`) waits voltage-then-frequency (§5.2,
         // Xeon PCPS behaviour). The table rows encode exactly those sums.
-        let wait = self.dtab.sync_wait(target.kind());
+        let wait = self.dtab.sync_wait(target);
         self.stall_for(wait);
         self.set_point(target);
     }
 
-    fn change_pstate_async(&mut self, target: CurveTarget) {
-        let target = Self::target_point(target);
+    fn change_pstate_async(&mut self, target: Point) {
         if self.point == target {
             // Reaching the current point cancels any pending move —
             // §4.3: returning to E "cancels the voltage change".
@@ -434,7 +320,7 @@ impl CpuControl for Hw {
         }
         // Frequency-only targets arrive after the clock settles; a
         // background voltage raise (→ `C_V`) after the rail settles.
-        let delay = self.dtab.async_delay(target.kind());
+        let delay = self.dtab.async_delay(target);
         self.pending = Some((target, self.now + delay));
     }
 
@@ -668,38 +554,55 @@ pub struct MixedResult {
 }
 
 /// Simulates `profile` on `cpu` under `cfg` and returns the run result.
+/// `e` never leaves the efficient curve, so it runs in closed form
+/// ([`crate::analytic::simulate_emulation`], one core); every other
+/// strategy runs on the engine.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.strategy` is [`OperatingStrategy::Emulation`] (use
-/// [`crate::analytic::simulate_emulation`]) or `cfg.cores` is zero.
+/// Panics if an engine run has zero `cfg.cores`, or if `cfg.max_insts`
+/// is `Some(0)`.
 pub fn simulate(cpu: &CpuModel, profile: &WorkloadProfile, cfg: &SimConfig) -> RunResult {
     simulate_telemetry(cpu, profile, cfg, &Telemetry::off())
 }
 
 /// Like [`simulate`], recording counters, histograms and timeline events
-/// through `tele` (see `suit-telemetry`). Telemetry is strictly
-/// observational: the returned result is byte-identical to [`simulate`]'s.
+/// through `tele` (see `suit-telemetry`; the closed-form `e` records
+/// nothing). Telemetry is strictly observational: the returned result is
+/// byte-identical to [`simulate`]'s.
 pub fn simulate_telemetry(
     cpu: &CpuModel,
     profile: &WorkloadProfile,
     cfg: &SimConfig,
     tele: &Telemetry,
 ) -> RunResult {
+    if cfg.strategy == StrategyKey::Emulation {
+        return crate::analytic::simulate_emulation(
+            cpu,
+            profile,
+            cfg.level,
+            cfg.seed,
+            cfg.max_insts,
+        );
+    }
     let profiles: Vec<&WorkloadProfile> = (0..cfg.cores).map(|_| profile).collect();
-    run(cpu, &profiles, cfg, tele).0.domain
+    run(cpu, &profiles, cfg, tele, false).0.domain
 }
 
 /// Simulates a *heterogeneous* mix: one workload per core, all sharing the
 /// domain (`cfg.cores` is ignored; the slice length sets the core count).
 /// This is the consolidation scenario §6.4 alludes to — office cores next
 /// to a crypto-serving core on one laptop DVFS domain.
+///
+/// # Panics
+///
+/// Panics under `e`, which has no shared-domain form.
 pub fn simulate_mixed(
     cpu: &CpuModel,
     profiles: &[&WorkloadProfile],
     cfg: &SimConfig,
 ) -> MixedResult {
-    run(cpu, profiles, cfg, &Telemetry::off()).0
+    run(cpu, profiles, cfg, &Telemetry::off(), false).0
 }
 
 /// [`simulate_mixed`] with a telemetry handle attached.
@@ -709,11 +612,11 @@ pub fn simulate_mixed_telemetry(
     cfg: &SimConfig,
     tele: &Telemetry,
 ) -> MixedResult {
-    run(cpu, profiles, cfg, tele).0
+    run(cpu, profiles, cfg, tele, false).0
 }
 
-/// Like [`simulate`], but also returns the p-state change timeline
-/// (recording is forced on), for the Fig. 5 / Fig. 6 experiments.
+/// Like [`simulate`], but also returns the p-state change timeline, for
+/// the Fig. 5 / Fig. 6 experiments (engine strategies only).
 pub fn simulate_with_timeline(
     cpu: &CpuModel,
     profile: &WorkloadProfile,
@@ -729,21 +632,22 @@ pub fn simulate_with_timeline_telemetry(
     cfg: &SimConfig,
     tele: &Telemetry,
 ) -> (RunResult, Vec<PointChange>) {
-    let mut cfg = cfg.clone();
-    cfg.record_timeline = true;
     let profiles: Vec<&WorkloadProfile> = (0..cfg.cores).map(|_| profile).collect();
-    let (result, timeline) = run(cpu, &profiles, &cfg, tele);
+    let (result, timeline) = run(cpu, &profiles, cfg, tele, true);
     (result.domain, timeline.unwrap_or_default())
 }
 
-pub(crate) fn run(
+/// Runs one profile per core on the engine, recording the p-state
+/// timeline when `timeline` is set.
+fn run(
     cpu: &CpuModel,
     profiles: &[&WorkloadProfile],
     cfg: &SimConfig,
     tele: &Telemetry,
+    timeline: bool,
 ) -> (MixedResult, Option<Vec<PointChange>>) {
     let (cores, workload) = build_cores(cpu, profiles, cfg);
-    run_cores(cpu, cores, workload, cfg, tele)
+    run_cores(cpu, cores, workload, cfg, tele, timeline)
 }
 
 /// Builds the per-core streams and the aggregate workload label for a
@@ -784,26 +688,17 @@ pub(crate) fn build_cores<'p>(
 /// already embody the recorded machine's IMUL behaviour, so no
 /// profile-model hardening penalty is applied. `cfg.cores` is ignored:
 /// one recorded stream drives one core.
+///
+/// # Panics
+///
+/// Panics under `e`, whose closed form needs a workload profile.
 pub fn run_stream<I>(cpu: &CpuModel, meta: &TraceMeta, bursts: I, cfg: &SimConfig) -> RunResult
 where
     I: IntoIterator<Item = Burst>,
 {
-    run_stream_telemetry(cpu, meta, bursts, cfg, &Telemetry::off())
-}
-
-/// [`run_stream`] with a telemetry handle attached.
-pub fn run_stream_telemetry<I>(
-    cpu: &CpuModel,
-    meta: &TraceMeta,
-    bursts: I,
-    cfg: &SimConfig,
-    tele: &Telemetry,
-) -> RunResult
-where
-    I: IntoIterator<Item = Burst>,
-{
     let core = build_stream_core(cpu, meta, bursts.into_iter(), cfg);
-    run_cores(cpu, vec![core], meta.name.clone(), cfg, tele)
+    let name = meta.name.clone();
+    run_cores(cpu, vec![core], name, cfg, &Telemetry::off(), false)
         .0
         .domain
 }
@@ -839,8 +734,8 @@ pub(crate) fn build_stream_core<I: Iterator<Item = Burst>>(
 
 /// Runs a set of cores sharing one DVFS domain to completion on the
 /// arena scheduler ([`crate::arena`]) and collects the results. This is
-/// the single production entry point behind every `simulate*` and
-/// `run_stream*` adapter; the hot state lives in the thread-local
+/// the single production entry point behind every `simulate*` adapter
+/// and `run_stream`; the hot state lives in the thread-local
 /// [`CoreArena`] scratch, so back-to-back runs (Monte-Carlo, fleet
 /// epochs) reuse one set of allocations.
 pub(crate) fn run_cores<I: Iterator<Item = Burst>>(
@@ -849,9 +744,10 @@ pub(crate) fn run_cores<I: Iterator<Item = Burst>>(
     workload: String,
     cfg: &SimConfig,
     tele: &Telemetry,
+    timeline: bool,
 ) -> (MixedResult, Option<Vec<PointChange>>) {
     assert!(!cores.is_empty(), "need at least one core");
-    let (mut hw, mut os) = boot(cpu, cfg, tele);
+    let (mut hw, mut os) = boot(cpu, cfg, tele, timeline);
     crate::arena::with_scratch(|scratch| {
         scratch.arena.reset(&mut cores, tele);
         crate::arena::run_domain(
@@ -867,27 +763,32 @@ pub(crate) fn run_cores<I: Iterator<Item = Burst>>(
 }
 
 /// Boots the hardware-side state and the OS policy for one domain run:
-/// validates the configuration, builds the operating-point table, and
+/// validates the configuration, derives the strategy the OS runs (and
+/// §6.8's chooser for `adaptive`), builds the operating-point table, and
 /// performs the §3.2 boot write order (disable the faultable set, then
-/// select the efficient curve).
-pub(crate) fn boot(cpu: &CpuModel, cfg: &SimConfig, tele: &Telemetry) -> (Hw, SuitOs) {
+/// select the efficient curve). `timeline` turns on p-state recording.
+pub(crate) fn boot(
+    cpu: &CpuModel,
+    cfg: &SimConfig,
+    tele: &Telemetry,
+    timeline: bool,
+) -> (Hw, SuitOs) {
     assert!(
         cfg.max_insts != Some(0),
         "instruction budget must be positive (got max_insts = Some(0))"
     );
+    let strategy = cfg.strategy.strategy();
     assert!(
-        cfg.strategy != OperatingStrategy::Emulation,
+        strategy != OperatingStrategy::Emulation,
         "the engine models curve switching; emulation is closed-form (analytic module)"
     );
     // §6.2 note: the analytic emulation path also charges the no-SIMD
     // recompile overhead; the engine's adaptive mode charges only the
     // per-event call (the handler emulates just the one instruction).
 
-    let points = point_table(cpu, cfg.level, cfg.strategy, 1.0);
-
-    let os = match cfg.adaptive {
-        Some(adaptive) => SuitOs::new_adaptive(cfg.params, adaptive),
-        None => SuitOs::new(cfg.strategy, cfg.params),
+    let os = match cfg.strategy {
+        StrategyKey::Adaptive => SuitOs::new_adaptive(cfg.params, AdaptiveConfig::for_cpu(cpu)),
+        _ => SuitOs::new(strategy, cfg.params),
     }
     .with_telemetry(tele.clone());
     // Boot like the OS would: disable the faultable set, then select the
@@ -906,13 +807,11 @@ pub(crate) fn boot(cpu: &CpuModel, cfg: &SimConfig, tele: &Telemetry) -> (Hw, Su
         // mutate the CPU's µs-valued delays *before* boot, so jittered
         // samples flow through the table automatically.
         dtab: DelayTable::new(&cpu.delays),
-        points,
+        points: point_table(cpu, cfg.level, strategy),
         energy_rel: 0.0,
-        time_e: SimDuration::ZERO,
-        time_cf: SimDuration::ZERO,
-        time_cv: SimDuration::ZERO,
+        time: [SimDuration::ZERO; 3],
         time_stall: SimDuration::ZERO,
-        timeline: cfg.record_timeline.then(Vec::new),
+        timeline: timeline.then(Vec::new),
         tele: tele.clone(),
         point_since: SimTime::ZERO,
         conservative_since: None,
@@ -1007,10 +906,15 @@ pub(crate) fn collect<I>(
 ) -> (MixedResult, Option<Vec<PointChange>>) {
     // Close the final residency span so the exported timeline covers the
     // whole run.
-    hw.tele
-        .span(EventKind::Residency, hw.point_since, hw.now, hw.point.arg());
+    hw.tele.span(
+        EventKind::Residency,
+        hw.point_since,
+        hw.now,
+        hw.point as u64,
+    );
 
     let stats = os.stats();
+    let [time_e, time_cf, time_cv] = hw.time;
     let per_core: Vec<CoreOutcome> = cores
         .iter()
         .enumerate()
@@ -1030,9 +934,9 @@ pub(crate) fn collect<I>(
             .max()
             .expect("at least one core"),
         energy_rel: hw.energy_rel,
-        time_e: hw.time_e,
-        time_cf: hw.time_cf,
-        time_cv: hw.time_cv,
+        time_e,
+        time_cf,
+        time_cv,
         time_stall: hw.time_stall,
         events: per_core.iter().map(|c| c.events).sum(),
         exceptions: stats.exceptions,
@@ -1053,11 +957,6 @@ impl<I> CoreStream<I> {
     }
 }
 
-fn scale_perf(mut p: OperatingPoint, factor: f64) -> OperatingPoint {
-    p.perf *= factor;
-    p
-}
-
 /// Fraction of the Table 2 package-power reduction attributed to the DVFS
 /// domain the trace simulator models. The Table 2 measurements are
 /// whole-package deltas including TDP-feedback effects accumulated over a
@@ -1068,7 +967,7 @@ fn scale_perf(mut p: OperatingPoint, factor: f64) -> OperatingPoint {
 const TRACE_POWER_ATTENUATION: f64 = 0.8;
 
 /// Builds the engine's operating-point table for a CPU, level and
-/// strategy.
+/// strategy, indexed by [`Point`].
 ///
 /// * `E` — perf from the Table 2 score response, power attenuated per
 ///   [`TRACE_POWER_ATTENUATION`].
@@ -1084,8 +983,7 @@ pub(crate) fn point_table(
     cpu: &CpuModel,
     level: UndervoltLevel,
     strategy: OperatingStrategy,
-    pen: f64,
-) -> PointTable {
+) -> [OperatingPoint; 3] {
     let mut e = cpu.point_e(level);
     e.power = 1.0 + TRACE_POWER_ATTENUATION * (e.power - 1.0);
     let cv = cpu.point_cv();
@@ -1103,11 +1001,7 @@ pub(crate) fn point_table(
         }
         _ => {}
     }
-    PointTable {
-        e: scale_perf(e, pen),
-        cf: scale_perf(cf, pen),
-        cv: scale_perf(cv, pen),
-    }
+    [e, cf, cv]
 }
 
 #[cfg(test)]
@@ -1117,6 +1011,11 @@ mod tests {
 
     fn xeon_cfg() -> SimConfig {
         SimConfig::fv_intel(UndervoltLevel::Mv97).with_max_insts(2_000_000_000)
+    }
+
+    fn adaptive_cfg(cpu: &CpuModel) -> SimConfig {
+        SimConfig::for_point(cpu, StrategyKey::Adaptive, UndervoltLevel::Mv97)
+            .with_max_insts(2_000_000_000)
     }
 
     #[test]
@@ -1224,7 +1123,8 @@ mod tests {
     fn amd_frequency_strategy_pays_long_switches() {
         let cpu = CpuModel::ryzen_7700x();
         let p = profile::by_name("502.gcc").unwrap();
-        let cfg = SimConfig::f_amd(UndervoltLevel::Mv97).with_max_insts(2_000_000_000);
+        let cfg = SimConfig::for_point(&cpu, StrategyKey::Frequency, UndervoltLevel::Mv97)
+            .with_max_insts(2_000_000_000);
         let r = simulate(&cpu, p, &cfg);
         // Table 6 ℬ∞ f: ~−10 % performance at −97 mV (SPEC gmean); gcc is
         // mid-pack. The 668 µs switch delay must visibly hurt.
@@ -1239,11 +1139,7 @@ mod tests {
 
         let nginx = profile::by_name("Nginx").unwrap();
         let fv = simulate(&cpu, nginx, &xeon_cfg());
-        let ad = simulate(
-            &cpu,
-            nginx,
-            &SimConfig::adaptive_intel(UndervoltLevel::Mv97).with_max_insts(2_000_000_000),
-        );
+        let ad = simulate(&cpu, nginx, &adaptive_cfg(&cpu));
         assert!(
             ad.perf() > fv.perf() - 0.02,
             "adaptive {:+.3} must not collapse vs fV {:+.3}",
@@ -1256,11 +1152,7 @@ mod tests {
         );
 
         let xz = profile::by_name("557.xz").unwrap();
-        let ad_xz = simulate(
-            &cpu,
-            xz,
-            &SimConfig::adaptive_intel(UndervoltLevel::Mv97).with_max_insts(2_000_000_000),
-        );
+        let ad_xz = simulate(&cpu, xz, &adaptive_cfg(&cpu));
         let fv_xz = simulate(&cpu, xz, &xeon_cfg());
         // Sparse workload: adaptive emulates the rare instructions and
         // stays on E even more than fV does.
@@ -1278,7 +1170,7 @@ mod tests {
         let mut p = profile::by_name("557.xz").unwrap().clone();
         p.events_per_burst = 1.0;
         p.within_gap_insts = 1.0;
-        let cfg = SimConfig::adaptive_intel(UndervoltLevel::Mv97).with_max_insts(2_000_000_000);
+        let cfg = adaptive_cfg(&cpu);
         let r = simulate(&cpu, &p, &cfg);
         assert!(r.exceptions > 0);
         assert_eq!(r.timer_fires, 0, "{r:?}");
@@ -1411,12 +1303,33 @@ mod tests {
     }
 
     #[test]
+    fn simulate_runs_emulation_in_closed_form() {
+        let cpu = CpuModel::i9_9900k();
+        let p = profile::by_name("502.gcc").unwrap();
+        let cfg = SimConfig {
+            strategy: StrategyKey::Emulation,
+            seed: 7,
+            ..SimConfig::fv_intel(UndervoltLevel::Mv70).with_max_insts(300_000_000)
+        };
+        let closed_form = crate::analytic::simulate_emulation(
+            &cpu,
+            p,
+            UndervoltLevel::Mv70,
+            7,
+            Some(300_000_000),
+        );
+        assert_eq!(simulate(&cpu, p, &cfg), closed_form);
+    }
+
+    #[test]
     #[should_panic(expected = "emulation is closed-form")]
     fn engine_rejects_emulation_strategy() {
         let cpu = CpuModel::xeon_4208();
         let p = profile::by_name("557.xz").unwrap();
-        let mut cfg = xeon_cfg();
-        cfg.strategy = OperatingStrategy::Emulation;
-        let _ = simulate(&cpu, p, &cfg);
+        let cfg = SimConfig {
+            strategy: StrategyKey::Emulation,
+            ..xeon_cfg()
+        };
+        let _ = simulate_mixed(&cpu, &[p], &cfg);
     }
 }

@@ -7,12 +7,12 @@
 //! performance / efficiency deltas.
 
 use suit_core::strategy::StrategyParams;
-use suit_core::OperatingStrategy;
+use suit_core::StrategyKey;
 use suit_exec::Threads;
 use suit_hw::{CpuModel, UndervoltLevel};
 use suit_trace::{profile, WorkloadProfile};
 
-use crate::analytic::{simulate_emulation, simulate_no_simd};
+use crate::analytic::simulate_no_simd;
 use crate::engine::{simulate, SimConfig};
 use crate::result::{gmean_delta, median, RunResult};
 
@@ -26,7 +26,7 @@ pub struct RowSpec {
     /// Cores sharing the DVFS domain (1 = per-core domain or single-core).
     pub cores: usize,
     /// The operating strategy.
-    pub strategy: OperatingStrategy,
+    pub strategy: StrategyKey,
 }
 
 /// All six configuration rows of Table 6.
@@ -36,47 +36,39 @@ pub fn table6_rows() -> Vec<RowSpec> {
             label: "A1 fV",
             cpu: CpuModel::i9_9900k(),
             cores: 1,
-            strategy: OperatingStrategy::FreqVolt,
+            strategy: StrategyKey::FreqVolt,
         },
         RowSpec {
             label: "A4 fV",
             cpu: CpuModel::i9_9900k(),
             cores: 4,
-            strategy: OperatingStrategy::FreqVolt,
+            strategy: StrategyKey::FreqVolt,
         },
         RowSpec {
             label: "Ainf e",
             cpu: CpuModel::i9_9900k(),
             cores: 1,
-            strategy: OperatingStrategy::Emulation,
+            strategy: StrategyKey::Emulation,
         },
         RowSpec {
             label: "Binf f",
             cpu: CpuModel::ryzen_7700x(),
             cores: 1,
-            strategy: OperatingStrategy::Frequency,
+            strategy: StrategyKey::Frequency,
         },
         RowSpec {
             label: "Binf e",
             cpu: CpuModel::ryzen_7700x(),
             cores: 1,
-            strategy: OperatingStrategy::Emulation,
+            strategy: StrategyKey::Emulation,
         },
         RowSpec {
             label: "Cinf fV",
             cpu: CpuModel::xeon_4208(),
             cores: 1,
-            strategy: OperatingStrategy::FreqVolt,
+            strategy: StrategyKey::FreqVolt,
         },
     ]
-}
-
-/// The Table 7 parameters for a CPU (Intel rows vs. the AMD row).
-pub fn params_for(cpu: &CpuModel) -> StrategyParams {
-    match cpu.kind {
-        suit_hw::CpuKind::AmdRyzen7700X => StrategyParams::amd(),
-        _ => StrategyParams::intel(),
-    }
 }
 
 /// Per-workload results plus the derived Table 6 columns for one
@@ -183,7 +175,8 @@ impl RowResult {
 /// `max_insts` caps the per-workload virtual trace; `None` runs the full
 /// 2 × 10¹⁰ instructions (use caps in debug builds).
 pub fn run_row(spec: &RowSpec, level: UndervoltLevel, max_insts: Option<u64>) -> RowResult {
-    run_row_with(spec, level, params_for(&spec.cpu), max_insts, Threads::Auto)
+    let params = StrategyParams::for_cpu(&spec.cpu);
+    run_row_with(spec, level, params, max_insts, Threads::Auto)
 }
 
 /// [`run_row`] with explicit strategy parameters (the Table 7 sweep) and
@@ -202,9 +195,16 @@ pub fn run_row_with(
 ) -> RowResult {
     let all = profile::all();
     let spec_suite: Vec<&WorkloadProfile> = profile::spec_suite().collect();
+    let cfg = SimConfig {
+        strategy: spec.strategy,
+        params,
+        cores: spec.cores,
+        max_insts,
+        ..SimConfig::fv_intel(level)
+    };
     let mut results = suit_exec::run(all.len() + spec_suite.len(), threads, |i| {
         if i < all.len() {
-            run_workload(spec, &all[i], level, params, max_insts)
+            simulate(&spec.cpu, &all[i], &cfg)
         } else {
             simulate_no_simd(&spec.cpu, spec_suite[i - all.len()], level, max_insts)
         }
@@ -232,39 +232,9 @@ pub fn run_table6(threads: Threads, max_insts: Option<u64>) -> Vec<RowResult> {
         .collect();
     suit_exec::run(cells.len(), threads, |i| {
         let (spec, level) = cells[i];
-        run_row_with(
-            spec,
-            level,
-            params_for(&spec.cpu),
-            max_insts,
-            Threads::Fixed(1),
-        )
+        let params = StrategyParams::for_cpu(&spec.cpu);
+        run_row_with(spec, level, params, max_insts, Threads::Fixed(1))
     })
-}
-
-fn run_workload(
-    spec: &RowSpec,
-    p: &WorkloadProfile,
-    level: UndervoltLevel,
-    params: StrategyParams,
-    max_insts: Option<u64>,
-) -> RunResult {
-    match spec.strategy {
-        OperatingStrategy::Emulation => simulate_emulation(&spec.cpu, p, level, 0x5017, max_insts),
-        strategy => {
-            let cfg = SimConfig {
-                strategy,
-                params,
-                level,
-                cores: spec.cores,
-                seed: 0x5017,
-                max_insts,
-                record_timeline: false,
-                adaptive: None,
-            };
-            simulate(&spec.cpu, p, &cfg)
-        }
-    }
 }
 
 /// Table 8: for each configuration, in how many of the 23 SPEC benchmarks
@@ -300,7 +270,7 @@ mod tests {
         assert_eq!(rows.len(), 6);
         assert_eq!(rows[0].label, "A1 fV");
         assert_eq!(rows[1].cores, 4);
-        assert!(matches!(rows[2].strategy, OperatingStrategy::Emulation));
+        assert!(matches!(rows[2].strategy, StrategyKey::Emulation));
     }
 
     #[test]
@@ -308,7 +278,7 @@ mod tests {
         // The fan-out across the 25 + 23 workload jobs is index-ordered,
         // so a parallel row must be byte-identical to the serial one.
         let spec = &table6_rows()[5];
-        let params = params_for(&spec.cpu);
+        let params = StrategyParams::for_cpu(&spec.cpu);
         let serial = run_row_with(spec, UndervoltLevel::Mv97, params, CAP, Threads::Fixed(1));
         let parallel = run_row_with(spec, UndervoltLevel::Mv97, params, CAP, Threads::Fixed(4));
         assert_eq!(serial, parallel);

@@ -2,7 +2,7 @@
 //! equivalence suite (`tests/engine_equivalence.rs`) and the random
 //! configurations of `tests/scheduler_properties.rs`.
 //!
-//! The production engine ([`crate::arena`]) keeps a live set, scans flat
+//! The production engine (the private `arena` module) keeps a live set, scans flat
 //! arrays and batches a lone core's intra-burst events; this module
 //! handles one event per round, found by the original linear scan over
 //! every core plus the timer and pending slots, finished cores included.
@@ -29,9 +29,7 @@ use crate::result::RunResult;
 pub fn simulate(cpu: &CpuModel, profile: &WorkloadProfile, cfg: &SimConfig) -> RunResult {
     let profiles: Vec<&WorkloadProfile> = (0..cfg.cores).map(|_| profile).collect();
     let (cores, workload) = build_cores(cpu, &profiles, cfg);
-    run_cores_legacy(cpu, cores, workload, cfg, &Telemetry::off())
-        .0
-        .domain
+    run_cores_legacy(cpu, cores, workload, cfg, &Telemetry::off()).domain
 }
 
 /// Reference [`crate::engine::simulate_mixed`]: the legacy scan loop.
@@ -41,7 +39,7 @@ pub fn simulate_mixed(
     cfg: &SimConfig,
 ) -> MixedResult {
     let (cores, workload) = build_cores(cpu, profiles, cfg);
-    run_cores_legacy(cpu, cores, workload, cfg, &Telemetry::off()).0
+    run_cores_legacy(cpu, cores, workload, cfg, &Telemetry::off())
 }
 
 /// Reference [`crate::engine::run_stream`]: the legacy scan loop.
@@ -50,9 +48,7 @@ where
     I: IntoIterator<Item = Burst>,
 {
     let core = build_stream_core(cpu, meta, bursts.into_iter(), cfg);
-    run_cores_legacy(cpu, vec![core], meta.name.clone(), cfg, &Telemetry::off())
-        .0
-        .domain
+    run_cores_legacy(cpu, vec![core], meta.name.clone(), cfg, &Telemetry::off()).domain
 }
 
 /// The original event loop: per-iteration linear scan for the earliest
@@ -63,9 +59,9 @@ fn run_cores_legacy<I: Iterator<Item = Burst>>(
     workload: String,
     cfg: &SimConfig,
     tele: &Telemetry,
-) -> (MixedResult, Option<Vec<crate::engine::PointChange>>) {
+) -> MixedResult {
     assert!(!cores.is_empty(), "need at least one core");
-    let (mut hw, mut os) = boot(cpu, cfg, tele);
+    let (mut hw, mut os) = boot(cpu, cfg, tele, false);
     // The reference loop builds a private arena per run (no scratch
     // reuse): storage is shared with production, scheduling is not.
     let mut arena = CoreArena::default();
@@ -130,5 +126,5 @@ fn run_cores_legacy<I: Iterator<Item = Burst>>(
         dispatch_event(kind, &mut arena, &mut cores, &mut hw, &mut os, tele);
     }
 
-    collect(&cores, &arena, hw, &os, workload)
+    collect(&cores, &arena, hw, &os, workload).0
 }

@@ -13,12 +13,15 @@
 //! with millions of faultable instructions simulate in milliseconds.
 //!
 //! * [`engine`] — the discrete-event core for the curve-switching
-//!   strategies (𝑓, 𝑉, 𝑓𝑉), including multi-core runs sharing one DVFS
-//!   domain (CPU 𝒜). Every run goes through one domain loop, the arena
-//!   scheduler; [`legacy`] keeps the original scan loop as the
-//!   differential oracle the equivalence suite compares it against, and
-//!   [`accum`] holds the exact closed forms that let the scheduler
-//!   commit a lone core's burst without stepping through its events.
+//!   strategies (𝑓, 𝑉, 𝑓𝑉 and §6.8's adaptive chooser), including
+//!   multi-core runs sharing one DVFS domain (CPU 𝒜). [`SimConfig`]
+//!   names its strategy with a `StrategyKey`, and [`simulate`] takes every
+//!   key: it hands `e` to [`analytic`]. Every engine run goes through
+//!   one domain loop, the arena scheduler; [`legacy`] keeps the original
+//!   scan loop as the differential oracle the equivalence suite compares
+//!   it against, and [`accum`] holds the exact closed forms that let the
+//!   scheduler commit a lone core's burst without stepping through its
+//!   events.
 //! * [`fleet`] — racks of DVFS domains under per-rack thermal governors,
 //!   sharded across `suit-exec` between thermal sync points.
 //! * [`analytic`] — closed-form evaluation of the *emulation* and

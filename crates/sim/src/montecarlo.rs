@@ -178,7 +178,7 @@ pub fn monte_carlo_with_threads(
 /// metrics *and* the merged telemetry are byte-identical at any thread
 /// count — the guarantee `tests/determinism.rs` pins.
 ///
-/// Each run's event ring holds [`MC_RUN_EVENT_CAPACITY`] events; counters
+/// Each run's event ring holds `MC_RUN_EVENT_CAPACITY` events; counters
 /// and histograms are exact regardless.
 ///
 /// # Panics

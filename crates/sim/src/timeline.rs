@@ -8,10 +8,10 @@
 //! `E`. This module converts the engine's [`PointChange`] records into
 //! (time, frequency, voltage) series.
 
-use suit_hw::{CpuModel, UndervoltLevel};
+use suit_hw::{CpuModel, Point, UndervoltLevel};
 use suit_isa::SimTime;
 
-use crate::engine::{Point, PointChange};
+use crate::engine::PointChange;
 
 /// One sample of a Fig. 6 style series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,8 +61,8 @@ pub fn fv_series(cpu: &CpuModel, level: UndervoltLevel, changes: &[PointChange])
         .collect()
 }
 
-/// Collapses a change list into the per-point dwell fractions, a compact
-/// check that a timeline matches the run's state accounting.
+/// Collapses a change list into the per-point dwell fractions (indexed by
+/// [`Point`]), a compact check that a timeline matches the run's state accounting.
 pub fn dwell_fractions(changes: &[PointChange], end: SimTime) -> [f64; 3] {
     let mut time = [0.0f64; 3];
     if changes.is_empty() {
@@ -72,11 +72,11 @@ pub fn dwell_fractions(changes: &[PointChange], end: SimTime) -> [f64; 3] {
     let mut last_t = SimTime::ZERO;
     let mut last_p = Point::E;
     for c in changes {
-        time[idx(last_p)] += c.at.since(last_t).as_secs_f64();
+        time[last_p as usize] += c.at.since(last_t).as_secs_f64();
         last_t = c.at;
         last_p = c.point;
     }
-    time[idx(last_p)] += end.saturating_since(last_t).as_secs_f64();
+    time[last_p as usize] += end.saturating_since(last_t).as_secs_f64();
     let total: f64 = time.iter().sum();
     if total > 0.0 {
         for t in &mut time {
@@ -84,14 +84,6 @@ pub fn dwell_fractions(changes: &[PointChange], end: SimTime) -> [f64; 3] {
         }
     }
     time
-}
-
-fn idx(p: Point) -> usize {
-    match p {
-        Point::E => 0,
-        Point::Cf => 1,
-        Point::Cv => 2,
-    }
 }
 
 #[cfg(test)]

@@ -282,9 +282,14 @@ fn cmd_trace(args: &[String]) -> CliResult {
             let name = opt(args, "--workload").ok_or("missing --workload")?;
             let p = profile::by_name(&name).ok_or_else(|| format!("unknown workload '{name}'"))?;
             let out = opt(args, "--out").ok_or("missing --out <file>")?;
-            let bursts: usize = opt(args, "--bursts").map_or(Ok(10_000), |v| {
-                v.parse().map_err(|e| format!("--bursts: {e}"))
-            })?;
+            // An empty container is one no reader accepts.
+            let bursts: usize = match opt(args, "--bursts") {
+                None => 10_000,
+                Some(v) => match v.parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => return Err(format!("--bursts must be a positive integer, got '{v}'")),
+                },
+            };
             let seed: u64 = opt(args, "--seed").map_or(Ok(0x5017), |v| {
                 v.parse().map_err(|e| format!("--seed: {e}"))
             })?;
@@ -483,7 +488,8 @@ fn cmd_mix(args: &[String]) -> CliResult {
     for (name, m) in names.iter().zip(&results) {
         println!(
             "mix '{name}' on {} (one shared domain, {} strategy, -97 mV):",
-            cpu.name, cfg.strategy
+            cpu.name,
+            strategy.strategy()
         );
         println!(
             "  domain: residency {:.1}%  power {:+.2}%  efficiency {:+.2}%",

@@ -102,6 +102,17 @@ fn bad_flag_values_fail_cleanly() {
         ["profile", "Nginx", "--cores", "0"].as_slice(),
         ["profile", "Nginx", "--insts", "0"].as_slice(),
         ["mix", "all", "--insts", "0"].as_slice(),
+        [
+            "trace",
+            "record",
+            "--workload",
+            "557.xz",
+            "--out",
+            "/dev/null",
+            "--bursts",
+            "0",
+        ]
+        .as_slice(),
         ["validate-trace", "/no/such/file.json"].as_slice(),
     ] {
         let out = cli(args);

@@ -2,7 +2,7 @@
 //! simulator → paper-shaped results, across crate boundaries.
 
 use suit::core::strategy::StrategyParams;
-use suit::core::OperatingStrategy;
+use suit::core::StrategyKey;
 use suit::hw::{CpuModel, UndervoltLevel};
 use suit::sim::analytic::{simulate_emulation, simulate_no_simd};
 use suit::sim::engine::{simulate, SimConfig};
@@ -98,7 +98,7 @@ fn strategies_rank_as_the_paper_argues() {
 
     let fv = simulate(&cpu, nginx, &cfg(level));
     let mut f_cfg = cfg(level);
-    f_cfg.strategy = OperatingStrategy::Frequency;
+    f_cfg.strategy = StrategyKey::Frequency;
     let f = simulate(&cpu, nginx, &f_cfg);
     let e = simulate_emulation(&cpu, nginx, level, 0x5017, CAP);
 
@@ -121,7 +121,8 @@ fn amd_parameters_differ_and_are_used() {
     // running ℬ with Intel parameters must thrash harder.
     let cpu = CpuModel::ryzen_7700x();
     let gcc = profile::by_name("502.gcc").unwrap();
-    let mut amd_cfg = SimConfig::f_amd(UndervoltLevel::Mv97).with_max_insts(CAP.unwrap());
+    let mut amd_cfg = SimConfig::for_point(&cpu, StrategyKey::Frequency, UndervoltLevel::Mv97)
+        .with_max_insts(CAP.unwrap());
     let with_amd = simulate(&cpu, gcc, &amd_cfg);
     amd_cfg.params = StrategyParams::intel();
     let with_intel = simulate(&cpu, gcc, &amd_cfg);

@@ -43,11 +43,11 @@ const INSTS: u64 = 20_000_000;
 fn strategies(level: UndervoltLevel) -> Vec<(&'static str, SimConfig)> {
     let fv = SimConfig::fv_intel(level);
     let f = SimConfig {
-        strategy: suit::core::OperatingStrategy::Frequency,
+        strategy: suit::core::StrategyKey::Frequency,
         ..SimConfig::fv_intel(level)
     };
     let v = SimConfig {
-        strategy: suit::core::OperatingStrategy::Voltage,
+        strategy: suit::core::StrategyKey::Voltage,
         ..SimConfig::fv_intel(level)
     };
     vec![("fv", fv), ("f", f), ("V", v)]

@@ -9,7 +9,8 @@
 use suit::check::{corpus_dir, gen, Checker};
 use suit::core::strategy::StrategyParams;
 use suit::core::thrash::ThrashGuard;
-use suit::hw::{CpuModel, DelayTable, DvfsCurve, PointKind, TransitionDelays, UndervoltLevel};
+use suit::core::StrategyKey;
+use suit::hw::{CpuModel, DelayTable, DvfsCurve, Point, TransitionDelays, UndervoltLevel};
 use suit::isa::{SimDuration, SimTime};
 use suit::rng::SuitRng;
 use suit::sim::engine::{simulate, SimConfig};
@@ -119,13 +120,13 @@ fn delay_table_matches_closed_form_under_jitter() {
                 d.freq_stall_us = d.freq_change_us.min(base.freq_stall_us);
             }
             let t = DelayTable::new(&d);
-            for kind in PointKind::ALL {
+            for kind in Point::ALL {
                 let sync = match kind {
-                    PointKind::ConservativeVolt => d.volt_change() + d.freq_change(),
+                    Point::Cv => d.volt_change() + d.freq_change(),
                     _ => d.freq_change(),
                 };
                 let async_ = match kind {
-                    PointKind::ConservativeVolt => d.volt_change(),
+                    Point::Cv => d.volt_change(),
                     _ => d.freq_change(),
                 };
                 if t.sync_wait(kind) != sync {
@@ -348,10 +349,11 @@ fn analytic_imul_penalty_matches_the_o3_simulator() {
 #[test]
 fn all_workloads_simulate_on_all_cpus_and_levels() {
     for cpu in CpuModel::evaluated() {
-        let cfg_base = match cpu.kind {
-            suit::hw::CpuKind::AmdRyzen7700X => SimConfig::f_amd(UndervoltLevel::Mv70),
-            _ => SimConfig::fv_intel(UndervoltLevel::Mv70),
+        let strategy = match cpu.kind {
+            suit::hw::CpuKind::AmdRyzen7700X => StrategyKey::Frequency,
+            _ => StrategyKey::FreqVolt,
         };
+        let cfg_base = SimConfig::for_point(&cpu, strategy, UndervoltLevel::Mv70);
         for p in profile::all() {
             let cfg = cfg_base.clone().with_max_insts(100_000_000);
             let r = simulate(&cpu, p, &cfg);

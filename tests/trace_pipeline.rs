@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use suit::core::strategy::StrategyParams;
-use suit::core::{AdaptiveConfig, OperatingStrategy};
+use suit::core::StrategyKey;
 use suit::exec::Threads;
 use suit::hw::{CpuModel, UndervoltLevel};
 use suit::serve::api;
@@ -41,7 +41,7 @@ fn test_trace() -> (TraceMeta, Vec<Burst>) {
 }
 
 /// One replay configuration used across the identity tests.
-fn replay_cfg(strategy: OperatingStrategy, seed: u64) -> SimConfig {
+fn replay_cfg(strategy: StrategyKey, seed: u64) -> SimConfig {
     SimConfig {
         strategy,
         params: StrategyParams::intel(),
@@ -49,8 +49,6 @@ fn replay_cfg(strategy: OperatingStrategy, seed: u64) -> SimConfig {
         cores: 1,
         seed,
         max_insts: None,
-        record_timeline: false,
-        adaptive: None,
     }
 }
 
@@ -70,9 +68,9 @@ fn streaming_replay_matches_full_load_byte_for_byte() {
     );
 
     for strategy in [
-        OperatingStrategy::FreqVolt,
-        OperatingStrategy::Frequency,
-        OperatingStrategy::Voltage,
+        StrategyKey::FreqVolt,
+        StrategyKey::Frequency,
+        StrategyKey::Voltage,
     ] {
         let cfg = replay_cfg(strategy, 0xD15C);
         let full = run_stream(&cpu, &meta, bursts.iter().copied(), &cfg);
@@ -190,18 +188,8 @@ fn expected_simulate_trace_body(
         .iter()
         .enumerate()
         .map(|(i, s)| {
-            let (strategy, adaptive) = match *s {
-                "fv" => (OperatingStrategy::FreqVolt, None),
-                "f" => (OperatingStrategy::Frequency, None),
-                "v" => (OperatingStrategy::Voltage, None),
-                "adaptive" => (
-                    OperatingStrategy::FreqVolt,
-                    Some(AdaptiveConfig::for_cpu(&cpu.delays)),
-                ),
-                other => panic!("unknown strategy {other}"),
-            };
-            let mut cfg = replay_cfg(strategy, root.fork(i as u64).root_seed());
-            cfg.adaptive = adaptive;
+            let strategy: StrategyKey = s.parse().expect("strategy key");
+            let cfg = replay_cfg(strategy, root.fork(i as u64).root_seed());
             let reader = store::open_bytes(packed).expect("open");
             let meta = reader.meta().clone();
             let r = run_stream(cpu, &meta, reader.bursts(), &cfg);
