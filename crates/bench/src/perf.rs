@@ -288,7 +288,7 @@ pub fn fleet_throughput(opts: &PerfOpts) {
 /// per-chunk costs.
 const CHUNK_BURSTS: usize = 1024;
 
-/// The out-of-core trace pipeline bench (`SUITTRC2` pack, decode, and
+/// The out-of-core trace pipeline bench (`SUITTRC3` pack, decode, and
 /// streaming replay) over one multi-chunk 502.gcc container.
 pub fn trace_replay(opts: &PerfOpts) {
     let n_bursts: usize = if opts.test_mode { 20_000 } else { 200_000 };
@@ -311,16 +311,13 @@ pub fn trace_replay(opts: &PerfOpts) {
     let packed =
         store::pack_to_vec(&meta, bursts.iter().copied(), CHUNK_BURSTS).expect("pack bench trace");
     let info = store::open_bytes(&packed).expect("open").info();
+    let bits_per_burst = info.packed_bytes as f64 * 8.0 / info.bursts.max(1) as f64;
     println!(
-        "trace_replay: {} bursts, {} chunks, {} raw -> {} container bytes ({:.2}x)\n",
-        info.bursts,
-        info.chunks,
-        info.raw_bytes,
-        info.packed_bytes,
-        info.raw_bytes as f64 / info.packed_bytes.max(1) as f64
+        "trace_replay: {} bursts, {} chunks, {} container bytes ({bits_per_burst:.2} bits/burst)\n",
+        info.bursts, info.chunks, info.packed_bytes,
     );
 
-    let pack = bench_with_throughput("pack (raw bytes)", Some(info.raw_bytes), || {
+    let pack = bench_with_throughput("pack (bursts)", Some(info.bursts), || {
         store::pack_to_vec(&meta, bursts.iter().copied(), CHUNK_BURSTS).expect("pack")
     });
 
@@ -342,12 +339,12 @@ pub fn trace_replay(opts: &PerfOpts) {
     };
     let replay = bench_with_throughput("replay (bursts)", Some(info.bursts), replay_once);
 
-    let mb = |bytes: u64, m: &Measurement| bytes as f64 / 1e6 / m.median.as_secs_f64().max(1e-12);
-    let pack_mbs = mb(info.raw_bytes, &pack);
-    let decode_mbs = mb(info.packed_bytes, &decode);
-    let replay_bps = info.bursts as f64 / replay.median.as_secs_f64().max(1e-12);
+    let per_s = |n: u64, m: &Measurement| n as f64 / m.median.as_secs_f64().max(1e-12);
+    let pack_bps = per_s(info.bursts, &pack);
+    let decode_mbs = per_s(info.packed_bytes, &decode) / 1e6;
+    let replay_bps = per_s(info.bursts, &replay);
     println!(
-        "\npack {pack_mbs:.1} MB/s raw, decode {decode_mbs:.1} MB/s container, \
+        "\npack {pack_bps:.3e} bursts/s, decode {decode_mbs:.1} MB/s container, \
          replay {replay_bps:.3e} bursts/s"
     );
 
@@ -357,10 +354,10 @@ pub fn trace_replay(opts: &PerfOpts) {
         doc.config("bursts", Val::U64(info.bursts));
         doc.config("chunks", Val::U64(info.chunks as u64));
         doc.config("chunk_bursts", Val::U64(CHUNK_BURSTS as u64));
-        doc.config("raw_bytes", Val::U64(info.raw_bytes));
         doc.config("container_bytes", Val::U64(info.packed_bytes));
+        doc.config("bits_per_burst", Val::F64(bits_per_burst, 2));
         doc.metric("pack", "median_ms", Val::F64(ms(&pack), 3));
-        doc.metric("pack", "raw_mb_per_s", Val::F64(pack_mbs, 1));
+        doc.metric("pack", "bursts_per_s", Val::F64(pack_bps, 0));
         doc.metric("decode", "median_ms", Val::F64(ms(&decode), 3));
         doc.metric("decode", "container_mb_per_s", Val::F64(decode_mbs, 1));
         doc.metric("replay", "median_ms", Val::F64(ms(&replay), 3));

@@ -45,7 +45,7 @@ pub fn request_with_headers(
     )
 }
 
-/// Issues one request with a binary body (e.g. a packed `SUITTRC2`
+/// Issues one request with a binary body (e.g. a packed `SUITTRC3`
 /// container for `POST /v1/trace`), sent as `application/octet-stream`.
 pub fn request_bytes(
     addr: &str,

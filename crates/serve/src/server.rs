@@ -535,7 +535,7 @@ fn trace_upload_inner(state: &State, bytes: &[u8]) -> Response {
             return Response::error(400, &format!("invalid trace container: {e}"));
         }
     };
-    // Full decode pass: every chunk is decompressed and CRC-checked,
+    // Full decode pass: every chunk is CRC-checked and decoded,
     // every burst record validated.
     let mut bursts = reader.bursts();
     for _ in bursts.by_ref() {}

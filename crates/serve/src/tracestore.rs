@@ -1,7 +1,7 @@
 //! The bounded, content-addressed server-side trace store behind
 //! `POST /v1/trace`.
 //!
-//! Uploaded `SUITTRC2` containers are kept in memory under a **hard**
+//! Uploaded `SUITTRC3` containers are kept in memory under a **hard**
 //! double bound — at most `max_traces` entries and `max_bytes` of
 //! container bytes. Unlike the result cache there is no eviction: a
 //! stored trace is an input other requests depend on (a client that

@@ -1,30 +1,47 @@
-//! The `SUITTRC2` chunked container: pack, index, seek, stream.
+//! The `SUITTRC3` chunked container: pack, index, seek, stream.
 //!
-//! Layout (all integers little-endian):
+//! Layout (all integers little-endian, every varint minimal LEB128):
 //!
 //! ```text
-//! header   magic "SUITTRC2"                                  8 bytes
+//! header   magic "SUITTRC3"                                  8 bytes
 //!          name varint len + UTF-8 bytes (≤ 4096)
 //!          ipc f64 bits                                      8 bytes
 //!          total varint (virtual instructions)
 //!          chunk_bursts varint (bursts per full chunk)
-//! chunks   chunk_count × LZSS(varint burst records), back to back
+//! chunks   chunk_count × columnar body, back to back:
+//!            gaps_len, events_len, within_len varints (column bytes)
+//!            gaps     one varint per burst
+//!            events   one varint per burst
+//!            within   (value, run) varint pairs, runs summing to bursts
+//!            opcodes  ⌈bursts/2⌉ bytes: a 4-bit opcode index per burst,
+//!                     low nibble first, an odd chunk's last nibble 0
 //! index    chunk_count × 32-byte record:
-//!          { offset u64, comp_len u32, raw_len u32,
+//!          { offset u64, body_len u32, zero u32,
 //!            bursts u32, crc32 u32, first_vtime u64 }
 //! trailer  index_offset u64, index_crc32 u32,
-//!          chunk_count u32, tail magic "2CRTTIUS"            24 bytes
+//!          chunk_count u32, tail magic "3CRTTIUS"            24 bytes
 //! ```
 //!
-//! Each chunk is independently compressed, so decoding one chunk costs
-//! O(chunk) memory regardless of trace size, and the fixed-size index
-//! footer supports O(log n) seeks by virtual time (`first_vtime` is the
-//! cumulative instruction count at the chunk's first burst). Decoding a
-//! chunk checks that its bursts end at the next record's `first_vtime`,
-//! so a fully decodable container seeks where a skip from the start
-//! lands. The CRC covers the *raw* (decompressed) chunk bytes: a
-//! checksum match proves the whole decompression path, not just the
-//! stored bytes.
+//! Bodies are stored as written. Gaps are independent lognormal draws
+//! and opcodes independent picks from Table 1's twelve, so neither delta
+//! coding nor opcode runs pay; a generated trace has one `within` value,
+//! so that column costs a few bytes per chunk. The length prefixes let
+//! the decoder walk the four columns with four cursors in one pass,
+//! building each burst once.
+//!
+//! Each chunk is independent, so decoding one costs O(chunk) memory
+//! regardless of trace size, and the fixed-size index footer supports
+//! O(log n) seeks by virtual time (`first_vtime` is the cumulative
+//! instruction count at the chunk's first burst). Decoding a chunk checks
+//! its CRC over the stored body, and that its bursts end at the next
+//! record's `first_vtime`, so a fully decodable container seeks where a
+//! skip from the start lands.
+//!
+//! The reader accepts exactly what [`pack`] writes: minimal varints,
+//! every chunk but the last full, adjacent `within` runs with distinct
+//! values, a zero padding nibble and a zero reserved index word. One
+//! trace thus has one encoding, and the content hash that names an
+//! uploaded trace names the trace, not one of its spellings.
 //!
 //! Every length field read from a container is validated against the
 //! physically available bytes before any allocation — a hostile header
@@ -37,23 +54,18 @@ use suit_trace::io::TraceMeta;
 use suit_trace::Burst;
 
 use crate::crc::crc32;
-use crate::lz;
 
-const MAGIC: &[u8; 8] = b"SUITTRC2";
+const MAGIC: &[u8; 8] = b"SUITTRC3";
 /// Tail magic (the header magic reversed) closing the trailer.
-const TAIL_MAGIC: &[u8; 8] = b"2CRTTIUS";
+const TAIL_MAGIC: &[u8; 8] = b"3CRTTIUS";
 const INDEX_RECORD_BYTES: u64 = 32;
 const TRAILER_BYTES: u64 = 24;
 /// Shortest possible container: magic + empty name + ipc + two varints
 /// + trailer.
 const MIN_FILE_BYTES: u64 = 8 + 1 + 8 + 1 + 1 + TRAILER_BYTES;
 const MAX_NAME_BYTES: usize = 4096;
-/// A serialized burst is 3 varints (≥ 1 byte each) + 1 opcode byte.
-const MIN_BURST_BYTES: u64 = 4;
-/// …and at most 3 maximal varints + 1 opcode byte.
-const MAX_BURST_BYTES: u64 = 31;
 
-/// Default bursts per chunk: ~16–48 KiB raw per chunk for typical traces.
+/// Default bursts per chunk: ~24 KiB of body per chunk for typical traces.
 pub const DEFAULT_CHUNK_BURSTS: usize = 4096;
 /// Upper bound on bursts per chunk, capping per-chunk decode memory.
 pub const MAX_CHUNK_BURSTS: usize = 1 << 20;
@@ -63,10 +75,11 @@ pub const MAX_CHUNK_BURSTS: usize = 1 << 20;
 pub enum StoreError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The stream does not carry the `SUITTRC2` magic.
+    /// The stream does not carry the `SUITTRC3` magic.
     BadMagic,
     /// A structural invariant does not hold (truncation, checksum
-    /// mismatch, over-declared length, invalid burst, …).
+    /// mismatch, over-declared length, invalid burst, a spelling `pack`
+    /// never writes, …).
     Corrupt(&'static str),
     /// Invalid arguments to a pack call (caller bug, not data corruption).
     Invalid(&'static str),
@@ -82,7 +95,7 @@ impl core::fmt::Display for StoreError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "container I/O error: {e}"),
-            StoreError::BadMagic => write!(f, "not a SUITTRC2 container (bad magic)"),
+            StoreError::BadMagic => write!(f, "not a SUITTRC3 container (bad magic)"),
             StoreError::Corrupt(what) => write!(f, "corrupt container: {what}"),
             StoreError::Invalid(what) => write!(f, "invalid pack request: {what}"),
         }
@@ -93,27 +106,20 @@ impl std::error::Error for StoreError {}
 
 // ---------------------------------------------------------------- varints
 
-fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<usize> {
-    let mut buf = [0u8; 10];
-    let mut n = 0;
-    loop {
-        let byte = (v & 0x7F) as u8;
+/// Appends `v` as a minimal LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            buf[n] = byte;
-            n += 1;
-            w.write_all(&buf[..n])?;
-            return Ok(n);
-        }
-        buf[n] = byte | 0x80;
-        n += 1;
     }
+    out.push(v as u8);
 }
 
-/// Reads a varint from a slice, returning the value and bytes consumed.
+/// Reads a minimal LEB128 varint at `*pos`, advancing it.
 fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
     let mut v: u64 = 0;
-    for shift in (0..70).step_by(7) {
+    let mut shift = 0;
+    loop {
         let b = *buf
             .get(*pos)
             .ok_or(StoreError::Corrupt("varint truncated"))?;
@@ -122,36 +128,91 @@ fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
             return Err(StoreError::Corrupt("varint overflow"));
         }
         v |= u64::from(b & 0x7F) << shift;
-        if b & 0x80 == 0 {
+        if b < 0x80 {
+            // A zero last byte adds nothing: `put_varint` never writes one.
+            if b == 0 && shift > 0 {
+                return Err(StoreError::Corrupt("overlong varint"));
+            }
             return Ok(v);
         }
+        shift += 7;
     }
-    Err(StoreError::Corrupt("varint too long"))
+}
+
+/// The vtime at which `b` ends when it starts at `start`, or `None` past
+/// `u64::MAX`: `gap + (span + 1)` is `total_insts` without its overflow.
+fn burst_end(start: u64, b: &Burst) -> Option<u64> {
+    start
+        .checked_add(b.gap_insts)?
+        .checked_add(b.span_insts() + 1)
 }
 
 // ---------------------------------------------------------------- packing
 
-/// What a pack produced — the numbers `trace info` and the bench report.
+/// What a pack produced — the numbers `trace record` reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackStats {
     /// Bursts written.
     pub bursts: u64,
     /// Chunks written.
     pub chunks: u64,
-    /// Raw (uncompressed) burst-record bytes across all chunks.
-    pub raw_bytes: u64,
     /// Total container size including header, index and trailer.
     pub packed_bytes: u64,
 }
 
-fn encode_burst(buf: &mut Vec<u8>, b: &Burst) {
-    let _ = write_varint(buf, b.gap_insts);
-    let _ = write_varint(buf, u64::from(b.events));
-    let _ = write_varint(buf, u64::from(b.within_gap_insts));
-    buf.push(b.opcode.index() as u8);
+/// Writes `chunk`'s columnar body (see the module layout) into `body`.
+fn encode_body(chunk: &[Burst], body: &mut Vec<u8>) {
+    let mut cols = [Vec::new(), Vec::new(), Vec::new()];
+    let [gaps, events, within] = &mut cols;
+    let mut run_start = 0;
+    for (i, b) in chunk.iter().enumerate() {
+        put_varint(gaps, b.gap_insts);
+        put_varint(events, u64::from(b.events));
+        if chunk
+            .get(i + 1)
+            .map_or(true, |next| next.within_gap_insts != b.within_gap_insts)
+        {
+            put_varint(within, u64::from(b.within_gap_insts));
+            put_varint(within, (i + 1 - run_start) as u64);
+            run_start = i + 1;
+        }
+    }
+    body.clear();
+    for col in &cols {
+        put_varint(body, col.len() as u64);
+    }
+    for col in &cols {
+        body.extend_from_slice(col);
+    }
+    body.extend(chunk.chunks(2).map(|pair| {
+        let high = pair.get(1).map_or(0, |b| b.opcode.index() as u8);
+        high << 4 | pair[0].opcode.index() as u8
+    }));
 }
 
-/// Packs `bursts` into a `SUITTRC2` container on `w`, `chunk_bursts`
+/// Encodes `chunk` into `body`, writes it at `*pos` and returns its
+/// index record.
+fn write_chunk<W: Write>(
+    w: &mut W,
+    pos: &mut u64,
+    chunk: &[Burst],
+    first_vtime: u64,
+    body: &mut Vec<u8>,
+) -> Result<ChunkRecord, StoreError> {
+    encode_body(chunk, body);
+    w.write_all(body)?;
+    let rec = ChunkRecord {
+        offset: *pos,
+        body_len: body.len() as u32,
+        bursts: chunk.len() as u32,
+        crc32: crc32(body),
+        first_vtime,
+    };
+    *pos += body.len() as u64;
+    Ok(rec)
+}
+
+/// Packs `bursts` into a `SUITTRC3` container on `w`, `chunk_bursts`
 /// bursts per chunk (the last chunk may be short).
 ///
 /// Packing is streaming: memory stays O(chunk) however long the input
@@ -174,70 +235,35 @@ pub fn pack<W: Write, I: IntoIterator<Item = Burst>>(
     }
 
     // Header.
-    let mut pos: u64 = 0;
-    w.write_all(MAGIC)?;
-    pos += 8;
-    pos += write_varint(w, meta.name.len() as u64)? as u64;
-    w.write_all(meta.name.as_bytes())?;
-    pos += meta.name.len() as u64;
-    w.write_all(&meta.ipc.to_bits().to_le_bytes())?;
-    pos += 8;
-    pos += write_varint(w, meta.total_insts)? as u64;
-    pos += write_varint(w, chunk_bursts as u64)? as u64;
+    let mut head = MAGIC.to_vec();
+    put_varint(&mut head, meta.name.len() as u64);
+    head.extend_from_slice(meta.name.as_bytes());
+    head.extend_from_slice(&meta.ipc.to_bits().to_le_bytes());
+    put_varint(&mut head, meta.total_insts);
+    put_varint(&mut head, chunk_bursts as u64);
+    w.write_all(&head)?;
+    let mut pos = head.len() as u64;
 
     // Chunks.
     let mut index: Vec<ChunkRecord> = Vec::new();
-    let mut raw = Vec::new();
-    let mut in_chunk: u32 = 0;
-    let mut stats = PackStats {
-        bursts: 0,
-        chunks: 0,
-        raw_bytes: 0,
-        packed_bytes: 0,
-    };
+    let mut chunk = Vec::new();
+    let mut body = Vec::new();
     let mut vtime: u64 = 0;
     let mut chunk_vtime: u64 = 0; // first_vtime of the chunk being filled
-    let flush = |w: &mut W,
-                 raw: &mut Vec<u8>,
-                 in_chunk: &mut u32,
-                 pos: &mut u64,
-                 first_vtime: u64|
-     -> Result<ChunkRecord, StoreError> {
-        let packed = lz::compress(raw);
-        let rec = ChunkRecord {
-            offset: *pos,
-            comp_len: packed.len() as u32,
-            raw_len: raw.len() as u32,
-            bursts: *in_chunk,
-            crc32: crc32(raw),
-            first_vtime,
-        };
-        w.write_all(&packed)?;
-        *pos += packed.len() as u64;
-        raw.clear();
-        *in_chunk = 0;
-        Ok(rec)
-    };
     for b in bursts {
-        if in_chunk == 0 {
+        if chunk.is_empty() {
             chunk_vtime = vtime;
         }
-        encode_burst(&mut raw, &b);
-        in_chunk += 1;
-        stats.bursts += 1;
-        vtime = vtime
-            .checked_add(b.total_insts())
-            .ok_or(StoreError::Invalid("virtual time overflows u64"))?;
-        if in_chunk as usize == chunk_bursts {
-            stats.raw_bytes += raw.len() as u64;
-            index.push(flush(w, &mut raw, &mut in_chunk, &mut pos, chunk_vtime)?);
+        vtime = burst_end(vtime, &b).ok_or(StoreError::Invalid("virtual time overflows u64"))?;
+        chunk.push(b);
+        if chunk.len() == chunk_bursts {
+            index.push(write_chunk(w, &mut pos, &chunk, chunk_vtime, &mut body)?);
+            chunk.clear();
         }
     }
-    if in_chunk > 0 {
-        stats.raw_bytes += raw.len() as u64;
-        index.push(flush(w, &mut raw, &mut in_chunk, &mut pos, chunk_vtime)?);
+    if !chunk.is_empty() {
+        index.push(write_chunk(w, &mut pos, &chunk, chunk_vtime, &mut body)?);
     }
-    stats.chunks = index.len() as u64;
 
     // Index + trailer.
     let index_offset = pos;
@@ -250,8 +276,11 @@ pub fn pack<W: Write, I: IntoIterator<Item = Burst>>(
     w.write_all(&crc32(&index_bytes).to_le_bytes())?;
     w.write_all(&(index.len() as u32).to_le_bytes())?;
     w.write_all(TAIL_MAGIC)?;
-    stats.packed_bytes = index_offset + index_bytes.len() as u64 + TRAILER_BYTES;
-    Ok(stats)
+    Ok(PackStats {
+        bursts: index.iter().map(|r| u64::from(r.bursts)).sum(),
+        chunks: index.len() as u64,
+        packed_bytes: index_offset + index_bytes.len() as u64 + TRAILER_BYTES,
+    })
 }
 
 /// [`pack`] into a fresh byte vector.
@@ -270,15 +299,13 @@ pub fn pack_to_vec<I: IntoIterator<Item = Burst>>(
 /// One chunk's entry in the index footer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRecord {
-    /// Byte offset of the chunk's compressed payload from container start.
+    /// Byte offset of the chunk's body from container start.
     pub offset: u64,
-    /// Compressed payload length.
-    pub comp_len: u32,
-    /// Decompressed length.
-    pub raw_len: u32,
+    /// Body length in bytes.
+    pub body_len: u32,
     /// Bursts in the chunk.
     pub bursts: u32,
-    /// CRC-32 of the decompressed chunk bytes.
+    /// CRC-32 of the stored body.
     pub crc32: u32,
     /// Cumulative virtual instructions before the chunk's first burst.
     pub first_vtime: u64,
@@ -287,24 +314,26 @@ pub struct ChunkRecord {
 impl ChunkRecord {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.offset.to_le_bytes());
-        out.extend_from_slice(&self.comp_len.to_le_bytes());
-        out.extend_from_slice(&self.raw_len.to_le_bytes());
+        out.extend_from_slice(&self.body_len.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes());
         out.extend_from_slice(&self.bursts.to_le_bytes());
         out.extend_from_slice(&self.crc32.to_le_bytes());
         out.extend_from_slice(&self.first_vtime.to_le_bytes());
     }
 
-    fn decode(buf: &[u8]) -> Self {
+    fn decode(buf: &[u8]) -> Result<Self, StoreError> {
         let u32_at = |i: usize| u32::from_le_bytes(buf[i..i + 4].try_into().unwrap());
         let u64_at = |i: usize| u64::from_le_bytes(buf[i..i + 8].try_into().unwrap());
-        ChunkRecord {
+        if u32_at(12) != 0 {
+            return Err(StoreError::Corrupt("reserved index word is not zero"));
+        }
+        Ok(ChunkRecord {
             offset: u64_at(0),
-            comp_len: u32_at(8),
-            raw_len: u32_at(12),
+            body_len: u32_at(8),
             bursts: u32_at(16),
             crc32: u32_at(20),
             first_vtime: u64_at(24),
-        }
+        })
     }
 }
 
@@ -319,15 +348,13 @@ pub struct ContainerInfo {
     pub bursts: u64,
     /// Bursts per full chunk.
     pub chunk_bursts: u64,
-    /// Raw (decompressed) burst-record bytes.
-    pub raw_bytes: u64,
     /// Total container size in bytes.
     pub packed_bytes: u64,
 }
 
 // --------------------------------------------------------------- reading
 
-/// A bounded-memory, seekable reader over a `SUITTRC2` container.
+/// A bounded-memory, seekable reader over a `SUITTRC3` container.
 ///
 /// Opening validates the trailer, the index checksum, and every index
 /// record against the physical file size; bursts then stream out of the
@@ -340,6 +367,8 @@ pub struct StreamingReader<R: Read + Seek> {
     chunk_bursts: u64,
     index: Vec<ChunkRecord>,
     packed_bytes: u64,
+    /// The stored body of the chunk last read, reused across chunks.
+    body: Vec<u8>,
     /// The decoded chunk: `bursts` holds `index[i]`'s bursts when
     /// `loaded == Some(i)`.
     loaded: Option<usize>,
@@ -442,41 +471,42 @@ impl<R: Read + Seek> StreamingReader<R> {
 
         // Validate every index record against the physical layout before
         // trusting any of its lengths.
-        let mut index = Vec::with_capacity(chunk_count as usize);
+        let mut index: Vec<ChunkRecord> = Vec::with_capacity(chunk_count as usize);
         let mut expect_offset = header_len;
-        let mut prev_vtime: Option<u64> = None;
-        for i in 0..chunk_count as usize {
-            let rec = ChunkRecord::decode(&index_bytes[i * 32..(i + 1) * 32]);
+        for (i, raw) in index_bytes
+            .chunks_exact(INDEX_RECORD_BYTES as usize)
+            .enumerate()
+        {
+            let rec = ChunkRecord::decode(raw)?;
+            let bursts = u64::from(rec.bursts);
             if rec.offset != expect_offset {
                 return Err(StoreError::Corrupt("chunks are not contiguous"));
             }
-            if rec.bursts == 0 {
+            if bursts == 0 {
                 return Err(StoreError::Corrupt("empty chunk"));
             }
-            if u64::from(rec.bursts) > chunk_bursts {
+            if bursts > chunk_bursts {
                 return Err(StoreError::Corrupt("chunk over-declares bursts"));
             }
-            // Every burst costs ≥ 4 raw bytes — a declared count larger
-            // than the raw bytes could hold is hostile.
-            if u64::from(rec.raw_len) < u64::from(rec.bursts) * MIN_BURST_BYTES
-                || u64::from(rec.raw_len) > u64::from(rec.bursts) * MAX_BURST_BYTES
-            {
-                return Err(StoreError::Corrupt("raw length inconsistent with bursts"));
+            if bursts < chunk_bursts && i + 1 < chunk_count as usize {
+                return Err(StoreError::Corrupt("short chunk before the last"));
             }
-            if u64::from(rec.comp_len) > lz::max_compressed_len(rec.raw_len as usize) as u64 {
-                return Err(StoreError::Corrupt("compressed length over-declared"));
+            // Every burst takes at least 2.5 body bytes (a gap byte, an
+            // events byte, an opcode nibble): a count the body cannot
+            // hold is hostile, and it sizes the decode buffer.
+            if bursts * 5 > u64::from(rec.body_len) * 2 {
+                return Err(StoreError::Corrupt("chunk body too short for its bursts"));
             }
-            match prev_vtime {
+            match index.last() {
                 None if rec.first_vtime != 0 => {
                     return Err(StoreError::Corrupt("first chunk must start at vtime 0"))
                 }
-                Some(prev) if rec.first_vtime <= prev => {
+                Some(prev) if rec.first_vtime <= prev.first_vtime => {
                     return Err(StoreError::Corrupt("chunk vtimes must increase"))
                 }
                 _ => {}
             }
-            prev_vtime = Some(rec.first_vtime);
-            expect_offset += u64::from(rec.comp_len);
+            expect_offset += u64::from(rec.body_len);
             index.push(rec);
         }
         if expect_offset != index_offset {
@@ -493,6 +523,7 @@ impl<R: Read + Seek> StreamingReader<R> {
             chunk_bursts,
             index,
             packed_bytes: file_len,
+            body: Vec::new(),
             loaded: None,
             bursts: Vec::new(),
             cur_chunk: 0,
@@ -507,14 +538,13 @@ impl<R: Read + Seek> StreamingReader<R> {
         &self.meta
     }
 
-    /// Container summary (chunk/burst counts, sizes).
+    /// Container summary (chunk/burst counts, size).
     pub fn info(&self) -> ContainerInfo {
         ContainerInfo {
             meta: self.meta.clone(),
             chunks: self.index.len() as u64,
             bursts: self.index.iter().map(|r| u64::from(r.bursts)).sum(),
             chunk_bursts: self.chunk_bursts,
-            raw_bytes: self.index.iter().map(|r| u64::from(r.raw_len)).sum(),
             packed_bytes: self.packed_bytes,
         }
     }
@@ -530,16 +560,16 @@ impl<R: Read + Seek> StreamingReader<R> {
         self.peak_resident
     }
 
-    /// Chunk decompressions performed so far (sequential replay decodes
-    /// each chunk exactly once).
+    /// Chunk decodes performed so far (sequential replay decodes each
+    /// chunk exactly once).
     pub fn chunk_decodes(&self) -> u64 {
         self.decodes
     }
 
     /// Makes chunk `ci` the decoded one (a no-op when it already is) and
-    /// returns its bursts. Decoding checks the chunk CRC, every burst
-    /// record, and that the bursts end exactly where the next index
-    /// record's `first_vtime` says the next chunk starts.
+    /// returns its bursts. Decoding checks the chunk CRC, every burst,
+    /// and that the bursts end exactly where the next index record's
+    /// `first_vtime` says the next chunk starts.
     fn chunk(&mut self, ci: usize) -> Result<&[Burst], StoreError> {
         if self.loaded != Some(ci) {
             // Decoding overwrites `bursts`: a failed decode leaves no
@@ -547,13 +577,12 @@ impl<R: Read + Seek> StreamingReader<R> {
             self.loaded = None;
             let rec = self.index[ci];
             self.src.seek(SeekFrom::Start(rec.offset))?;
-            let mut packed = vec![0u8; rec.comp_len as usize];
-            self.src.read_exact(&mut packed)?;
-            let raw = lz::decompress(&packed, rec.raw_len as usize).map_err(StoreError::Corrupt)?;
-            if crc32(&raw) != rec.crc32 {
+            self.body.resize(rec.body_len as usize, 0);
+            self.src.read_exact(&mut self.body)?;
+            if crc32(&self.body) != rec.crc32 {
                 return Err(StoreError::Corrupt("chunk checksum mismatch"));
             }
-            let end = decode_chunk(&raw, &rec, &mut self.bursts)?;
+            let end = decode_body(&self.body, &rec, &mut self.bursts)?;
             if self
                 .index
                 .get(ci + 1)
@@ -629,39 +658,94 @@ impl<R: Read + Seek> StreamingReader<R> {
     }
 }
 
-/// Decodes the raw bytes of chunk `rec` into `bursts`, consuming the
-/// slice exactly, and returns the vtime at which the chunk's last burst
+/// Table 1's opcodes by their 4-bit index; the other nibbles are corrupt.
+const NIBBLE_OPCODES: [Option<Opcode>; 16] = {
+    let mut t = [None; 16];
+    let mut i = 0;
+    while i < 16 {
+        if Opcode::ALL[i].is_faultable() {
+            t[i] = Some(Opcode::ALL[i]);
+        }
+        i += 1;
+    }
+    t
+};
+
+/// Splits a `len`-byte column off the front of `rest`.
+fn split_column(rest: &[u8], len: u64) -> Result<(&[u8], &[u8]), StoreError> {
+    if len > rest.len() as u64 {
+        return Err(StoreError::Corrupt("column overruns the chunk"));
+    }
+    Ok(rest.split_at(len as usize))
+}
+
+/// Decodes chunk `rec`'s stored body into `bursts`, consuming every
+/// column exactly, and returns the vtime at which the chunk's last burst
 /// ends.
-fn decode_chunk(raw: &[u8], rec: &ChunkRecord, bursts: &mut Vec<Burst>) -> Result<u64, StoreError> {
+fn decode_body(body: &[u8], rec: &ChunkRecord, bursts: &mut Vec<Burst>) -> Result<u64, StoreError> {
+    let n = rec.bursts as usize;
+    let mut pos = 0;
+    let gaps_len = read_varint(body, &mut pos)?;
+    let events_len = read_varint(body, &mut pos)?;
+    let within_len = read_varint(body, &mut pos)?;
+    let (gaps, rest) = split_column(&body[pos..], gaps_len)?;
+    let (events, rest) = split_column(rest, events_len)?;
+    let (within, opcodes) = split_column(rest, within_len)?;
+    if opcodes.len() != n.div_ceil(2) {
+        return Err(StoreError::Corrupt(
+            "opcode column length disagrees with bursts",
+        ));
+    }
+    if n % 2 == 1 && opcodes[n / 2] >> 4 != 0 {
+        return Err(StoreError::Corrupt("non-zero padding nibble"));
+    }
+
     bursts.clear();
-    bursts.reserve(rec.bursts as usize); // bursts ≤ raw_len/4, validated
-    let mut pos = 0usize;
+    bursts.reserve(n); // n ≤ body_len × 2/5, validated at open
+    let (mut gp, mut ep, mut wp) = (0, 0, 0);
+    // The current `within` run: its value and the bursts it has left.
+    let mut run: Option<(u64, u64)> = None;
     let mut vtime = rec.first_vtime;
-    for _ in 0..rec.bursts {
-        let gap = read_varint(raw, &mut pos)?;
-        let events = read_varint(raw, &mut pos)?;
-        let within = read_varint(raw, &mut pos)?;
-        let op = *raw.get(pos).ok_or(StoreError::Corrupt("burst truncated"))?;
-        pos += 1;
-        let opcode = *Opcode::ALL
-            .get(op as usize)
-            .ok_or(StoreError::Corrupt("opcode index out of range"))?;
-        if events == 0 || events > u64::from(u32::MAX) || within > u64::from(u32::MAX) {
+    for i in 0..n {
+        let gap = read_varint(gaps, &mut gp)?;
+        let ev = read_varint(events, &mut ep)?;
+        let w = match run {
+            Some((value, left)) if left > 0 => {
+                run = Some((value, left - 1));
+                value
+            }
+            prev => {
+                let value = read_varint(within, &mut wp)?;
+                let len = read_varint(within, &mut wp)?;
+                // `pack` merges equal neighbours into one non-empty run.
+                if len == 0 || prev.is_some_and(|(p, _)| p == value) {
+                    return Err(StoreError::Corrupt("within runs are not minimal"));
+                }
+                run = Some((value, len - 1));
+                value
+            }
+        };
+        let nibble = (opcodes[i / 2] >> (i % 2 * 4)) & 0xF;
+        let opcode = NIBBLE_OPCODES[usize::from(nibble)]
+            .ok_or(StoreError::Corrupt("non-faultable burst opcode"))?;
+        if ev == 0 || ev > u64::from(u32::MAX) || w > u64::from(u32::MAX) {
             return Err(StoreError::Corrupt("invalid burst"));
         }
-        if !opcode.is_faultable() {
-            return Err(StoreError::Corrupt("non-faultable burst opcode"));
-        }
-        let b = Burst::new(gap, events as u32, within as u32, opcode);
-        // gap + (span + 1) is `total_insts`, without its overflow.
-        vtime = vtime
-            .checked_add(b.gap_insts)
-            .and_then(|v| v.checked_add(b.span_insts() + 1))
-            .ok_or(StoreError::Corrupt("virtual time overflows u64"))?;
+        // `Burst::new`'s invariants, checked just above.
+        let b = Burst {
+            gap_insts: gap,
+            events: ev as u32,
+            within_gap_insts: w as u32,
+            opcode,
+        };
+        vtime = burst_end(vtime, &b).ok_or(StoreError::Corrupt("virtual time overflows u64"))?;
         bursts.push(b);
     }
-    if pos != raw.len() {
-        return Err(StoreError::Corrupt("trailing bytes in chunk"));
+    if run.is_some_and(|(_, left)| left > 0) {
+        return Err(StoreError::Corrupt("within run overruns the chunk"));
+    }
+    if gp != gaps.len() || ep != events.len() || wp != within.len() {
+        return Err(StoreError::Corrupt("column not consumed exactly"));
     }
     Ok(vtime)
 }
@@ -766,12 +850,25 @@ mod tests {
         let stats = pack(&mut a, &meta(), bursts.iter().copied(), 1024).unwrap();
         let b = pack_to_vec(&meta(), bursts.iter().copied(), 1024).unwrap();
         assert_eq!(a, b);
-        assert!(
-            (a.len() as u64) < stats.raw_bytes,
-            "packed {} bytes vs {} raw burst-record bytes",
-            a.len(),
-            stats.raw_bytes
-        );
+        assert_eq!(stats.packed_bytes, a.len() as u64);
+        // The columns hold a 502.gcc burst in under 52 bits, header and
+        // index included (a `Burst` in memory takes 192).
+        let bits = a.len() as f64 * 8.0 / bursts.len() as f64;
+        assert!(bits < 52.0, "{bits:.2} bits per burst");
+    }
+
+    #[test]
+    fn every_profile_roundtrips_at_every_chunk_size() {
+        for p in profile::all() {
+            for seed in 1..=3 {
+                let bursts: Vec<Burst> = TraceGen::new(p, seed).take(20_000).collect();
+                for chunk_bursts in [1, 7, 4096] {
+                    let bytes = pack_to_vec(&meta(), bursts.iter().copied(), chunk_bursts).unwrap();
+                    let (_, back) = read_all(&bytes).unwrap();
+                    assert!(back == bursts, "{} seed {seed} at {chunk_bursts}", p.name);
+                }
+            }
+        }
     }
 
     #[test]
@@ -970,6 +1067,57 @@ mod tests {
             pack_to_vec(&m, Vec::new(), 64),
             Err(StoreError::Invalid(_))
         ));
+        // Its `total_insts` would overflow before any vtime check ran.
+        let huge = Burst::new(u64::MAX - 5, 2, 10, Opcode::Imul);
+        assert!(matches!(
+            pack_to_vec(&meta(), [huge], 64),
+            Err(StoreError::Invalid("virtual time overflows u64"))
+        ));
+    }
+
+    /// Fixes up the index offsets, the index CRC and the trailer of a
+    /// `chunks`-chunk container after `extra` bytes went into its header.
+    fn shift_past_header(bytes: &mut [u8], extra: u64, chunks: usize) {
+        let len = bytes.len();
+        let index = len - 24 - chunks * 32;
+        for rec in bytes[index..len - 24].chunks_exact_mut(32) {
+            let off = u64::from_le_bytes(rec[..8].try_into().unwrap()) + extra;
+            rec[..8].copy_from_slice(&off.to_le_bytes());
+        }
+        let crc = crc32(&bytes[index..len - 24]);
+        bytes[len - 16..len - 12].copy_from_slice(&crc.to_le_bytes());
+        let at = (index as u64).to_le_bytes();
+        bytes[len - 24..len - 16].copy_from_slice(&at);
+    }
+
+    #[test]
+    fn rejects_spellings_pack_never_writes() {
+        // Each spelling decodes to the bursts `pack` was given, so a
+        // reader accepting it would store one trace under two IDs.
+        let bursts = sample(8);
+        let canonical = pack_to_vec(&meta(), bursts.iter().copied(), 4).unwrap();
+        assert_eq!(read_all(&canonical).unwrap(), (meta(), bursts.clone()));
+
+        // Chunks of 2 under a header that claims 4 per chunk.
+        let mut short = pack_to_vec(&meta(), bursts.iter().copied(), 2).unwrap();
+        let cb_at = 8 + 1 + meta().name.len() + 8 + 5; // after a 5-byte total
+        assert_eq!(short[cb_at], 2);
+        short[cb_at] = 4;
+        assert!(matches!(
+            read_all(&short),
+            Err(StoreError::Corrupt("short chunk before the last"))
+        ));
+
+        // The name length 7 as the two bytes 0x87 0x00.
+        let mut overlong = canonical.clone();
+        assert_eq!(overlong[8], 7);
+        overlong[8] = 0x87;
+        overlong.insert(9, 0x00);
+        shift_past_header(&mut overlong, 1, 2);
+        assert!(matches!(
+            read_all(&overlong),
+            Err(StoreError::Corrupt("overlong varint"))
+        ));
     }
 
     #[test]
@@ -978,7 +1126,7 @@ mod tests {
         let r = open_bytes(&bytes).unwrap();
         let last = *r.index().last().unwrap();
         let mut broken = bytes.clone();
-        broken[(last.offset + u64::from(last.comp_len) - 1) as usize] ^= 0x10;
+        broken[(last.offset + u64::from(last.body_len) - 1) as usize] ^= 0x10;
         let mut it = open_bytes(&broken).unwrap().bursts();
         let n = it.by_ref().count();
         assert!(n < 1_000, "corruption must cut the stream short");

@@ -1,16 +1,20 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the per-chunk
-//! and index checksums of the `SUITTRC2` container.
+//! and index checksums of the `SUITTRC3` container.
 //!
-//! A table-driven byte-at-a-time implementation is plenty: checksumming is
-//! a small fraction of chunk decode cost next to LZ matching, and the
-//! standard polynomial keeps the container verifiable with external tools.
+//! Every chunk decode checksums the whole stored body, so the CRC is a
+//! visible share of decode cost. Slice-by-8 folds eight input bytes per
+//! step through eight 256-entry tables built at compile time, about 4×
+//! the speed of the byte-at-a-time table loop with identical values; the
+//! tail under eight bytes takes that loop. The standard polynomial keeps
+//! the container verifiable with external tools.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, computed at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][n]` is the
+/// CRC contribution of byte `n` followed by `k` zero bytes.
+const TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut n = 0;
     while n < 256 {
         let mut c = n as u32;
@@ -19,17 +23,41 @@ const TABLE: [u32; 256] = {
             c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[n] = c;
+        t[0][n] = c;
         n += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = t[k - 1][n];
+            t[k][n] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            n += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
 /// CRC-32 of `data` (initial value `0xFFFFFFFF`, final XOR `0xFFFFFFFF`).
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }

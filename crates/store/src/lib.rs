@@ -1,9 +1,9 @@
 //! # suit-store
 //!
-//! Out-of-core trace storage: the `SUITTRC2` chunked, compressed,
+//! Out-of-core trace storage: the `SUITTRC3` chunked, columnar,
 //! seekable container and its bounded-memory streaming reader.
 //!
-//! `SUITTRC2` is the one trace file format: `suit-cli trace record`
+//! `SUITTRC3` is the one trace file format: `suit-cli trace record`
 //! writes it, and `POST /v1/trace` and every replay read it. Real
 //! trace-driven studies operate at 10¹¹-instruction / GiB scale (§5.1
 //! records 25 applications once and replays them across every CPU ×
@@ -11,10 +11,12 @@
 //! out-of-core replay:
 //!
 //! * [`container::pack`] — streams bursts into fixed-size chunks, each
-//!   independently compressed with the in-tree [`lz`] LZSS codec and
-//!   checksummed with [`crc`] CRC-32, then appends a fixed-size per-chunk
-//!   index footer (byte offset, burst count, first-burst virtual time,
-//!   CRC) and a trailer. Packing is a pure function of its inputs.
+//!   stored as one column per burst field (varint gaps, varint events,
+//!   run-length `within` values, 4-bit opcodes) and checksummed with the
+//!   slice-by-8 [`crc`] CRC-32, then appends a fixed-size per-chunk index
+//!   footer (byte offset, burst count, first-burst virtual time, CRC) and
+//!   a trailer. Packing is a pure function of its inputs, and the reader
+//!   accepts no other spelling of the same trace.
 //! * [`container::StreamingReader`] — validates the trailer, index
 //!   checksum and every index record against the physical file size
 //!   before trusting any length field, then yields [`suit_trace::Burst`]s
@@ -38,7 +40,6 @@
 
 pub mod container;
 pub mod crc;
-pub mod lz;
 
 pub use container::{
     open_bytes, pack, pack_to_vec, read_all, Bursts, ChunkRecord, ContainerInfo, PackStats,

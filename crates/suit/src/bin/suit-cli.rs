@@ -6,9 +6,9 @@
 //! suit-cli simulate --workload Nginx --cpu a --strategy adaptive --insts 2000000000
 //! suit-cli profile Nginx --trace-out trace.json --insts 200000000
 //! suit-cli validate-trace trace.json
-//! suit-cli trace record --workload 502.gcc --out gcc.suittrc2 --bursts 5000
-//! suit-cli trace seek gcc.suittrc2 --vtime 1000000
-//! suit-cli trace info gcc.suittrc2
+//! suit-cli trace record --workload 502.gcc --out gcc.suittrc3 --bursts 5000
+//! suit-cli trace seek gcc.suittrc3 --vtime 1000000
+//! suit-cli trace info gcc.suittrc3
 //! suit-cli bench table6 --threads 2
 //! suit-cli bench all --test --out artifacts
 //! ```
@@ -38,7 +38,7 @@ const USAGE: &str =
 \x20       [--workload name[,name...]] [--epochs N] [--insts N] [--utilization F]\n\
 \x20       [--cpu a|b|c] [--strategy fv|f|v] [--offset 70|97] [--seed N] [--threads N]\n\
 \x20 trace record --workload <name> --out <file> [--bursts N] [--seed N]\n\
-\x20       [--chunk-bursts N]                   (streams into a SUITTRC2 container)\n\
+\x20       [--chunk-bursts N]                   (streams into a SUITTRC3 container)\n\
 \x20 trace info <file>\n\
 \x20 trace seek <file> --vtime N\n\
 \x20 scenario <sram|scrooge> [--config <file.json>] [--seed N] [--threads N] [--json]\n\
@@ -240,8 +240,8 @@ fn cmd_simulate(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// Parses `--chunk-bursts N` (bursts per compressed chunk in a
-/// `SUITTRC2` container), defaulting to the format's standard size.
+/// Parses `--chunk-bursts N` (bursts per chunk in a `SUITTRC3`
+/// container), defaulting to the format's standard size.
 fn parse_chunk_bursts(args: &[String]) -> Result<usize, String> {
     match opt(args, "--chunk-bursts") {
         None => Ok(suit::store::DEFAULT_CHUNK_BURSTS),
@@ -255,7 +255,12 @@ fn parse_chunk_bursts(args: &[String]) -> Result<usize, String> {
     }
 }
 
-/// Opens a `SUITTRC2` container file for streaming.
+/// Container size per burst, header and index included.
+fn bits_per_burst(bytes: u64, bursts: u64) -> f64 {
+    bytes as f64 * 8.0 / bursts.max(1) as f64
+}
+
+/// Opens a `SUITTRC3` container file for streaming.
 fn open_container(
     path: &str,
 ) -> Result<suit::store::StreamingReader<std::io::BufReader<std::fs::File>>, String> {
@@ -309,8 +314,8 @@ fn cmd_trace(args: &[String]) -> CliResult {
             };
             let f = std::fs::File::create(&out).map_err(|e| format!("{out}: {e}"))?;
             let mut w = std::io::BufWriter::new(f);
-            // Generator → compressor → disk: memory stays O(chunk) no
-            // matter how long the recording runs.
+            // Generator → packer → disk: memory stays O(chunk) no matter
+            // how long the recording runs.
             let stats = suit::store::pack(
                 &mut w,
                 &meta,
@@ -321,8 +326,12 @@ fn cmd_trace(args: &[String]) -> CliResult {
             use std::io::Write;
             w.flush().map_err(|e| format!("{out}: {e}"))?;
             println!(
-                "packed {} bursts of {} into {out} ({} chunks, {} -> {} bytes)",
-                stats.bursts, p.name, stats.chunks, stats.raw_bytes, stats.packed_bytes
+                "packed {} bursts of {} into {out} ({} chunks, {} bytes, {:.1} bits/burst)",
+                stats.bursts,
+                p.name,
+                stats.chunks,
+                stats.packed_bytes,
+                bits_per_burst(stats.packed_bytes, stats.bursts)
             );
             Ok(())
         }
@@ -337,7 +346,7 @@ fn cmd_trace(args: &[String]) -> CliResult {
             let summary = suit::trace::event::TraceSummary::from_bursts(bursts.by_ref());
             bursts.finish().map_err(|e| format!("{path}: {e}"))?;
             println!(
-                "{path}: SUITTRC2 container, workload {} (ipc {:.1})",
+                "{path}: SUITTRC3 container, workload {} (ipc {:.1})",
                 info.meta.name, info.meta.ipc
             );
             println!("  bursts: {}", info.bursts);
@@ -346,10 +355,9 @@ fn cmd_trace(args: &[String]) -> CliResult {
                 info.chunks, info.chunk_bursts
             );
             println!(
-                "  bytes: {} raw -> {} packed ({:.2}x)",
-                info.raw_bytes,
+                "  bytes: {} ({:.1} bits/burst)",
                 info.packed_bytes,
-                info.raw_bytes as f64 / info.packed_bytes.max(1) as f64
+                bits_per_burst(info.packed_bytes, info.bursts)
             );
             println!("  virtual length: {} instructions", info.meta.total_insts);
             println!("  faultable instructions: {}", summary.events);

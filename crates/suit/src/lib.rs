@@ -15,7 +15,7 @@
 //! | [`emu`] | `#DO` emulation: bit-sliced AES, scalar SIMD semantics |
 //! | [`hw`] | DVFS curves, transition delays, power & guardband models |
 //! | [`trace`] | Workload profiles and synthetic trace generation |
-//! | [`store`] | `SUITTRC2` chunked container, bounded-memory streaming replay |
+//! | [`store`] | `SUITTRC3` chunked container, bounded-memory streaming replay |
 //! | [`faults`] | Vmin fault model, injection campaigns, security audit |
 //! | [`core`] | The SUIT mechanism: MSRs, `#DO`, deadline, strategies |
 //! | [`sim`] | The event-based system simulator (Tables 2/6, Figs 12/16) |

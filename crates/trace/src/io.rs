@@ -3,7 +3,7 @@
 //! The paper's pipeline records QEMU traces once and replays them through
 //! the simulator many times (every CPU × strategy × offset combination).
 //! [`TraceMeta`] is the workload metadata a replay needs (name, IPC,
-//! virtual length); `suit-store`'s `SUITTRC2` container stores it ahead
+//! virtual length); `suit-store`'s `SUITTRC3` container stores it ahead
 //! of the bursts, so expensive generation or an external import happens
 //! once. [`import_events`] turns a QEMU-plugin event list into bursts.
 

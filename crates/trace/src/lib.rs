@@ -27,7 +27,7 @@
 //! * [`analyze`] — the §5.1 workload characterisation plus an analytic
 //!   residency predictor cross-validated against the simulator.
 //! * [`io`] — the trace metadata a replay needs and QEMU event-list
-//!   import. `suit-store`'s `SUITTRC2` container is the binary format,
+//!   import. `suit-store`'s `SUITTRC3` container is the binary format,
 //!   so traces are generated (or imported) once and replayed across every
 //!   CPU × strategy × offset configuration, as the paper's QEMU pipeline
 //!   did.

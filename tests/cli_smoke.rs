@@ -461,7 +461,7 @@ fn profile_trace_round_trips_through_validate_trace() {
 /// A per-test temp path for a trace container.
 fn temp_trace(tag: &str) -> String {
     std::env::temp_dir()
-        .join(format!("suit-cli-{tag}-{}.suittrc2", std::process::id()))
+        .join(format!("suit-cli-{tag}-{}.suittrc3", std::process::id()))
         .to_str()
         .expect("utf-8 temp path")
         .to_string()
@@ -498,7 +498,7 @@ fn trace_record_info_and_seek_round_trip() {
     assert!(out.status.success(), "{}", stderr(&out));
     let info = stdout(&out);
     for line in [
-        "SUITTRC2 container, workload 502.gcc".to_string(),
+        "SUITTRC3 container, workload 502.gcc".to_string(),
         "  bursts: 500\n".to_string(),
         "  chunks: 8 (64 bursts per full chunk)\n".to_string(),
         format!("  faultable instructions: {}\n", want.events),

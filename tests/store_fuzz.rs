@@ -1,36 +1,44 @@
-//! Structure-aware fuzz targets for the `SUITTRC2` container decoder.
+//! Structure-aware fuzz targets for the `SUITTRC3` container decoder.
 //!
 //! The decoder sits on the service's unauthenticated upload path
 //! (`POST /v1/trace`), so its totality contract is load-bearing: any byte
-//! stream — raw soup, a valid container, a truncation, a bit flip, or a
-//! container whose trailing index/trailer region was overwritten — must
-//! come back as a typed [`suit::store::StoreError`], never a panic, and
-//! never an allocation the physical input size cannot justify.
+//! stream — raw soup, a valid container, a truncation, a bit flip, a
+//! container whose trailing index/trailer region was overwritten, or one
+//! spelled differently from `pack` — must come back as a typed
+//! [`suit::store::StoreError`], never a panic, and never an allocation
+//! the physical input size cannot justify.
 //!
-//! Four properties pin this:
+//! Five properties pin this:
 //!
 //! 1. `total` — full-load ([`suit::store::read_all`]) and streaming
 //!    ([`suit::store::open_bytes`] + drain) decoding are total over the
 //!    structured input stream, and *agree*: both accept with identical
-//!    metadata and bursts, or both reject;
+//!    metadata and bursts, or both reject. What they accept re-packs,
+//!    from its metadata, bursts and `chunk_bursts`, to the same bytes:
+//!    trace IDs hash containers, so one trace must have one encoding;
 //! 2. `roundtrip` — every constructed (meta, bursts, chunk size) triple
-//!    packs deterministically and decodes back to exactly the input;
+//!    packs deterministically, to the bytes an independent writer of the
+//!    documented layout produces, and decodes back to exactly the input;
 //! 3. `seek` — on a valid container, seeking to any virtual time lands on
 //!    the same burst boundary that skipping burst-by-burst from the start
 //!    reaches;
 //! 4. `reindexed` — a valid container with one index field edited and the
-//!    index CRC recomputed either fails to decode, or keeps property 3 at
-//!    every chunk start its index declares (decoding checks each chunk's
-//!    bursts against the next record's `first_vtime`).
+//!    index CRC recomputed either fails to decode, or keeps properties 1
+//!    and 3 at every chunk start its index declares (decoding checks each
+//!    chunk's bursts against the next record's `first_vtime`);
+//! 5. `crc` — the slice-by-8 CRC-32 equals the bit-at-a-time definition
+//!    at every length and start offset.
 //!
-//! CI drives property 1 with `SUIT_CHECK_CASES=100000` as the fuzz-smoke
+//! CI drives the file with `SUIT_CHECK_CASES=100000` as the fuzz-smoke
 //! gate. Committed corpus seeds in `tests/corpus/` pin the interesting
-//! shapes (a rejected corruption, a surviving valid container) and are
-//! replayed before random exploration on every run.
+//! shapes (a rejected corruption, a surviving valid container, an index
+//! edit only the per-chunk vtime check catches) and are replayed before
+//! random exploration on every run.
 
 use suit::check::gen::{self, Gen};
 use suit::check::{corpus_dir, Checker, Source};
 use suit::isa::Opcode;
+use suit::rng::SplitMix64;
 use suit::store;
 use suit::store::crc::crc32;
 use suit::trace::event::Burst;
@@ -46,15 +54,53 @@ fn faultable() -> Vec<Opcode> {
         .collect()
 }
 
-/// One structurally valid burst.
-fn burst() -> Gen<Burst> {
+/// A value drawn log-uniformly below 2^`max_bits`, so every varint
+/// width up to the cap is as likely as every other.
+fn log_uniform(max_bits: u64) -> Gen<u64> {
+    gen::u64_in(0..=max_bits).bind(|bits| gen::u64_in(0..=(1u64 << bits) - 1))
+}
+
+/// A `within` gap: small, as generated traces have it, or any `u32`.
+fn within() -> Gen<u32> {
+    gen::one_of(vec![gen::u32_in(0..=64), log_uniform(32).map(|w| w as u32)])
+}
+
+/// One structurally valid burst with its `within` gap from `within`.
+/// Gaps reach 2⁵⁶ (8-byte varints; real traces reach 6.8·10⁸) and
+/// events sometimes reach `u32::MAX`, but a burst with a `within` over
+/// 2²⁰ keeps at most 2²⁰ events: `total_insts` stays below 2⁵⁷, so 64
+/// bursts cannot overflow the virtual time and `pack` cannot fail.
+fn burst(within: Gen<u32>) -> Gen<Burst> {
     let ops = faultable();
     let n = ops.len();
+    let events = gen::one_of(vec![
+        gen::u32_in(1..=500),
+        log_uniform(32).map(|e| e.max(1) as u32),
+    ]);
     gen::pair(
-        &gen::pair(&gen::u64_in(0..=1_000_000), &gen::u32_in(1..=500)),
-        &gen::pair(&gen::u32_in(0..=64), &gen::usize_in(0..=n - 1)),
+        &gen::pair(&log_uniform(56), &events),
+        &gen::pair(&within, &gen::usize_in(0..=n - 1)),
     )
-    .map(move |((gap, events), (within, oi))| Burst::new(gap, events, within, ops[oi]))
+    .map(move |((gap, events), (within, oi))| {
+        let events = if within > 1 << 20 {
+            events.min(1 << 20)
+        } else {
+            events
+        };
+        Burst::new(gap, events, within, ops[oi])
+    })
+}
+
+/// Up to 64 bursts sharing one `within` gap, as a generated trace does,
+/// or each with its own.
+fn bursts() -> Gen<Vec<Burst>> {
+    gen::bool_any().bind(|per_burst| {
+        if per_burst {
+            burst(within()).vec_up_to(64)
+        } else {
+            within().bind(|w| burst(gen::constant(w)).vec_up_to(64))
+        }
+    })
 }
 
 /// A full construction triple: metadata, burst list, chunk size. Chunk
@@ -70,11 +116,152 @@ fn construction() -> Gen<(TraceMeta, Vec<Burst>, usize)> {
         ipc,
         total_insts: total,
     });
-    gen::pair(
-        &gen::pair(&meta, &burst().vec_up_to(64)),
-        &gen::usize_in(1..=8),
-    )
-    .map(|((meta, bursts), chunk_bursts)| (meta, bursts, chunk_bursts))
+    gen::pair(&gen::pair(&meta, &bursts()), &gen::usize_in(1..=8))
+        .map(|((meta, bursts), chunk_bursts)| (meta, bursts, chunk_bursts))
+}
+
+/// A spelling of a trace that `pack` never writes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Respelling {
+    /// The `k`-th varint written carries a redundant zero byte.
+    Overlong(usize),
+    /// The chunk holding burst `k` ends after it, short of
+    /// `chunk_bursts` though a chunk follows.
+    ShortChunk(usize),
+    /// The `within` run holding burst `k` splits in two before it.
+    SplitRun(usize),
+    /// An odd chunk's padding nibble is this (non-zero) value.
+    PadNibble(u8),
+    /// Chunk `k`'s reserved index word is non-zero.
+    Reserved(usize),
+    /// Varint column `k % 3` of chunk `k / 3` has one trailing zero byte.
+    TrailingByte(usize),
+}
+
+fn respelling() -> Gen<Respelling> {
+    gen::pair(&gen::usize_in(0..=5), &gen::usize_in(0..=255)).map(|(which, k)| match which {
+        0 => Respelling::Overlong(k),
+        1 => Respelling::ShortChunk(k % 64),
+        2 => Respelling::SplitRun(k % 64),
+        3 => Respelling::PadNibble(k as u8 % 15 + 1),
+        4 => Respelling::Reserved(k % 64),
+        _ => Respelling::TrailingByte(k % 192),
+    })
+}
+
+/// Appends `v` as LEB128, one byte too long when `overlong` counts down
+/// to it.
+fn put(out: &mut Vec<u8>, mut v: u64, overlong: &mut Option<usize>) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    if *overlong == Some(0) {
+        out.extend_from_slice(&[v as u8 | 0x80, 0]);
+    } else {
+        out.push(v as u8);
+    }
+    *overlong = overlong.and_then(|k| k.checked_sub(1));
+}
+
+/// An independent writer of the `SUITTRC3` layout documented in
+/// `suit_store::container`: with no respelling it must write what
+/// `pack` writes, byte for byte.
+fn spelled(
+    meta: &TraceMeta,
+    bursts: &[Burst],
+    chunk_bursts: usize,
+    how: Option<Respelling>,
+) -> Vec<u8> {
+    let mut overlong = match how {
+        Some(Respelling::Overlong(k)) => Some(k),
+        _ => None,
+    };
+    let mut out = b"SUITTRC3".to_vec();
+    put(&mut out, meta.name.len() as u64, &mut overlong);
+    out.extend_from_slice(meta.name.as_bytes());
+    out.extend_from_slice(&meta.ipc.to_bits().to_le_bytes());
+    put(&mut out, meta.total_insts, &mut overlong);
+    put(&mut out, chunk_bursts as u64, &mut overlong);
+
+    // Chunk boundaries, as (first burst, burst count).
+    let mut chunks: Vec<(usize, usize)> = (0..bursts.len())
+        .step_by(chunk_bursts)
+        .map(|s| (s, chunk_bursts.min(bursts.len() - s)))
+        .collect();
+    if let Some(Respelling::ShortChunk(k)) = how {
+        let c = k / chunk_bursts;
+        if let Some(&(s, n)) = chunks.get(c) {
+            if k + 1 < s + n {
+                chunks[c] = (s, k + 1 - s);
+                chunks.insert(c + 1, (k + 1, s + n - k - 1));
+            }
+        }
+    }
+
+    let mut index = Vec::new();
+    let mut vtime = 0u64;
+    for (ci, &(start, n)) in chunks.iter().enumerate() {
+        let chunk = &bursts[start..start + n];
+        let mut cols = [Vec::new(), Vec::new(), Vec::new()];
+        let mut runs: Vec<(u32, u64)> = Vec::new();
+        for (j, b) in chunk.iter().enumerate() {
+            put(&mut cols[0], b.gap_insts, &mut overlong);
+            put(&mut cols[1], u64::from(b.events), &mut overlong);
+            let split = how == Some(Respelling::SplitRun(start + j));
+            match runs.last_mut() {
+                Some((w, len)) if *w == b.within_gap_insts && !split => *len += 1,
+                _ => runs.push((b.within_gap_insts, 1)),
+            }
+        }
+        for (w, len) in runs {
+            put(&mut cols[2], u64::from(w), &mut overlong);
+            put(&mut cols[2], len, &mut overlong);
+        }
+        if let Some(Respelling::TrailingByte(k)) = how {
+            if k / 3 == ci {
+                cols[k % 3].push(0);
+            }
+        }
+        let mut body = Vec::new();
+        for col in &cols {
+            put(&mut body, col.len() as u64, &mut overlong);
+        }
+        for col in &cols {
+            body.extend_from_slice(col);
+        }
+        let pad = match how {
+            Some(Respelling::PadNibble(v)) => v,
+            _ => 0,
+        };
+        for pair in chunk.chunks(2) {
+            let high = pair.get(1).map_or(pad, |b| b.opcode.index() as u8);
+            body.push(high << 4 | pair[0].opcode.index() as u8);
+        }
+        let reserved = u32::from(how == Some(Respelling::Reserved(ci)));
+        index.extend_from_slice(&(out.len() as u64).to_le_bytes());
+        index.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        index.extend_from_slice(&reserved.to_le_bytes());
+        index.extend_from_slice(&(n as u32).to_le_bytes());
+        index.extend_from_slice(&crc32(&body).to_le_bytes());
+        index.extend_from_slice(&vtime.to_le_bytes());
+        vtime += chunk.iter().map(Burst::total_insts).sum::<u64>();
+        out.extend_from_slice(&body);
+    }
+    let index_offset = out.len() as u64;
+    out.extend_from_slice(&index);
+    out.extend_from_slice(&index_offset.to_le_bytes());
+    out.extend_from_slice(&crc32(&index).to_le_bytes());
+    out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+    out.extend_from_slice(b"3CRTTIUS");
+    out
+}
+
+/// A trace spelled in one way `pack` never spells it (or, where the
+/// respelling finds nothing to change, exactly as `pack` does).
+fn respelled_container() -> Gen<Vec<u8>> {
+    gen::pair(&construction(), &respelling())
+        .map(|((meta, bursts, chunk_bursts), how)| spelled(&meta, &bursts, chunk_bursts, Some(how)))
 }
 
 /// A valid container's bytes.
@@ -134,7 +321,7 @@ fn reindexed_container() -> Gen<Vec<u8>> {
             return bytes;
         }
         let index = len - 24 - 32 * chunks;
-        // offset, comp_len, raw_len, bursts, crc32, first_vtime.
+        // offset, body_len, reserved zero, bursts, crc32, first_vtime.
         let (at, width) = [(0, 8), (8, 4), (12, 4), (16, 4), (20, 4), (24, 8)][pick % 6];
         let field = index + 32 * (pick / 6 % chunks) + at;
         let mut word = [0u8; 8];
@@ -158,6 +345,7 @@ fn container_stream() -> Gen<Vec<u8>> {
         truncated_container(),
         flipped_container(),
         smashed_tail_container(),
+        respelled_container(),
     ])
 }
 
@@ -171,12 +359,31 @@ fn decode_streaming(input: &[u8]) -> Result<(TraceMeta, Vec<Burst>), store::Stor
     Ok((reader.meta().clone(), out))
 }
 
-/// Property 1: both decode paths are total and agree.
+/// An accepted container is the one `pack` writes for what it holds.
+fn repacks_to_itself(input: &[u8], meta: &TraceMeta, bursts: &[Burst]) -> Result<(), String> {
+    let chunk_bursts = store::open_bytes(input)
+        .map_err(|e| format!("reopen failed: {e}"))?
+        .info()
+        .chunk_bursts as usize;
+    let again = store::pack_to_vec(meta, bursts.iter().copied(), chunk_bursts)
+        .map_err(|e| format!("re-pack failed: {e}"))?;
+    if again != input {
+        return Err(format!(
+            "accepted a {}-byte spelling of a trace pack writes in {} bytes",
+            input.len(),
+            again.len()
+        ));
+    }
+    Ok(())
+}
+
+/// Property 1: both decode paths are total and agree, and accept only
+/// what `pack` writes.
 fn decoder_is_total_and_consistent(input: &[u8]) -> Result<(), String> {
     let full = store::read_all(input);
     let streamed = decode_streaming(input);
     match (full, streamed) {
-        (Ok(f), Ok(s)) if f == s => Ok(()),
+        (Ok(f), Ok(s)) if f == s => repacks_to_itself(input, &f.0, &f.1),
         (Ok(f), Ok(s)) => Err(format!(
             "full-load and streaming decode disagree: {} vs {} bursts",
             f.1.len(),
@@ -201,8 +408,8 @@ fn decoder_is_total_over_container_streams() {
         });
 }
 
-/// Property 2: pack ∘ decode is the identity and packing is
-/// deterministic.
+/// Property 2: pack ∘ decode is the identity, and packing is
+/// deterministic and follows the documented layout.
 #[test]
 fn constructed_containers_roundtrip_exactly() {
     Checker::new("store_fuzz::roundtrip")
@@ -217,6 +424,9 @@ fn constructed_containers_roundtrip_exactly() {
                     .map_err(|e| format!("re-pack failed: {e}"))?;
                 if bytes != again {
                     return Err("packing is not deterministic".into());
+                }
+                if bytes != spelled(meta, bursts, *chunk_bursts, None) {
+                    return Err("pack disagrees with the documented layout".into());
                 }
                 let (m, b) = store::read_all(&bytes).map_err(|e| format!("decode failed: {e}"))?;
                 if &m != meta {
@@ -290,8 +500,9 @@ fn seek_agrees_with_skip_from_start() {
 }
 
 /// Property 4: a container whose index was edited and re-sealed is
-/// decoded totally, and if it decodes at all, a seek to any chunk start
-/// its index declares lands where skipping from the start lands.
+/// decoded totally, and if it decodes at all, it is canonical and a seek
+/// to any chunk start its index declares lands where skipping from the
+/// start lands.
 #[test]
 fn reindexed_containers_decode_only_if_their_index_is_true() {
     Checker::new("store_fuzz::reindexed")
@@ -310,6 +521,47 @@ fn reindexed_containers_decode_only_if_their_index_is_true() {
         });
 }
 
+/// The CRC-32 definition, one bit at a time.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in data {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+/// Property 5: slice-by-8 agrees with the bitwise definition over
+/// lengths 0–4096 at start offsets 0–7 (the 8-byte steps and the
+/// bytewise tail both see every alignment).
+#[test]
+fn crc32_matches_the_bitwise_definition() {
+    let case = gen::triple(
+        &gen::usize_in(0..=4096),
+        &gen::usize_in(0..=7),
+        &gen::u64_any(),
+    );
+    Checker::new("store_fuzz::crc")
+        .cases_from_env_or(2_000)
+        .corpus(corpus_dir!())
+        .check(&case, |&(len, offset, seed): &(usize, usize, u64)| {
+            let mut rng = SplitMix64::new(seed);
+            let buf: Vec<u8> = (0..len + offset).map(|_| rng.next_u64() as u8).collect();
+            let data = &buf[offset..];
+            let (fast, slow) = (crc32(data), crc32_bitwise(data));
+            if fast != slow {
+                return Err(format!("slice-by-8 {fast:#010x} != bitwise {slow:#010x}"));
+            }
+            Ok(())
+        });
+}
+
 /// The committed corpus seeds must keep generating the shapes they were
 /// committed to pin — if the generator drifts, this fails loudly instead
 /// of the seeds silently degenerating into byte soup.
@@ -325,14 +577,14 @@ fn committed_corpus_seeds_cover_the_advertised_shapes() {
 
     let corrupt = sample(CORRUPT_CONTAINER_SEED);
     assert!(
-        corrupt.len() >= 8 && &corrupt[..8] == b"SUITTRC2" && store::read_all(&corrupt).is_err(),
+        corrupt.len() >= 8 && &corrupt[..8] == b"SUITTRC3" && store::read_all(&corrupt).is_err(),
         "seed {CORRUPT_CONTAINER_SEED:#x} no longer generates a well-magicked corrupt container"
     );
 }
 
 /// Seeds committed under `tests/corpus/` for the shapes above.
-const VALID_CONTAINER_SEED: u64 = 0x5;
-const CORRUPT_CONTAINER_SEED: u64 = 0x0;
+const VALID_CONTAINER_SEED: u64 = 0x0;
+const CORRUPT_CONTAINER_SEED: u64 = 0x2;
 
 /// Maintenance tool, not part of the suite: scans seeds and prints the
 /// first one generating each corpus shape. Run with
@@ -352,7 +604,7 @@ fn find_corpus_seeds() {
         }
         if corrupt.is_none()
             && input.len() >= 8
-            && &input[..8] == b"SUITTRC2"
+            && &input[..8] == b"SUITTRC3"
             && store::read_all(&input).is_err()
         {
             corrupt = Some(seed);

@@ -1,9 +1,9 @@
 //! End-to-end tests for the out-of-core trace pipeline: bounded-memory
-//! streaming replay out of `SUITTRC2` containers, index seeks, and the
+//! streaming replay out of `SUITTRC3` containers, index seeks, and the
 //! `/v1/trace` + `/v1/simulate-trace` service path.
 //!
 //! The load-bearing assertions are the byte-identity ones: a simulation
-//! fed bursts streamed chunk-by-chunk out of a compressed container —
+//! fed bursts streamed chunk-by-chunk out of a container —
 //! one decoded chunk at a time, across a 64+-chunk trace — must produce
 //! exactly the result of the same simulation fed the fully-loaded burst
 //! vector, and the `/v1/simulate-trace` response must equal the JSON the
