@@ -20,10 +20,11 @@
 //!   the correctness oracle and as the "fast but leaky" baseline in the
 //!   emulation-cost ablation bench.
 //! * [`bitsliced`] — the constant-time implementation actually used by the
-//!   emulation handler. State bytes are transposed into eight bit-planes
-//!   and the S-box is evaluated as GF(2⁸) inversion (x²⁵⁴) with pure
-//!   AND/XOR plane operations; four blocks (`u64` planes) are processed
-//!   in parallel.
+//!   emulation handler. Two transposes (bits within each half-block, then
+//!   bytes across half-blocks) turn four blocks into eight `u64`
+//!   bit-planes, and the S-box is Boyar and Peralta's AND/XOR gate
+//!   circuit evaluated on whole planes, so all four blocks run in
+//!   parallel.
 //!
 //! The byte layout follows the Intel SDM: byte *i* of the 128-bit operand
 //! is the AES state entry at row *i* mod 4, column *i* / 4 (column-major,

@@ -2,9 +2,10 @@
 //!
 //! AES's S-box is the multiplicative inverse in GF(2⁸) (modulo the
 //! Rijndael polynomial x⁸+x⁴+x³+x+1) followed by an affine transform. The
-//! bit-sliced AES emulator computes the inverse as x²⁵⁴ with an addition
-//! chain of constant-time multiplications, and the `VPCLMULQDQ` emulator
-//! needs a 64×64→128-bit carry-less multiply. Both live here.
+//! bytewise key schedules, the table-driven reference and the `AESDEC`
+//! path compute it here as x²⁵⁴ with an addition chain of constant-time
+//! multiplications (the bit-sliced kernel has its own gate circuit), and
+//! the `VPCLMULQDQ` emulator needs a 64×64→128-bit carry-less multiply.
 //!
 //! Everything in this module is branch-free on secret data and performs no
 //! data-dependent memory accesses.
@@ -79,15 +80,45 @@ pub fn inv_sbox(a: u8) -> u8 {
 /// producing the full 128-bit product. This is the scalar emulation core of
 /// `VPCLMULQDQ`.
 ///
-/// Constant-time: the loop trip count is fixed and selection uses masks.
+/// Karatsuba splits it into three 32×32 products (`clmul32`). It is
+/// constant-time wherever integer `MUL` is, as it is on x86-64: no
+/// branch, no index and no trip count depends on the operands.
 pub fn clmul64(a: u64, b: u64) -> u128 {
-    let a = a as u128;
-    let mut acc = 0u128;
-    for i in 0..64 {
-        let mask = 0u128.wrapping_sub(((b >> i) & 1) as u128);
-        acc ^= (a << i) & mask;
+    let (a0, a1) = (a as u32, (a >> 32) as u32);
+    let (b0, b1) = (b as u32, (b >> 32) as u32);
+    let lo = clmul32(a0, b0);
+    let hi = clmul32(a1, b1);
+    let mid = clmul32(a0 ^ a1, b0 ^ b1) ^ lo ^ hi;
+    (u128::from(hi) << 64) ^ (u128::from(mid) << 32) ^ u128::from(lo)
+}
+
+/// Bits `≡ k (mod 4)` of a 64-bit word, for `k` = 0..3.
+const HOLES: [u64; 4] = [
+    0x1111_1111_1111_1111,
+    0x2222_2222_2222_2222,
+    0x4444_4444_4444_4444,
+    0x8888_8888_8888_8888,
+];
+
+/// 32×32 → 64-bit carry-less product from integer multiplies over 4-bit
+/// holes (BearSSL's `ghash_ctmul` `bmul`). Each operand splits into four
+/// classes of every fourth bit. A class holds at most 8 set bits, so every
+/// column sum of a class product is at most 8 and stays inside its 4-bit
+/// hole: the low bit of each hole is the column's parity, which is the
+/// carry-less product bit.
+fn clmul32(x: u32, y: u32) -> u64 {
+    let x = HOLES.map(|m| u64::from(x) & m);
+    let y = HOLES.map(|m| u64::from(y) & m);
+    let mut z = 0;
+    for (k, mask) in HOLES.into_iter().enumerate() {
+        // Class k of the product sums x_i · y_j over i + j ≡ k (mod 4).
+        let zk = (x[0] * y[k])
+            ^ (x[1] * y[(k + 3) % 4])
+            ^ (x[2] * y[(k + 2) % 4])
+            ^ (x[3] * y[(k + 1) % 4]);
+        z ^= zk & mask;
     }
-    acc
+    z
 }
 
 #[cfg(test)]

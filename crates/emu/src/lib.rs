@@ -13,9 +13,9 @@
 //!   fast-but-leaky baseline); [`aes::bitsliced`] is the side-channel
 //!   resilient bit-sliced implementation the paper prescribes for `AESENC`
 //!   emulation: the 16 state bytes (of up to 4 blocks in parallel) are
-//!   transposed into bit-planes and the S-box is computed as GF(2⁸)
-//!   inversion with pure AND/XOR gate logic — no secret-dependent memory
-//!   accesses or branches.
+//!   transposed into bit-planes and the S-box is Boyar and Peralta's
+//!   AND/XOR gate circuit — no secret-dependent memory accesses or
+//!   branches.
 //! * [`simd`] — scalar (non-vectorized) emulation of every SIMD opcode in
 //!   the faultable set of Table 1: `VOR*`, `VXOR*`, `VAND*`, `VANDN*`,
 //!   `VPADDQ`, `VPMAX*`, `VPCMP*`, `VPSRAD`, `VSQRTPD` and `VPCLMULQDQ`.

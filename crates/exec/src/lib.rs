@@ -9,7 +9,8 @@
 //!
 //! ## The contract
 //!
-//! A job set is a pure function `(0..jobs) -> T`. Workers pull the next
+//! A job set is a pure function `(0..jobs) -> T`. Workers — the calling
+//! thread plus `n − 1` scoped threads for `n` workers — pull the next
 //! unclaimed index from a shared atomic counter (dynamic stealing, so a
 //! slow job — 520.omnetpp simulating thirty times more curve-switch
 //! events per instruction than 557.xz — never idles the other workers
@@ -101,6 +102,10 @@ fn payload_msg(payload: Box<dyn std::any::Any + Send>) -> String {
 /// wall-clock changes. `threads` is capped at `jobs`, and a resolved
 /// count of 1 (or `jobs <= 1`) runs inline on the caller's thread.
 ///
+/// The caller is one of the workers: `n` workers are the caller plus
+/// `n − 1` spawned scoped threads, all running the same claim loop, so a
+/// small fan-out does not pay for a thread that would only wait.
+///
 /// # Panics
 ///
 /// If any job panics, the remaining queue is abandoned and this function
@@ -128,30 +133,32 @@ where
     let abort = AtomicBool::new(false);
     let failed: Mutex<Option<(usize, String)>> = Mutex::new(None);
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                while !abort.load(Ordering::Relaxed) {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs {
-                        break;
-                    }
-                    match panic::catch_unwind(AssertUnwindSafe(|| job(i))) {
-                        Ok(v) => {
-                            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(v);
-                        }
-                        Err(payload) => {
-                            abort.store(true, Ordering::Relaxed);
-                            let msg = payload_msg(payload);
-                            let mut f = failed.lock().unwrap_or_else(|e| e.into_inner());
-                            if f.as_ref().map_or(true, |(fi, _)| i < *fi) {
-                                *f = Some((i, msg));
-                            }
-                        }
+    let claim = || {
+        while !abort.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                break;
+            }
+            match panic::catch_unwind(AssertUnwindSafe(|| job(i))) {
+                Ok(v) => {
+                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(v);
+                }
+                Err(payload) => {
+                    abort.store(true, Ordering::Relaxed);
+                    let msg = payload_msg(payload);
+                    let mut f = failed.lock().unwrap_or_else(|e| e.into_inner());
+                    if f.as_ref().map_or(true, |(fi, _)| i < *fi) {
+                        *f = Some((i, msg));
                     }
                 }
-            });
+            }
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(claim);
+        }
+        claim();
     });
 
     if let Some((i, msg)) = failed.into_inner().unwrap_or_else(|e| e.into_inner()) {
@@ -308,6 +315,62 @@ mod tests {
         }));
         let msg = payload_msg(caught.expect_err("must propagate"));
         assert!(msg.contains("job 2"), "{msg}");
+    }
+
+    /// Waits until `n` jobs are in flight at once, so each worker holds
+    /// one; gives up after 10 s so too few workers fail instead of hang.
+    fn rendezvous(arrived: &AtomicUsize, n: usize) {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while arrived.load(Ordering::SeqCst) < n && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn the_caller_is_one_of_n_workers() {
+        let caller = std::thread::current().id();
+        for n in [2, 3, 4] {
+            let arrived = AtomicUsize::new(0);
+            let ran_on = run(8 * n, Threads::Fixed(n), |i| {
+                if i < n {
+                    rendezvous(&arrived, n);
+                }
+                std::thread::current().id()
+            });
+            let first: std::collections::HashSet<_> = ran_on[..n].iter().collect();
+            assert_eq!(first.len(), n, "{n} workers must hold the first {n} jobs");
+            assert!(first.contains(&caller), "the caller must run a share");
+            let others: std::collections::HashSet<_> =
+                ran_on.iter().filter(|&&id| id != caller).collect();
+            assert!(
+                others.len() < n,
+                "{} other threads for {n} workers",
+                others.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_share_still_reports_the_lowest_index() {
+        let caller = std::thread::current().id();
+        let arrived = AtomicUsize::new(0);
+        let callers_job = Mutex::new(None);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            run(2, Threads::Fixed(2), |i| -> usize {
+                rendezvous(&arrived, 2);
+                if std::thread::current().id() == caller {
+                    *callers_job.lock().unwrap() = Some(i);
+                }
+                panic!("boom at {i}");
+            })
+        }));
+        let msg = payload_msg(caught.expect_err("must propagate"));
+        assert!(
+            callers_job.into_inner().unwrap().is_some(),
+            "the caller must run a share"
+        );
+        assert!(msg.contains("job 0") && msg.contains("boom at 0"), "{msg}");
     }
 
     #[test]

@@ -187,47 +187,27 @@ pub fn search(
     let eff_offset = (best.offset_mv + (1.0 - best.freq_scale) * FREQ_MARGIN_MV_PER_UNIT).min(0.0);
     let m0 = &models[0];
     let len = cfg.audit_len;
+    // Eight rows, five distinct audits. Each audit is a pure function of
+    // its arguments, so it runs once and fills every row that shows it.
+    let naive = audit_naive_undervolt(&m0.chip, 0, eff_offset, cfg.seed, len);
+    let traps = audit_suit_traps_only(&m0.chip, 0, eff_offset, cfg.seed, len);
+    let suit = audit_suit_system(&m0.chip, 0, eff_offset, cfg.seed, len);
+    let sram_naive = audit_sram_naive(&m0.array, eff_offset, cfg.seed, len);
+    let sram_guarded = audit_sram_guarded(&m0.array, eff_offset, cfg.seed, len);
+    let row = |fault_class, defence, outcome| AuditRow {
+        fault_class,
+        defence,
+        outcome,
+    };
     let defences = vec![
-        AuditRow {
-            fault_class: "instruction",
-            defence: "naive",
-            outcome: audit_naive_undervolt(&m0.chip, 0, eff_offset, cfg.seed, len),
-        },
-        AuditRow {
-            fault_class: "sram",
-            defence: "naive",
-            outcome: audit_sram_naive(&m0.array, eff_offset, cfg.seed, len),
-        },
-        AuditRow {
-            fault_class: "instruction",
-            defence: "suit_traps",
-            outcome: audit_suit_traps_only(&m0.chip, 0, eff_offset, cfg.seed, len),
-        },
-        AuditRow {
-            fault_class: "sram",
-            defence: "suit_traps",
-            outcome: audit_sram_naive(&m0.array, eff_offset, cfg.seed, len),
-        },
-        AuditRow {
-            fault_class: "instruction",
-            defence: "suit_hardened_imul",
-            outcome: audit_suit_system(&m0.chip, 0, eff_offset, cfg.seed, len),
-        },
-        AuditRow {
-            fault_class: "sram",
-            defence: "suit_hardened_imul",
-            outcome: audit_sram_naive(&m0.array, eff_offset, cfg.seed, len),
-        },
-        AuditRow {
-            fault_class: "instruction",
-            defence: "sram_guarded",
-            outcome: audit_suit_system(&m0.chip, 0, eff_offset, cfg.seed, len),
-        },
-        AuditRow {
-            fault_class: "sram",
-            defence: "sram_guarded",
-            outcome: audit_sram_guarded(&m0.array, eff_offset, cfg.seed, len),
-        },
+        row("instruction", "naive", naive),
+        row("sram", "naive", sram_naive),
+        row("instruction", "suit_traps", traps),
+        row("sram", "suit_traps", sram_naive),
+        row("instruction", "suit_hardened_imul", suit),
+        row("sram", "suit_hardened_imul", sram_naive),
+        row("instruction", "sram_guarded", suit),
+        row("sram", "sram_guarded", sram_guarded),
     ];
 
     Ok(ScroogeReport {

@@ -11,12 +11,15 @@
 
 use suit::check::{corpus_dir, gen, gens, Checker};
 use suit::emu::aes::{bitsliced, reference, Aes128Key};
-use suit::emu::{emulate, simd, EmuOperands};
+use suit::emu::{emulate, gf, simd, EmuOperands};
 use suit::isa::{FaultableSet, Opcode, Vec128};
 
-/// A differential checker preconfigured for this suite.
+/// A differential checker preconfigured for this suite: 256 cases, or
+/// `SUIT_CHECK_CASES` when set (the CI fuzz-smoke dial).
 fn diff(name: &str) -> Checker {
-    Checker::new(name).cases(256).corpus(corpus_dir!())
+    Checker::new(name)
+        .cases_from_env_or(256)
+        .corpus(corpus_dir!())
 }
 
 #[test]
@@ -48,6 +51,16 @@ fn four_wide_kernel_lanes_are_independent() {
         &gen::pair(&gens::vec128().array::<4>(), &gens::vec128()),
         |&(bs, k)| bitsliced::aesenc4(bs, k),
         |&(bs, k)| bs.map(|b| reference::aesenc(b, k)),
+    );
+}
+
+/// AES-256's last round drains through the 4-wide `AESENCLAST`.
+#[test]
+fn four_wide_last_round_matches_reference() {
+    diff("emu::aesenclast4").check_diff(
+        &gen::pair(&gens::vec128().array::<4>(), &gens::vec128()),
+        |&(bs, k)| bitsliced::aesenclast4(bs, k),
+        |&(bs, k)| bs.map(|b| reference::aesenclast(b, k)),
     );
 }
 
@@ -138,6 +151,32 @@ fn clmul_is_xor_linear() {
                 return Err("carry-less multiply is not commutative".into());
             }
             Ok(())
+        },
+    );
+}
+
+/// `clmul_is_xor_linear` passes any XOR-linear map; this pins the product
+/// itself against one shifted XOR per set bit, on random operands and on
+/// the edges a 32-bit split could get wrong.
+#[test]
+fn clmul_matches_a_bit_at_a_time_reference() {
+    let edges = gen::from_slice(&[
+        0,
+        1,
+        u64::MAX,
+        0xffff_ffff,
+        0xffff_ffff_0000_0000,
+        0x8888_8888_8888_8888,
+    ]);
+    let high_bit = gen::u32_in(31..=63).map(|i| 1u64 << i);
+    let operand = gen::one_of(vec![gen::u64_any(), edges, high_bit]);
+    diff("emu::clmul_reference").check_diff(
+        &gen::pair(&operand, &operand),
+        |&(a, b)| gf::clmul64(a, b),
+        |&(a, b)| {
+            (0..64)
+                .filter(|i| (b >> i) & 1 == 1)
+                .fold(0u128, |acc, i| acc ^ (u128::from(a) << i))
         },
     );
 }
