@@ -69,8 +69,21 @@ pub fn bench<T>(name: &str, f: impl FnMut() -> T) -> Measurement {
 pub fn bench_with_throughput<T>(
     name: &str,
     elems: Option<u64>,
-    mut f: impl FnMut() -> T,
+    f: impl FnMut() -> T,
 ) -> Measurement {
+    measure(name, elems, 1, f)
+}
+
+/// Times a body that makes `calls` calls of something too short to time
+/// one at a time, and reports every time and rate per call, so the loop
+/// and the harness around one call do not set a floor under the number.
+pub fn bench_per_call<T>(name: &str, calls: u64, f: impl FnMut() -> T) -> Measurement {
+    measure(name, Some(1), calls, f)
+}
+
+/// The shared body of [`bench_with_throughput`] and [`bench_per_call`]:
+/// each iteration of `f` counts as `calls` iterations.
+fn measure<T>(name: &str, elems: Option<u64>, calls: u64, mut f: impl FnMut() -> T) -> Measurement {
     // Calibrate: grow the batch until it runs long enough to time well.
     let mut iters: u64 = 1;
     loop {
@@ -96,7 +109,7 @@ pub fn bench_with_throughput<T>(
             for _ in 0..iters {
                 black_box(f());
             }
-            per_iter(t0.elapsed(), iters)
+            per_iter(t0.elapsed(), iters * calls)
         })
         .collect();
     samples.sort_unstable();
@@ -105,7 +118,7 @@ pub fn bench_with_throughput<T>(
         median: samples[samples.len() / 2],
         min: samples[0],
         max: *samples.last().expect("SAMPLES > 0"),
-        iters,
+        iters: iters * calls,
     };
 
     let rate = elems
@@ -143,6 +156,16 @@ mod tests {
     fn reports_throughput_without_panicking() {
         let m = bench_with_throughput("tiny_sum", Some(64), || (0..64u64).sum::<u64>());
         assert!(m.median.as_nanos() > 0 || m.iters > 1);
+    }
+
+    #[test]
+    fn per_call_times_divide_by_the_calls() {
+        let calls = 10_000;
+        let m = bench_per_call("spin_10000", calls, || {
+            (0..calls).map(|i| black_box(i) * 3).sum::<u64>()
+        });
+        assert_eq!(m.iters % calls, 0, "{m:?}");
+        assert!(m.median < Duration::from_micros(1), "{m:?} per call");
     }
 
     #[test]

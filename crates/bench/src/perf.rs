@@ -17,6 +17,7 @@ use suit_isa::{Opcode, Vec128};
 use suit_ooo::config::O3Config;
 use suit_ooo::core::O3Core;
 use suit_ooo::workload::UopStream;
+use suit_rng::{Rng, SuitRng};
 use suit_scenarios::{scrooge, sram, ScroogeConfig, SramScenarioConfig};
 use suit_sim::engine::{run_stream, simulate, SimConfig};
 use suit_sim::fleet::{FleetConfig, FleetSim};
@@ -29,7 +30,7 @@ use suit_trace::io::TraceMeta;
 use suit_trace::{profile, TraceGen};
 
 use crate::emit::{read_section, BenchDoc, Val};
-use crate::harness::{bench, bench_with_throughput, Measurement};
+use crate::harness::{bench, bench_per_call, bench_with_throughput, Measurement};
 use crate::{Opts, Scale, ARTEFACTS};
 
 /// Options shared by the perf benches.
@@ -589,20 +590,33 @@ pub fn aes(_: &PerfOpts) {
         bitsliced::encrypt128(&key, black_box(block))
     });
 
-    let a = Vec128::from_u128(0xdead_beef);
-    let b = Vec128::from_u128(0x1234_5678);
-    println!("# do_emulation_dispatch");
+    // One call is a few nanoseconds for the cheap opcodes, below what
+    // one harness iteration can time, so each iteration dispatches a
+    // fixed batch of operands and the rows report the cost per call.
+    let mut rng = SuitRng::seed_from_u64(0xd15);
+    let operands: Vec<EmuOperands> = (0..DISPATCH_BATCH)
+        .map(|_| {
+            let a = Vec128::from_u128(rng.u128());
+            EmuOperands::new(a, Vec128::from_u128(rng.u128()))
+        })
+        .collect();
+    println!("# do_emulation_dispatch (per call, {DISPATCH_BATCH} operands per iteration)");
     for op in [
         Opcode::Vor,
         Opcode::Vpclmulqdq,
         Opcode::Aesenc,
         Opcode::Imul,
     ] {
-        bench_with_throughput(&format!("{op}"), Some(1), || {
-            emulate(black_box(op), EmuOperands::new(black_box(a), black_box(b)))
+        bench_per_call(&format!("{op}"), DISPATCH_BATCH as u64, || {
+            for &o in &operands {
+                let _ = black_box(emulate(black_box(op), o));
+            }
         });
     }
 }
+
+/// Operands per timed iteration of the dispatch rows.
+const DISPATCH_BATCH: usize = 256;
 
 /// Simulator throughput: the event-based system simulator, the trace
 /// generator, and the out-of-order core model.

@@ -355,7 +355,7 @@ pub fn delays() -> TextTable {
 /// undervolting vs. SUIT over a chip population.
 pub fn security_report(chips: u64, instructions: usize) -> TextTable {
     use suit_faults::vmin::ChipVminModel;
-    use suit_faults::{audit_naive_undervolt, audit_suit_system};
+    use suit_faults::{audit_naive_undervolt, audit_suit_system, AuditSequence};
     let mut t = TextTable::new(
         format!("Security audit (Section 6.9): {chips} chips x {instructions} instructions"),
         &[
@@ -371,8 +371,9 @@ pub fn security_report(chips: u64, instructions: usize) -> TextTable {
         let mut traps = 0u64;
         for seed in 0..chips {
             let chip = ChipVminModel::sample(2, 12.0, seed);
-            naive += audit_naive_undervolt(&chip, 0, offset, seed, instructions).silent_errors;
-            let s = audit_suit_system(&chip, 0, offset, seed, instructions);
+            let seq = AuditSequence::draw(seed, instructions);
+            naive += audit_naive_undervolt(&chip, 0, offset, &seq).silent_errors;
+            let s = audit_suit_system(&chip, 0, offset, &seq);
             suit_errors += s.silent_errors;
             traps += s.trapped;
         }

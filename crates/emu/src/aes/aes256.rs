@@ -71,25 +71,16 @@ impl Aes256Key {
     }
 
     /// Encrypts one block through the constant-time bit-sliced rounds —
-    /// the side-channel-resilient path the `#DO` handler uses.
+    /// the side-channel-resilient path the `#DO` handler uses (the 4-wide
+    /// cipher with one live lane).
     pub fn encrypt_ct(&self, block: Vec128) -> Vec128 {
-        let mut s = block ^ self.round_keys[0];
-        for r in 1..=13 {
-            s = bitsliced::aesenc(s, self.round_keys[r]);
-        }
-        bitsliced::aesenclast(s, self.round_keys[14])
+        self.encrypt_ct_x4([block; 4])[0]
     }
 
-    /// Encrypts four blocks in parallel through the bit-sliced kernel.
+    /// Encrypts four blocks in parallel through the bit-sliced kernel,
+    /// packed once with all 14 rounds run on the planes.
     pub fn encrypt_ct_x4(&self, blocks: [Vec128; 4]) -> [Vec128; 4] {
-        let mut s = blocks;
-        for b in &mut s {
-            *b = *b ^ self.round_keys[0];
-        }
-        for r in 1..=13 {
-            s = bitsliced::aesenc4(s, self.round_keys[r]);
-        }
-        bitsliced::aesenclast4(s, self.round_keys[14])
+        bitsliced::encrypt_x4(&self.round_keys, blocks)
     }
 }
 

@@ -23,12 +23,14 @@
 //! secret-indexed table lookups and no secret-dependent branches anywhere
 //! on the encryption path.
 //!
-//! Four blocks is the one batch width: batch callers (the GCM CTR
-//! keystream, AES-256's `encrypt_ct_x4`) drain through [`encrypt128_x4`]
-//! and [`aesenc4`]. An eight-block `u128`-plane width was measured slower
-//! per block than the `u64` width and removed (DESIGN.md §12).
+//! Four blocks is the one batch width: every cipher call (the GCM CTR
+//! keystream, [`encrypt128`], AES-256's `encrypt_ct` and `encrypt_ct_x4`)
+//! packs once, runs all its rounds on the planes and unpacks once; a
+//! single block rides in one live lane. An eight-block `u128`-plane
+//! width was measured slower per block than the `u64` width and removed
+//! (DESIGN.md §12).
 
-use super::{encrypt128_with, Aes128Key};
+use super::Aes128Key;
 use suit_isa::Vec128;
 
 /// Replicates a 16-bit pattern into all four block groups.
@@ -330,9 +332,10 @@ pub fn aesenclast(state: Vec128, round_key: Vec128) -> Vec128 {
     aesenclast4([state; 4], round_key)[0]
 }
 
-/// Full AES-128 block encryption through the bit-sliced round functions.
+/// Full AES-128 block encryption through the bit-sliced round functions
+/// (the 4-wide cipher with one live lane, packed once).
 pub fn encrypt128(key: &Aes128Key, block: Vec128) -> Vec128 {
-    encrypt128_with(key, block, aesenc, aesenclast)
+    encrypt128_x4(key, [block; 4])[0]
 }
 
 /// Full AES-128 encryption of four blocks in parallel.
@@ -341,17 +344,26 @@ pub fn encrypt128(key: &Aes128Key, block: Vec128) -> Vec128 {
 /// and unpacks once — the transpose (the expensive part) is amortised
 /// over the whole cipher instead of paid per round.
 pub fn encrypt128_x4(key: &Aes128Key, blocks: [Vec128; 4]) -> [Vec128; 4] {
+    encrypt_x4(key.round_keys(), blocks)
+}
+
+/// Encrypts four blocks under an expanded schedule — the whitening key,
+/// one key per middle round, then the last round's — packed once, every
+/// round run on the planes.
+pub(crate) fn encrypt_x4(round_keys: &[Vec128], blocks: [Vec128; 4]) -> [Vec128; 4] {
+    let (&last, middle) = round_keys.split_last().expect("a non-empty schedule");
+    let (&first, middle) = middle.split_first().expect("a whitening key");
     let mut s = BsState::pack(blocks);
-    s.xor_round_key(key.round_key(0));
-    for r in 1..=9 {
+    s.xor_round_key(first);
+    for &rk in middle {
         s.shift_rows();
         s.sub_bytes();
         s.mix_columns();
-        s.xor_round_key(key.round_key(r));
+        s.xor_round_key(rk);
     }
     s.shift_rows();
     s.sub_bytes();
-    s.xor_round_key(key.round_key(10));
+    s.xor_round_key(last);
     s.unpack()
 }
 

@@ -118,22 +118,6 @@ const fn shift_rows_table() -> [usize; 16] {
     t
 }
 
-/// Encrypts a single block under `key` using the supplied round functions.
-/// This is the canonical composition `AddRoundKey; 9×AESENC; AESENCLAST`
-/// used by both implementations and validated against FIPS-197.
-pub(crate) fn encrypt128_with(
-    key: &Aes128Key,
-    block: Vec128,
-    enc: impl Fn(Vec128, Vec128) -> Vec128,
-    enc_last: impl Fn(Vec128, Vec128) -> Vec128,
-) -> Vec128 {
-    let mut s = block ^ key.round_key(0);
-    for r in 1..=9 {
-        s = enc(s, key.round_key(r));
-    }
-    enc_last(s, key.round_key(10))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,7 @@
 //! reference version exists as the oracle the bit-sliced implementation is
 //! verified against, and as the baseline in the emulation cost benches.
 
-use super::{encrypt128_with, Aes128Key, SHIFT_ROWS_SRC};
+use super::{Aes128Key, SHIFT_ROWS_SRC};
 use crate::gf;
 use std::sync::OnceLock;
 use suit_isa::Vec128;
@@ -77,7 +77,11 @@ pub fn aesenclast(state: Vec128, round_key: Vec128) -> Vec128 {
 /// Full AES-128 block encryption composed from [`aesenc`]/[`aesenclast`],
 /// as AES-NI software does.
 pub fn encrypt128(key: &Aes128Key, block: Vec128) -> Vec128 {
-    encrypt128_with(key, block, aesenc, aesenclast)
+    let mut s = block ^ key.round_key(0);
+    for r in 1..=9 {
+        s = aesenc(s, key.round_key(r));
+    }
+    aesenclast(s, key.round_key(10))
 }
 
 #[cfg(test)]

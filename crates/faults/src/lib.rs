@@ -42,7 +42,9 @@ pub mod vmin;
 
 pub use attack::{attack, sign_crt, RsaKey, SignerEnv};
 pub use inject::{Campaign, CampaignReport};
-pub use security::{audit_naive_undervolt, audit_suit_system, audit_suit_traps_only, AuditOutcome};
+pub use security::{
+    audit_naive_undervolt, audit_suit_system, audit_suit_traps_only, AuditOutcome, AuditSequence,
+};
 pub use sram::{
     audit_sram_guarded, audit_sram_naive, SramArrayModel, SramBank, SramBankKind, SramCampaign,
     SramCampaignReport,

@@ -49,22 +49,34 @@ impl AuditOutcome {
 /// the top of the curve (§6.9, Fig. 13) — far beyond any evaluated offset.
 pub const HARDENED_IMUL_EXTRA_MARGIN_MV: f64 = 220.0;
 
-/// Generates a pseudo-random instruction sequence drawn from the full
-/// opcode set (faultable and not).
-fn sequence(seed: u64, len: usize) -> Vec<(Opcode, EmuOperands)> {
-    let mut rng = SuitRng::seed_from_u64(seed);
-    (0..len)
-        .map(|_| {
-            let idx = rng.gen_range(0..suit_isa::TABLE1.len());
-            let op = suit_isa::TABLE1[idx].opcode;
-            let operands = EmuOperands::with_imm(
-                Vec128::from_u128(rng.u128()),
-                Vec128::from_u128(rng.u128()),
-                rng.u8(),
-            );
-            (op, operands)
-        })
-        .collect()
+/// An audit's instruction sequence: pseudo-random instructions drawn
+/// from the full opcode set (faultable and not) under a seed. A scenario
+/// draws it once and runs every audit over the same sequence; each audit
+/// also seeds its fault draws from the sequence's seed.
+#[derive(Debug, Clone)]
+pub struct AuditSequence {
+    seed: u64,
+    instructions: Vec<(Opcode, EmuOperands)>,
+}
+
+impl AuditSequence {
+    /// Draws `len` instructions under `seed`.
+    pub fn draw(seed: u64, len: usize) -> Self {
+        let mut rng = SuitRng::seed_from_u64(seed);
+        let instructions = (0..len)
+            .map(|_| {
+                let idx = rng.gen_range(0..suit_isa::TABLE1.len());
+                let op = suit_isa::TABLE1[idx].opcode;
+                let operands = EmuOperands::with_imm(
+                    Vec128::from_u128(rng.u128()),
+                    Vec128::from_u128(rng.u128()),
+                    rng.u8(),
+                );
+                (op, operands)
+            })
+            .collect();
+        AuditSequence { seed, instructions }
+    }
 }
 
 /// Audits a **naive undervolt**: the offset is applied and every
@@ -75,16 +87,15 @@ pub fn audit_naive_undervolt(
     chip: &ChipVminModel,
     core: usize,
     offset_mv: f64,
-    seed: u64,
-    len: usize,
+    seq: &AuditSequence,
 ) -> AuditOutcome {
-    let mut rng = SuitRng::seed_from_u64(seed ^ 0xDEAD);
+    let mut rng = SuitRng::seed_from_u64(seq.seed ^ 0xDEAD);
     let mut out = AuditOutcome {
         executed: 0,
         trapped: 0,
         silent_errors: 0,
     };
-    for (op, operands) in sequence(seed, len) {
+    for &(op, operands) in &seq.instructions {
         let (_, faulted) = execute_with_faults(chip, core, op, operands, offset_mv, &mut rng);
         out.executed += 1;
         if faulted {
@@ -107,16 +118,14 @@ pub fn audit_suit_system(
     chip: &ChipVminModel,
     core: usize,
     offset_mv: f64,
-    seed: u64,
-    len: usize,
+    seq: &AuditSequence,
 ) -> AuditOutcome {
     audit_suit(
         chip,
         core,
         offset_mv,
-        seed ^ 0xBEEF,
-        seed,
-        len,
+        seq.seed ^ 0xBEEF,
+        seq,
         SuitMsrs::suit_cpu(),
         true,
     )
@@ -131,16 +140,14 @@ pub fn audit_suit_traps_only(
     chip: &ChipVminModel,
     core: usize,
     offset_mv: f64,
-    seed: u64,
-    len: usize,
+    seq: &AuditSequence,
 ) -> AuditOutcome {
     audit_suit(
         chip,
         core,
         offset_mv,
-        seed ^ 0xFACE,
-        seed,
-        len,
+        seq.seed ^ 0xFACE,
+        seq,
         SuitMsrs::new(FaultableSet::table1()),
         false,
     )
@@ -149,14 +156,12 @@ pub fn audit_suit_traps_only(
 /// Shared body of the SUIT audits: `msrs` carries the vendor faultable
 /// set (what `disable_faultable` disables), `hardened_imul` selects
 /// whether `IMUL` executes on the efficient curve with its extra margin.
-#[allow(clippy::too_many_arguments)]
 fn audit_suit(
     chip: &ChipVminModel,
     core: usize,
     offset_mv: f64,
     rng_seed: u64,
-    seed: u64,
-    len: usize,
+    seq: &AuditSequence,
     mut msrs: SuitMsrs,
     hardened_imul: bool,
 ) -> AuditOutcome {
@@ -170,7 +175,7 @@ fn audit_suit(
         trapped: 0,
         silent_errors: 0,
     };
-    for (op, operands) in sequence(seed, len) {
+    for &(op, operands) in &seq.instructions {
         assert!(msrs.invariant_holds(), "MSR invariant violated");
         let (effective_offset, trapped) = if msrs.curve() == CurveSelect::Efficient {
             if msrs.is_disabled(op) {
@@ -229,7 +234,7 @@ mod tests {
         let mut total_errors = 0;
         for seed in 0..10 {
             let chip = ChipVminModel::sample(1, 12.0, seed);
-            let out = audit_naive_undervolt(&chip, 0, -130.0, seed, 3000);
+            let out = audit_naive_undervolt(&chip, 0, -130.0, &AuditSequence::draw(seed, 3000));
             total_errors += out.silent_errors;
         }
         assert!(total_errors > 0, "naive undervolting must eventually fault");
@@ -239,7 +244,7 @@ mod tests {
     fn suit_is_clean_at_both_evaluated_offsets() {
         for offset in [-70.0, -97.0] {
             for seed in 0..20 {
-                let out = audit_suit_system(&chip(), 0, offset, seed, 2000);
+                let out = audit_suit_system(&chip(), 0, offset, &AuditSequence::draw(seed, 2000));
                 assert!(out.is_secure(), "offset {offset}, seed {seed}: {out:?}");
                 assert!(out.trapped > 0, "audit must exercise the trap path");
             }
@@ -253,13 +258,13 @@ mod tests {
         // execute on the efficient curve. (Reliability of non-faultable
         // instructions bounds how deep one may actually go; the MSR design
         // itself never executes a disabled instruction.)
-        let out = audit_suit_system(&chip(), 0, -150.0, 3, 4000);
+        let out = audit_suit_system(&chip(), 0, -150.0, &AuditSequence::draw(3, 4000));
         assert!(out.is_secure(), "{out:?}");
     }
 
     #[test]
     fn trapped_instruction_count_is_substantial() {
-        let out = audit_suit_system(&chip(), 0, -97.0, 11, 2000);
+        let out = audit_suit_system(&chip(), 0, -97.0, &AuditSequence::draw(11, 2000));
         // The sequence draws only Table 1 opcodes; each trap parks the
         // system on the conservative curve for a few instructions, so
         // roughly one in six executions traps.
@@ -274,7 +279,7 @@ mod tests {
         msrs.disable_faultable();
         assert!(msrs.is_disabled(Opcode::Imul));
         for seed in 0..10 {
-            let out = audit_suit_traps_only(&chip(), 0, -130.0, seed, 2000);
+            let out = audit_suit_traps_only(&chip(), 0, -130.0, &AuditSequence::draw(seed, 2000));
             assert!(out.is_secure(), "seed {seed}: {out:?}");
             assert!(out.trapped > out.executed / 8, "seed {seed}: {out:?}");
         }

@@ -99,7 +99,7 @@ impl SimDuration {
         if !secs.is_finite() || secs <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((secs * 1e12).round() as u64)
+        SimDuration(round_to_u64(secs * 1e12))
     }
 
     /// Creates a duration from float microseconds (the unit the paper
@@ -159,7 +159,22 @@ impl SimDuration {
     /// Multiplies by a non-negative float factor, rounding to picoseconds.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         assert!(factor.is_finite() && factor >= 0.0, "factor must be >= 0");
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * factor))
+    }
+}
+
+/// `x.round() as u64`, without the out-of-line software `round` that
+/// `f64::round` builds to on the default x86-64 target. The cast
+/// truncates and saturates as the rounded cast does, and the remainder
+/// `x - t` is exact: below 2⁵² `t` is within a factor of two of `x` (or
+/// zero), and above it `x` is already whole.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -323,6 +338,60 @@ mod tests {
         assert_eq!(SimDuration::from_micros(31).to_string(), "31.000 µs");
         assert_eq!(SimDuration::from_picos(5).to_string(), "5 ps");
         assert_eq!(SimDuration::from_millis(14).to_string(), "14.000 ms");
+    }
+
+    /// Ties, the largest double below ½, the binades where the fraction
+    /// bits run out, the saturation edge and random bit patterns of every
+    /// sign, magnitude and class all round as `f64::round` does.
+    #[test]
+    fn rounding_matches_f64_round() {
+        let mut state = 0x5eed_0f2a_u64;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            0.49999999999999994,
+            1.5,
+            2f64.powi(52),
+            2f64.powi(52) - 0.5,
+            2f64.powi(53),
+            2f64.powi(53) + 2.0,
+            2f64.powi(63),
+            2f64.powi(64),
+            2f64.powi(64) - 2048.0,
+            2f64.powi(64) + 4096.0,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            -0.5,
+            -1.5,
+        ];
+        for _ in 0..200_000 {
+            let r = next();
+            xs.push(f64::from_bits(r));
+            // k + ½ over every binade up to 2⁵².
+            let k = (r >> 12) >> (r % 52);
+            xs.push(k as f64 + 0.5);
+            // Non-negative values near the scale the simulator rounds.
+            xs.push((r >> 11) as f64 * 2f64.powi(-((r % 64) as i32)));
+        }
+        for x in xs {
+            assert_eq!(
+                round_to_u64(x),
+                x.round() as u64,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use suit_exec::Threads;
 use suit_faults::{
     audit_naive_undervolt, audit_sram_guarded, audit_sram_naive, audit_suit_system,
-    audit_suit_traps_only, ChipVminModel, SramArrayModel,
+    audit_suit_traps_only, AuditSequence, ChipVminModel, SramArrayModel,
 };
 use suit_hw::UndervoltLevel;
 use suit_isa::{Opcode, TABLE1};
@@ -189,9 +189,10 @@ pub fn search(
     let len = cfg.audit_len;
     // Eight rows, five distinct audits. Each audit is a pure function of
     // its arguments, so it runs once and fills every row that shows it.
-    let naive = audit_naive_undervolt(&m0.chip, 0, eff_offset, cfg.seed, len);
-    let traps = audit_suit_traps_only(&m0.chip, 0, eff_offset, cfg.seed, len);
-    let suit = audit_suit_system(&m0.chip, 0, eff_offset, cfg.seed, len);
+    let seq = AuditSequence::draw(cfg.seed, len);
+    let naive = audit_naive_undervolt(&m0.chip, 0, eff_offset, &seq);
+    let traps = audit_suit_traps_only(&m0.chip, 0, eff_offset, &seq);
+    let suit = audit_suit_system(&m0.chip, 0, eff_offset, &seq);
     let sram_naive = audit_sram_naive(&m0.array, eff_offset, cfg.seed, len);
     let sram_guarded = audit_sram_guarded(&m0.array, eff_offset, cfg.seed, len);
     let row = |fault_class, defence, outcome| AuditRow {

@@ -12,7 +12,8 @@
 
 use suit_faults::{
     audit_naive_undervolt, audit_sram_guarded, audit_sram_naive, audit_suit_system,
-    audit_suit_traps_only, AuditOutcome, ChipVminModel, SramArrayModel, SramCampaign,
+    audit_suit_traps_only, AuditOutcome, AuditSequence, ChipVminModel, SramArrayModel,
+    SramCampaign,
 };
 use suit_telemetry::{json::escape, Telemetry};
 
@@ -91,21 +92,22 @@ pub fn run(cfg: &SramScenarioConfig, threads: usize, tele: &Telemetry) -> SramSc
     let deepest = cfg.offsets_mv.iter().copied().fold(f64::INFINITY, f64::min);
     let chip = ChipVminModel::sample(cfg.cores, cfg.sigma_mv, cfg.seed);
     let len = cfg.audit_len;
+    let seq = AuditSequence::draw(cfg.seed, len);
     let audits = vec![
         AuditRow {
             fault_class: "instruction",
             defence: "naive",
-            outcome: audit_naive_undervolt(&chip, 0, deepest, cfg.seed, len),
+            outcome: audit_naive_undervolt(&chip, 0, deepest, &seq),
         },
         AuditRow {
             fault_class: "instruction",
             defence: "suit_traps",
-            outcome: audit_suit_traps_only(&chip, 0, deepest, cfg.seed, len),
+            outcome: audit_suit_traps_only(&chip, 0, deepest, &seq),
         },
         AuditRow {
             fault_class: "instruction",
             defence: "suit_hardened_imul",
-            outcome: audit_suit_system(&chip, 0, deepest, cfg.seed, len),
+            outcome: audit_suit_system(&chip, 0, deepest, &seq),
         },
         AuditRow {
             fault_class: "sram",

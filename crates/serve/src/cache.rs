@@ -18,8 +18,9 @@
 //!   or spelled-out defaults canonicalize identically and share a cache
 //!   entry. The request deadline is deliberately excluded: it bounds
 //!   *when* a job may run, never *what* it computes.
-//! * **Content hash** ([`content_hash`] / [`etag_for`]) — FNV-1a 128
-//!   over the canonical bytes, zero dependencies. The hex digest is the
+//! * **Content hash** ([`content_hash`] / [`etag_for`]) — a 128-bit
+//!   hash of four word-at-a-time multiply–rotate lanes over the
+//!   canonical bytes, zero dependencies. The hex digest is the
 //!   strong `ETag` advertised on cacheable responses; the cache itself
 //!   is keyed by the canonical string, so a (vanishingly unlikely) hash
 //!   collision can never serve the wrong body — it could only make an
@@ -100,19 +101,85 @@ pub fn canonical_job(job: &Job) -> String {
 // Content hash → ETag
 // ---------------------------------------------------------------------------
 
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+/// Bytes per block: one little-endian `u64` word for each of four lanes.
+const BLOCK: usize = 32;
+/// Starting lane states: the first 256 fraction bits of π.
+const LANE_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+/// One odd multiplier per lane: 2⁶⁴/φ and xxHash's 64-bit primes 2–4.
+const LANE_MULS: [u64; 4] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x85eb_ca77_c2b2_ae63,
+];
 
-/// FNV-1a 128-bit over `bytes` — the in-tree content hash. Not
-/// cryptographic; it addresses cache entries and names ETags, while
-/// correctness is anchored on full-key comparison in [`Cache`].
-pub fn content_hash(bytes: &[u8]) -> u128 {
-    let mut h = FNV128_OFFSET;
-    for &b in bytes {
-        h ^= b as u128;
-        h = h.wrapping_mul(FNV128_PRIME);
+/// Absorbs one block: lane `i` takes word `i` by xor, multiply, rotate
+/// and multiply again. Each step is a bijection of the lane for a fixed
+/// word and of the word for a fixed lane, so inputs of one length that
+/// differ in a single word end with different lanes. The second multiply
+/// spreads a flip of a word's top bit, which the first leaves a one-bit
+/// difference; without it, flipping that bit and its rotated image in
+/// the next block's word cancels.
+fn absorb(lanes: &mut [u64; 4], block: &[u8; BLOCK]) {
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        let word = u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().expect("8-byte word"));
+        let k = LANE_MULS[i];
+        *lane = (*lane ^ word)
+            .wrapping_mul(k)
+            .rotate_left(31)
+            .wrapping_mul(k);
     }
-    h
+}
+
+/// MurmurHash3's 64-bit finalizer: a bijection in which every input bit
+/// flips each output bit with probability close to ½.
+fn fmix64(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
+}
+
+/// The in-tree content hash: 128 bits over `bytes`, one 32-byte block
+/// of four independent multiply–rotate lanes at a time. The zero-padded
+/// tail is one more block, the length is folded in, and
+/// MurmurHash3_x64_128's finalization cross-mixes the lanes into the two
+/// halves. Safe code on little-endian words, so every platform gets the
+/// same value.
+///
+/// Not cryptographic: it addresses cache entries, names ETags and names
+/// trace IDs, while correctness is anchored on full-key comparison in
+/// [`Cache`] and on the byte comparison in
+/// [`TraceStore::insert`](crate::TraceStore::insert).
+pub fn content_hash(bytes: &[u8]) -> u128 {
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = bytes.chunks_exact(BLOCK);
+    for block in &mut blocks {
+        absorb(&mut lanes, block.try_into().expect("exact block"));
+    }
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; BLOCK];
+        last[..tail.len()].copy_from_slice(tail);
+        absorb(&mut lanes, &last);
+    }
+    let [a, b, c, d] = lanes;
+    let len = bytes.len() as u64;
+    let mut h1 = a ^ c.rotate_left(32) ^ len;
+    let mut h2 = b ^ d.rotate_left(32) ^ len;
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    h1 = fmix64(h1);
+    h2 = fmix64(h2);
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    u128::from(h2) << 64 | u128::from(h1)
 }
 
 /// The strong entity tag for a canonical request: `"suit-<32 hex>"`,
@@ -450,8 +517,6 @@ mod tests {
         assert_ne!(e1, e3);
         assert!(e1.starts_with("\"suit-") && e1.ends_with('"'));
         assert_eq!(e1.len(), "\"suit-\"".len() + 32);
-        // Pin the FNV-1a 128 constants: the empty hash is the offset.
-        assert_eq!(content_hash(b""), FNV128_OFFSET);
     }
 
     #[test]

@@ -513,9 +513,10 @@ fn dispatch(state: &State, request: &Request) -> Response {
 /// `POST /v1/trace`: validate the uploaded container end to end, then
 /// insert it into the bounded store under its content-addressed ID.
 ///
-/// Validation streams every chunk through the decoder once — index,
-/// chunk CRCs, every burst record — so replay jobs can trust stored
-/// bytes unconditionally (`replay_trace` opens them infallibly).
+/// Validation decodes every chunk once in place — index, chunk CRCs,
+/// every burst record, canonical form — so replay jobs can trust stored
+/// bytes unconditionally (`replay_trace` opens them infallibly). Every
+/// upload is validated, a re-upload of stored bytes included.
 /// Corrupt or truncated uploads are a structured `400`, a full store is
 /// `413`, and re-uploading identical bytes is idempotent (`200` with
 /// `"created":false`) even when the store is full.
@@ -528,51 +529,35 @@ fn trace_upload(state: &State, bytes: &[u8], started: Instant) -> Response {
 }
 
 fn trace_upload_inner(state: &State, bytes: &[u8]) -> Response {
-    let reader = match suit_store::open_bytes(bytes) {
-        Ok(r) => r,
+    let checked = suit_store::open_bytes(bytes).and_then(|mut reader| {
+        reader.validate()?;
+        Ok(reader.info())
+    });
+    let info = match checked {
+        Ok(info) => info,
         Err(e) => {
             state.tele.count(Counter::ServeBadRequests);
             return Response::error(400, &format!("invalid trace container: {e}"));
         }
     };
-    // Full decode pass: every chunk is CRC-checked and decoded,
-    // every burst record validated.
-    let mut bursts = reader.bursts();
-    for _ in bursts.by_ref() {}
-    let reader = match bursts.finish() {
-        Ok(r) => r,
-        Err(e) => {
-            state.tele.count(Counter::ServeBadRequests);
-            return Response::error(400, &format!("invalid trace container: {e}"));
-        }
-    };
-    let info = reader.info();
     if info.bursts == 0 || info.meta.total_insts == 0 {
         state.tele.count(Counter::ServeBadRequests);
         return Response::error(400, "trace is empty (no bursts or zero virtual length)");
     }
     let id = TraceStore::id_for(bytes);
-    let stored = StoredTrace {
-        bytes: Arc::new(bytes.to_vec()),
-        workload: info.meta.name.clone(),
-        ipc: info.meta.ipc,
-        total_insts: info.meta.total_insts,
-        bursts: info.bursts,
-        chunks: info.chunks,
-    };
     let body = |created: bool, t: &StoredTrace| {
         format!(
             "{{\"created\":{created},\"trace\":{}}}",
             api::trace_info_json(&id, t)
         )
     };
-    match state.traces.insert(&id, stored.clone()) {
-        Inserted::Created => {
+    match state.traces.insert(&id, bytes, &info) {
+        Inserted::Created(stored) => {
             state.tele.count(Counter::ServeRequests);
             state.tele.count(Counter::ServeTraceUploads);
             Response::ok(body(true, &stored))
         }
-        Inserted::Existing => {
+        Inserted::Existing(stored) => {
             state.tele.count(Counter::ServeRequests);
             state.tele.count(Counter::ServeTraceDedup);
             Response::ok(body(false, &stored))

@@ -10,17 +10,19 @@
 //! `404`. A full store refuses new uploads with a structured `413`
 //! instead; `DELETE` semantics can be layered on later if needed.
 //!
-//! Identity is content-addressed with the same FNV-1a 128 hash the
-//! result cache uses ([`crate::cache::content_hash`]): the trace ID is
-//! the 32-hex-digit digest of the container bytes, so re-uploading the
-//! same bytes is idempotent — it answers with the existing entry (even
-//! when the store is full) and never stores a second copy. Correctness
-//! does not ride on the hash alone: an insert whose ID collides with a
-//! stored entry holding *different* bytes is refused rather than
-//! aliased.
+//! Identity is content-addressed with the same word-at-a-time 128-bit
+//! hash the result cache uses ([`crate::cache::content_hash`]): the
+//! trace ID is the 32-hex-digit digest of the container bytes, so
+//! re-uploading the same bytes is idempotent — it answers with the
+//! existing entry (even when the store is full) and never copies the
+//! bytes a second time. Correctness does not ride on the hash alone: an
+//! insert whose ID collides with a stored entry holding *different*
+//! bytes is refused rather than aliased.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+
+use suit_store::ContainerInfo;
 
 use crate::cache::content_hash;
 
@@ -43,12 +45,12 @@ pub struct StoredTrace {
 }
 
 /// Outcome of an insert attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum Inserted {
     /// The trace was stored; this upload created the entry.
-    Created,
+    Created(StoredTrace),
     /// The identical trace was already stored (idempotent re-upload).
-    Existing,
+    Existing(StoredTrace),
     /// The store is full (entries or bytes) and the trace is new → `413`.
     Full,
     /// The ID is taken by an entry with different bytes (a content-hash
@@ -85,31 +87,41 @@ impl TraceStore {
     }
 
     /// The content-addressed ID for `bytes`: 32 lowercase hex digits of
-    /// the FNV-1a 128 digest.
+    /// [`content_hash`].
     pub fn id_for(bytes: &[u8]) -> String {
         format!("{:032x}", content_hash(bytes))
     }
 
-    /// Inserts a validated trace under its content ID. Idempotent: the
-    /// same bytes answer [`Inserted::Existing`] even when the store is
-    /// full. Never evicts.
-    pub fn insert(&self, id: &str, trace: StoredTrace) -> Inserted {
+    /// Inserts the validated container `bytes`, summarised by `info`,
+    /// under its content ID. Idempotent: the same bytes answer
+    /// [`Inserted::Existing`] with the stored entry, even when the store
+    /// is full. The bytes are compared borrowed and copied only when this
+    /// upload creates the entry. Never evicts.
+    pub fn insert(&self, id: &str, bytes: &[u8], info: &ContainerInfo) -> Inserted {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(existing) = inner.map.get(id) {
-            return if *existing.bytes == *trace.bytes {
-                Inserted::Existing
+            return if existing.bytes.as_slice() == bytes {
+                Inserted::Existing(existing.clone())
             } else {
                 Inserted::IdCollision
             };
         }
         if inner.map.len() >= self.max_traces
-            || inner.bytes.saturating_add(trace.bytes.len()) > self.max_bytes
+            || inner.bytes.saturating_add(bytes.len()) > self.max_bytes
         {
             return Inserted::Full;
         }
-        inner.bytes += trace.bytes.len();
-        inner.map.insert(id.to_string(), trace);
-        Inserted::Created
+        let stored = StoredTrace {
+            bytes: Arc::new(bytes.to_vec()),
+            workload: info.meta.name.clone(),
+            ipc: info.meta.ipc,
+            total_insts: info.meta.total_insts,
+            bursts: info.bursts,
+            chunks: info.chunks,
+        };
+        inner.bytes += bytes.len();
+        inner.map.insert(id.to_string(), stored.clone());
+        Inserted::Created(stored)
     }
 
     /// Looks a stored trace up by ID.
@@ -133,16 +145,24 @@ impl TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use suit_trace::io::TraceMeta;
 
-    fn trace(bytes: &[u8]) -> StoredTrace {
-        StoredTrace {
-            bytes: Arc::new(bytes.to_vec()),
-            workload: "w".into(),
-            ipc: 1.0,
-            total_insts: 1,
-            bursts: 1,
+    fn info() -> ContainerInfo {
+        ContainerInfo {
+            meta: TraceMeta {
+                name: "w".into(),
+                ipc: 1.0,
+                total_insts: 1,
+            },
             chunks: 1,
+            bursts: 1,
+            chunk_bursts: 1,
+            packed_bytes: 1,
         }
+    }
+
+    fn insert(store: &TraceStore, id: &str, bytes: &[u8]) -> Inserted {
+        store.insert(id, bytes, &info())
     }
 
     #[test]
@@ -150,9 +170,17 @@ mod tests {
         let store = TraceStore::new(4, 1 << 20);
         let bytes = b"container".to_vec();
         let id = TraceStore::id_for(&bytes);
-        assert_eq!(store.insert(&id, trace(&bytes)), Inserted::Created);
-        assert_eq!(store.insert(&id, trace(&bytes)), Inserted::Existing);
+        let Inserted::Created(created) = insert(&store, &id, &bytes) else {
+            panic!("first upload must create");
+        };
+        let Inserted::Existing(existing) = insert(&store, &id, &bytes) else {
+            panic!("re-upload must find the entry");
+        };
         assert_eq!(store.usage().0, 1, "re-upload must not store a copy");
+        assert!(
+            Arc::ptr_eq(&created.bytes, &existing.bytes),
+            "re-upload must answer with the stored bytes"
+        );
         assert_eq!(*store.get(&id).unwrap().bytes, bytes);
     }
 
@@ -161,28 +189,16 @@ mod tests {
         let store = TraceStore::new(1, 1 << 20);
         let a = b"aaaa".to_vec();
         let b = b"bbbb".to_vec();
-        assert_eq!(
-            store.insert(&TraceStore::id_for(&a), trace(&a)),
-            Inserted::Created
-        );
-        assert_eq!(
-            store.insert(&TraceStore::id_for(&b), trace(&b)),
-            Inserted::Full
-        );
+        let (id_a, id_b) = (TraceStore::id_for(&a), TraceStore::id_for(&b));
+        assert!(matches!(insert(&store, &id_a, &a), Inserted::Created(_)));
+        assert!(matches!(insert(&store, &id_b, &b), Inserted::Full));
         // Idempotent re-upload still answers Existing at capacity.
-        assert_eq!(
-            store.insert(&TraceStore::id_for(&a), trace(&a)),
-            Inserted::Existing
-        );
+        assert!(matches!(insert(&store, &id_a, &a), Inserted::Existing(_)));
 
         let tight = TraceStore::new(8, 6);
-        assert_eq!(
-            tight.insert(&TraceStore::id_for(&a), trace(&a)),
-            Inserted::Created
-        );
-        assert_eq!(
-            tight.insert(&TraceStore::id_for(&b), trace(&b)),
-            Inserted::Full,
+        assert!(matches!(insert(&tight, &id_a, &a), Inserted::Created(_)));
+        assert!(
+            matches!(insert(&tight, &id_b, &b), Inserted::Full),
             "byte budget must hold"
         );
     }
@@ -191,8 +207,8 @@ mod tests {
     fn colliding_ids_with_different_bytes_are_refused() {
         let store = TraceStore::new(4, 1 << 20);
         let id = TraceStore::id_for(b"one");
-        assert_eq!(store.insert(&id, trace(b"one")), Inserted::Created);
-        assert_eq!(store.insert(&id, trace(b"two")), Inserted::IdCollision);
+        assert!(matches!(insert(&store, &id, b"one"), Inserted::Created(_)));
+        assert!(matches!(insert(&store, &id, b"two"), Inserted::IdCollision));
         assert_eq!(*store.get(&id).unwrap().bytes, b"one".to_vec());
     }
 
@@ -200,6 +216,6 @@ mod tests {
     fn zero_bounds_disable_uploads() {
         let store = TraceStore::new(0, 1 << 20);
         let id = TraceStore::id_for(b"x");
-        assert_eq!(store.insert(&id, trace(b"x")), Inserted::Full);
+        assert!(matches!(insert(&store, &id, b"x"), Inserted::Full));
     }
 }

@@ -597,6 +597,18 @@ impl<R: Read + Seek> StreamingReader<R> {
         Ok(&self.bursts)
     }
 
+    /// Decodes every chunk once, in order: the chunk CRCs, every burst,
+    /// the canonical form and the index vtimes, exactly the checks a
+    /// full drain of [`Self::next_burst`] makes, with the same first
+    /// error, in O(chunk) memory and without yielding a burst. The cursor
+    /// does not move.
+    pub fn validate(&mut self) -> Result<(), StoreError> {
+        for ci in 0..self.index.len() {
+            self.chunk(ci)?;
+        }
+        Ok(())
+    }
+
     /// Yields the next burst, or `None` at end of trace.
     pub fn next_burst(&mut self) -> Result<Option<Burst>, StoreError> {
         while self.cur_chunk < self.index.len() {

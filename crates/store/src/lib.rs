@@ -24,7 +24,9 @@
 //!   not O(trace), with the high-water mark observable via
 //!   [`container::StreamingReader::peak_resident_bursts`]. Decoding a
 //!   chunk also checks that its bursts end where the index says the next
-//!   chunk starts.
+//!   chunk starts, and [`container::StreamingReader::validate`] runs that
+//!   decode over every chunk in place — the check `POST /v1/trace`
+//!   makes before it stores an upload.
 //! * [`container::StreamingReader::seek_to_vtime`] — O(log chunks)
 //!   binary search of the index to the burst covering any virtual
 //!   instruction offset, decoding at most one chunk, with semantics

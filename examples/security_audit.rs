@@ -6,7 +6,7 @@
 //! ```
 
 use suit::faults::vmin::ChipVminModel;
-use suit::faults::{audit_naive_undervolt, audit_suit_system, Campaign};
+use suit::faults::{audit_naive_undervolt, audit_suit_system, AuditSequence, Campaign};
 use suit::isa::Opcode;
 
 fn main() {
@@ -42,8 +42,9 @@ fn main() {
         let mut traps = 0;
         for seed in 0..20 {
             let chip = ChipVminModel::sample(2, 12.0, seed);
-            naive_errors += audit_naive_undervolt(&chip, 0, offset, seed, 5_000).silent_errors;
-            let s = audit_suit_system(&chip, 0, offset, seed, 5_000);
+            let seq = AuditSequence::draw(seed, 5_000);
+            naive_errors += audit_naive_undervolt(&chip, 0, offset, &seq).silent_errors;
+            let s = audit_suit_system(&chip, 0, offset, &seq);
             suit_errors += s.silent_errors;
             traps += s.trapped;
         }

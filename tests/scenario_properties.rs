@@ -16,7 +16,7 @@
 use suit::exec::Threads;
 use suit::faults::{
     audit_naive_undervolt, audit_sram_guarded, audit_sram_naive, audit_suit_system,
-    audit_suit_traps_only, ChipVminModel, SramArrayModel,
+    audit_suit_traps_only, AuditSequence, ChipVminModel, SramArrayModel,
 };
 use suit::scenarios::{scrooge, sram, ScroogeConfig, SramScenarioConfig};
 use suit::telemetry::Telemetry;
@@ -114,10 +114,11 @@ fn suit_audits_hold_at_every_depth() {
     for seed in 0..6u64 {
         let chip = ChipVminModel::sample(2, 12.0, seed);
         let array = SramArrayModel::sample(4, 2, 12.0, seed);
+        let seq = AuditSequence::draw(seed, 600);
         for offset in [-60.0, -100.0, -140.0, -180.0] {
             for (label, outcome) in [
-                ("traps", audit_suit_traps_only(&chip, 0, offset, seed, 600)),
-                ("hardened", audit_suit_system(&chip, 0, offset, seed, 600)),
+                ("traps", audit_suit_traps_only(&chip, 0, offset, &seq)),
+                ("hardened", audit_suit_system(&chip, 0, offset, &seq)),
                 ("guarded", audit_sram_guarded(&array, offset, seed, 600)),
             ] {
                 assert!(
@@ -129,7 +130,7 @@ fn suit_audits_hold_at_every_depth() {
         }
         // And the naive paths do fault somewhere in that range.
         let naive_faults = [-60.0, -100.0, -140.0, -180.0].iter().any(|&o| {
-            audit_naive_undervolt(&chip, 0, o, seed, 600).silent_errors > 0
+            audit_naive_undervolt(&chip, 0, o, &seq).silent_errors > 0
                 || audit_sram_naive(&array, o, seed, 600).silent_errors > 0
         });
         assert!(naive_faults, "seed {seed}: naive audits never faulted");

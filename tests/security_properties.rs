@@ -10,7 +10,7 @@
 
 use suit::core::{CurveSelect, MsrError, SuitMsrs};
 use suit::faults::vmin::ChipVminModel;
-use suit::faults::{audit_naive_undervolt, audit_suit_system};
+use suit::faults::{audit_naive_undervolt, audit_suit_system, AuditSequence};
 use suit::isa::{FaultableSet, Opcode};
 use suit_rng::{Rng, SuitRng};
 
@@ -49,7 +49,12 @@ fn suit_never_faults_silently() {
         let seed = rng.gen_range(0u64..500);
         let offset = rng.gen_range(-130.0f64..-60.0);
         let chip = ChipVminModel::sample(2, 12.0, seed);
-        let out = audit_suit_system(&chip, seed as usize % 2, offset, seed, 800);
+        let out = audit_suit_system(
+            &chip,
+            seed as usize % 2,
+            offset,
+            &AuditSequence::draw(seed, 800),
+        );
         assert_eq!(
             out.silent_errors, 0,
             "case {case}: seed {seed}, offset {offset}"
@@ -66,8 +71,9 @@ fn naive_fault_counts_grow_with_depth() {
     for case in 0..CASES {
         let seed = rng.gen_range(0u64..100);
         let chip = ChipVminModel::sample(1, 12.0, seed);
-        let shallow = audit_naive_undervolt(&chip, 0, -80.0, seed, 600).silent_errors;
-        let deep = audit_naive_undervolt(&chip, 0, -160.0, seed, 600).silent_errors;
+        let seq = AuditSequence::draw(seed, 600);
+        let shallow = audit_naive_undervolt(&chip, 0, -80.0, &seq).silent_errors;
+        let deep = audit_naive_undervolt(&chip, 0, -160.0, &seq).silent_errors;
         assert!(
             deep >= shallow,
             "case {case}: deep {deep} vs shallow {shallow}"
@@ -164,7 +170,7 @@ fn naive_undervolting_faults_somewhere_in_the_population() {
     let total: u64 = (0..30)
         .map(|seed| {
             let chip = ChipVminModel::sample(1, 12.0, seed);
-            audit_naive_undervolt(&chip, 0, -130.0, seed, 2_000).silent_errors
+            audit_naive_undervolt(&chip, 0, -130.0, &AuditSequence::draw(seed, 2_000)).silent_errors
         })
         .sum();
     assert!(total > 0, "the threat model must be non-vacuous");
@@ -173,7 +179,7 @@ fn naive_undervolting_faults_somewhere_in_the_population() {
 #[test]
 fn suit_trap_counts_match_disabled_executions() {
     let chip = ChipVminModel::sample(2, 12.0, 99);
-    let out = audit_suit_system(&chip, 0, -97.0, 123, 5_000);
+    let out = audit_suit_system(&chip, 0, -97.0, &AuditSequence::draw(123, 5_000));
     assert_eq!(out.executed, 5_000);
     assert!(out.trapped > 0);
     assert!(

@@ -23,15 +23,27 @@
 //!    wildcard, and non-matching/unquoted members all carry their
 //!    ground-truth match bit from the generator.
 //!
-//! CI drives property 1 with `SUIT_CHECK_CASES=100000` as the fuzz-smoke
-//! gate. The committed corpus seeds in `tests/corpus/` pin the
+//! One oracle property pins the content hash behind ETags and trace IDs:
+//!
+//! 5. `content_hash` equals a byte-at-a-time reference of the same
+//!    function at lengths 0–4096 and start offsets 0–7, so the word loop,
+//!    the zero-padded tail and the length fold each see every alignment;
+//!    a separate check hashes every two-byte input, and every single-bit
+//!    flip of a seeded 1 KiB buffer, apart.
+//!
+//! CI drives properties 1 and 5 with `SUIT_CHECK_CASES=100000` as the
+//! fuzz-smoke gate. The committed corpus seeds in `tests/corpus/` pin the
 //! interesting shapes (over-long header, truncated body, close-in-list
 //! `Connection`, matching tag in an `If-None-Match` list) and are
 //! replayed before random exploration on every run.
 
+use std::collections::HashSet;
+
 use suit::check::gen::{self, Gen};
 use suit::check::{corpus_dir, Checker, Source};
+use suit::rng::SplitMix64;
 use suit::serve::api;
+use suit::serve::cache::content_hash;
 use suit::serve::http::{parse_request, Limits, Parse};
 
 #[path = "config_gen.rs"]
@@ -447,4 +459,113 @@ fn endpoint_validators_are_total_over_jsonish_bodies() {
             let _ = api::parse_faults(body);
             Ok::<(), String>(())
         });
+}
+
+/// The content hash by its definition, one byte at a time: four lanes
+/// that each take one little-endian word per 32-byte block by xor,
+/// multiply, rotate and multiply; a short last block padded with zero
+/// words; the
+/// length folded in; MurmurHash3_x64_128's finalization.
+fn content_hash_bytewise(data: &[u8]) -> u128 {
+    const SEEDS: [u64; 4] = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    const MULS: [u64; 4] = [
+        0x9e37_79b9_7f4a_7c15,
+        0xc2b2_ae3d_27d4_eb4f,
+        0x1656_67b1_9e37_79f9,
+        0x85eb_ca77_c2b2_ae63,
+    ];
+    let mut lanes = SEEDS;
+    let mut step = |lane: usize, word: u64| {
+        lanes[lane] = (lanes[lane] ^ word)
+            .wrapping_mul(MULS[lane])
+            .rotate_left(31)
+            .wrapping_mul(MULS[lane]);
+    };
+    let mut word = 0u64;
+    for (i, &b) in data.iter().enumerate() {
+        word |= u64::from(b) << (8 * (i % 8));
+        if i % 8 == 7 {
+            step(i / 8 % 4, word);
+            word = 0;
+        }
+    }
+    if data.len() % 32 != 0 {
+        // The partial word, if any, then zero words to the block's end.
+        for lane in data.len() / 8 % 4..4 {
+            step(lane, word);
+            word = 0;
+        }
+    }
+    let fmix = |mut k: u64| {
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        k ^ (k >> 33)
+    };
+    let [a, b, c, d] = lanes;
+    let len = data.len() as u64;
+    let mut h1 = a ^ c.rotate_left(32) ^ len;
+    let mut h2 = b ^ d.rotate_left(32) ^ len;
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    h1 = fmix(h1);
+    h2 = fmix(h2);
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    u128::from(h2) << 64 | u128::from(h1)
+}
+
+/// Property 5: the word-at-a-time hash agrees with the bytewise
+/// reference over lengths 0–4096 at start offsets 0–7.
+#[test]
+fn content_hash_matches_the_bytewise_definition() {
+    let case = gen::triple(
+        &gen::usize_in(0..=4096),
+        &gen::usize_in(0..=7),
+        &gen::u64_any(),
+    );
+    Checker::new("serve_fuzz::content_hash")
+        .cases_from_env_or(2_000)
+        .corpus(corpus_dir!())
+        .check(&case, |&(len, offset, seed): &(usize, usize, u64)| {
+            let mut rng = SplitMix64::new(seed);
+            let buf: Vec<u8> = (0..len + offset).map(|_| rng.next_u64() as u8).collect();
+            let data = &buf[offset..];
+            let (fast, slow) = (content_hash(data), content_hash_bytewise(data));
+            if fast != slow {
+                return Err(format!(
+                    "word-at-a-time {fast:#034x} != bytewise {slow:#034x}"
+                ));
+            }
+            Ok(())
+        });
+}
+
+/// Inputs that differ in one short word or in one bit hash apart: every
+/// two-byte input, and a seeded 1 KiB buffer against each of its 8,192
+/// single-bit flips.
+#[test]
+fn content_hash_separates_short_inputs_and_single_bit_flips() {
+    let mut seen = HashSet::new();
+    for v in 0..=u16::MAX {
+        assert!(
+            seen.insert(content_hash(&v.to_le_bytes())),
+            "input {v:#06x}"
+        );
+    }
+
+    let mut rng = SplitMix64::new(0x1c0_ffee);
+    let buf: Vec<u8> = (0..1024).map(|_| rng.next_u64() as u8).collect();
+    let mut seen = HashSet::from([content_hash(&buf)]);
+    for bit in 0..buf.len() * 8 {
+        let mut flipped = buf.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        assert!(seen.insert(content_hash(&flipped)), "bit {bit}");
+    }
 }

@@ -13,9 +13,12 @@
 //! 1. `total` — full-load ([`suit::store::read_all`]) and streaming
 //!    ([`suit::store::open_bytes`] + drain) decoding are total over the
 //!    structured input stream, and *agree*: both accept with identical
-//!    metadata and bursts, or both reject. What they accept re-packs,
-//!    from its metadata, bursts and `chunk_bursts`, to the same bytes:
-//!    trace IDs hash containers, so one trace must have one encoding;
+//!    metadata and bursts, or both reject. The upload path's chunk check
+//!    ([`suit::store::StreamingReader::validate`]) accepts exactly what a
+//!    full drain accepts, and rejects the rest with the same error. What
+//!    they accept re-packs, from its metadata, bursts and
+//!    `chunk_bursts`, to the same bytes: trace IDs hash containers, so
+//!    one trace must have one encoding;
 //! 2. `roundtrip` — every constructed (meta, bursts, chunk size) triple
 //!    packs deterministically, to the bytes an independent writer of the
 //!    documented layout produces, and decodes back to exactly the input;
@@ -359,6 +362,11 @@ fn decode_streaming(input: &[u8]) -> Result<(TraceMeta, Vec<Burst>), store::Stor
     Ok((reader.meta().clone(), out))
 }
 
+/// The upload check: open, then decode every chunk once in place.
+fn validate(input: &[u8]) -> Result<(), store::StoreError> {
+    store::open_bytes(input)?.validate()
+}
+
 /// An accepted container is the one `pack` writes for what it holds.
 fn repacks_to_itself(input: &[u8], meta: &TraceMeta, bursts: &[Burst]) -> Result<(), String> {
     let chunk_bursts = store::open_bytes(input)
@@ -382,6 +390,13 @@ fn repacks_to_itself(input: &[u8], meta: &TraceMeta, bursts: &[Burst]) -> Result
 fn decoder_is_total_and_consistent(input: &[u8]) -> Result<(), String> {
     let full = store::read_all(input);
     let streamed = decode_streaming(input);
+    let checked = validate(input).err().map(|e| e.to_string());
+    let drained = streamed.as_ref().err().map(|e| e.to_string());
+    if checked != drained {
+        return Err(format!(
+            "the chunk check and a full drain disagree: {checked:?} vs {drained:?}"
+        ));
+    }
     match (full, streamed) {
         (Ok(f), Ok(s)) if f == s => repacks_to_itself(input, &f.0, &f.1),
         (Ok(f), Ok(s)) => Err(format!(

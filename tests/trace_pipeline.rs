@@ -172,6 +172,15 @@ fn stop(handle: ShutdownHandle, join: std::thread::JoinHandle<std::io::Result<()
     join.join().expect("server thread").expect("server run");
 }
 
+/// The trace store's entry and byte counts, as `/v1/metrics` reports them.
+fn trace_store_usage(addr: &str) -> (f64, f64) {
+    let metrics = request_text(addr, "GET", "/v1/metrics", None, TIMEOUT).expect("metrics");
+    let doc = suit::telemetry::json::parse(&metrics).expect("metrics JSON");
+    let traces = doc.get("traces").expect("traces section");
+    let count = |key| traces.get(key).and_then(|v| v.as_f64()).expect(key);
+    (count("entries"), count("bytes"))
+}
+
 /// The exact response `/v1/simulate-trace` must produce, computed with
 /// the direct API: same seed forking, same configs, same serializers.
 fn expected_simulate_trace_body(
@@ -294,13 +303,35 @@ fn trace_store_full_corrupt_and_missing_are_structured_errors() {
         "413 must explain itself"
     );
 
-    // Re-uploading the stored trace stays idempotent even when full.
+    // Re-uploading the stored trace stays idempotent even when full, and
+    // stores nothing: the store's entry and byte counts do not move.
+    let usage = trace_store_usage(&addr);
     let again = request_bytes(&addr, "POST", "/v1/trace", &packed, TIMEOUT).expect("re-upload");
     assert_eq!(again.status, 200);
     assert!(again
         .text()
         .expect("body")
         .starts_with("{\"created\":false,"));
+    assert_eq!(trace_store_usage(&addr), usage);
+    assert_eq!(usage, (1.0, packed.len() as f64));
+
+    // Every chunk is checked, the last one included.
+    let last = *store::open_bytes(&packed)
+        .expect("open")
+        .index()
+        .last()
+        .expect("a chunk");
+    let mut bad = packed.clone();
+    bad[(last.offset + u64::from(last.body_len) / 2) as usize] ^= 0x01;
+    let resp = request_bytes(&addr, "POST", "/v1/trace", &bad, TIMEOUT).expect("post bad tail");
+    assert_eq!(resp.status, 400, "{:?}", resp.text());
+    assert!(
+        resp.text()
+            .expect("body")
+            .contains("invalid trace container: corrupt container: chunk checksum mismatch"),
+        "{:?}",
+        resp.text()
+    );
 
     // Corruption in any region — header, chunk payload, index — is a
     // structured 400, never a panic.
