@@ -5,8 +5,7 @@ use suit_exec::Threads;
 use suit_faults::vmin::ChipVminModel;
 use suit_faults::Campaign;
 use suit_hw::guardband::{core_temp_at_fan_rpm, max_undervolt_at_temp_mv};
-use suit_hw::measured::{self, TABLE2};
-use suit_hw::undervolt::SteadyStateModel;
+use suit_hw::undervolt::{table2_row, SteadyStateModel};
 use suit_hw::UndervoltLevel;
 use suit_isa::TABLE1;
 use suit_ooo::O3Config;
@@ -68,12 +67,10 @@ pub fn table2() -> TextTable {
         ("7700X", SteadyStateModel::ryzen_7700x()),
     ];
     for (name, model) in models {
-        for offset in [-70.0, -97.0] {
+        for level in UndervoltLevel::ALL {
+            let offset = level.offset_mv();
             let r = model.response(offset);
-            let paper = TABLE2
-                .iter()
-                .find(|row| row.cpu == name && (row.offset_mv - offset).abs() < 0.5)
-                .expect("paper row");
+            let paper = table2_row(name, offset).expect("paper row");
             t.row(vec![
                 name.to_string(),
                 format!("{offset} mV"),
@@ -142,10 +139,18 @@ pub fn table4() -> TextTable {
         pct(mean(&int, true)),
         pct(mean(&int, false)),
     ]);
-    for row in measured::TABLE4_NO_SIMD.iter().skip(2) {
-        let p = profile::by_name(row.0).expect("profile exists");
+    // The six benchmarks Table 4 lists; their profiles carry its values.
+    for name in [
+        "508.namd",
+        "521.wrf",
+        "538.imagick",
+        "554.roms",
+        "525.x264",
+        "548.exchange2",
+    ] {
+        let p = profile::by_name(name).expect("profile exists");
         t.row(vec![
-            row.0.to_string(),
+            name.to_string(),
             pct(p.no_simd_intel),
             pct(p.no_simd_amd),
         ]);

@@ -118,11 +118,6 @@ pub fn u128_any() -> Gen<u128> {
     Gen::new(|src| (u128::from(src.word()) << 64) | u128::from(src.word()))
 }
 
-/// Any `i32` (bit pattern from a choice; shrinks toward 0).
-pub fn i32_any() -> Gen<i32> {
-    u64_in(0..=u64::from(u32::MAX)).map(|v| v as u32 as i32)
-}
-
 /// One byte (shrinks toward 0).
 pub fn byte() -> Gen<u8> {
     u64_in(0..=255).map(|v| v as u8)

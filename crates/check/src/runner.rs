@@ -49,7 +49,7 @@ pub struct Failure {
     /// The property name.
     pub property: String,
     /// The case seed that produced the failure. Re-running the property
-    /// with this seed (via corpus or [`Checker::seed`]) re-fails
+    /// with this seed (via corpus or `SUIT_CHECK_SEED`) re-fails
     /// standalone and re-shrinks identically.
     pub seed: u64,
     /// `Debug` form of the originally generated counterexample.
@@ -196,12 +196,6 @@ impl Checker {
     /// fuzz-smoke dial), else `default_n`.
     pub fn cases_from_env_or(mut self, default_n: u64) -> Self {
         self.cases = env_u64("SUIT_CHECK_CASES").unwrap_or(default_n);
-        self
-    }
-
-    /// Overrides the base exploration seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 

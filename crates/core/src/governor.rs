@@ -102,13 +102,10 @@ impl OffsetGovernor {
     /// package is too hot for either.
     pub fn level(&self) -> Option<UndervoltLevel> {
         let offset = self.current_offset_mv();
-        if offset <= -97.0 {
-            Some(UndervoltLevel::Mv97)
-        } else if offset <= -70.0 {
-            Some(UndervoltLevel::Mv70)
-        } else {
-            None
-        }
+        UndervoltLevel::ALL
+            .into_iter()
+            .rev()
+            .find(|level| offset <= level.offset_mv())
     }
 }
 

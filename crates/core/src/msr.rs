@@ -110,11 +110,6 @@ impl SuitMsrs {
         Self::new(FaultableSet::suit())
     }
 
-    /// The vendor's faultable set for this domain.
-    pub fn faultable_set(&self) -> FaultableSet {
-        self.faultable
-    }
-
     /// Currently disabled opcodes.
     pub fn disabled_set(&self) -> FaultableSet {
         self.disable.disabled

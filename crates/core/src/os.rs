@@ -124,19 +124,9 @@ impl SuitOs {
         os
     }
 
-    /// The adaptive chooser, when dynamic selection is active.
-    pub fn chooser(&self) -> Option<&AdaptiveChooser> {
-        self.chooser.as_ref()
-    }
-
     /// The configured strategy.
     pub fn strategy(&self) -> OperatingStrategy {
         self.strategy
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> &StrategyParams {
-        &self.params
     }
 
     /// The deadline currently in force (p_dl, or p_dl · p_df while

@@ -11,6 +11,7 @@
 //!   `C_f`, and the conservative-by-voltage point `C_V`.
 
 use crate::delays::TransitionDelays;
+use crate::measured;
 use crate::power::PowerModel;
 use crate::pstate::DvfsCurve;
 use crate::undervolt::SteadyStateModel;
@@ -55,23 +56,21 @@ impl UndervoltLevel {
     /// The voltage offset in mV (negative).
     pub fn offset_mv(self) -> f64 {
         match self {
-            UndervoltLevel::Mv70 => -70.0,
-            UndervoltLevel::Mv97 => -97.0,
+            UndervoltLevel::Mv70 => measured::INSTR_VARIATION_OFFSET_MV,
+            UndervoltLevel::Mv97 => measured::COMBINED_OFFSET_MV,
         }
     }
 
     /// Both evaluated levels.
     pub const ALL: [UndervoltLevel; 2] = [UndervoltLevel::Mv70, UndervoltLevel::Mv97];
 
-    /// The keys the CLI and the service accept, as offset magnitudes.
+    /// The keys the CLI and the service accept, as offset magnitudes, in
+    /// the order of [`Self::ALL`].
     pub const KEYS: [&'static str; 2] = ["70", "97"];
 
     /// This level's key: its offset magnitude in mV.
     pub fn key(&self) -> &'static str {
-        match self {
-            UndervoltLevel::Mv70 => "70",
-            UndervoltLevel::Mv97 => "97",
-        }
+        Self::KEYS[*self as usize]
     }
 }
 
@@ -80,11 +79,11 @@ impl core::str::FromStr for UndervoltLevel {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
-        match s.strip_prefix('-').unwrap_or(s) {
-            "70" => Ok(UndervoltLevel::Mv70),
-            "97" => Ok(UndervoltLevel::Mv97),
-            _ => Err(format!("unknown offset '{s}' (expected 70 or 97)")),
-        }
+        let key = s.strip_prefix('-').unwrap_or(s);
+        Self::ALL
+            .into_iter()
+            .find(|level| level.key() == key)
+            .ok_or_else(|| format!("unknown offset '{s}' (expected 70 or 97)"))
     }
 }
 
@@ -269,11 +268,6 @@ impl CpuModel {
         }
     }
 
-    /// `#DO` exception entry delay.
-    pub fn exception_delay(&self) -> suit_isa::SimDuration {
-        self.delays.exception()
-    }
-
     /// Emulation round-trip delay (two kernel transitions, §5.3).
     pub fn emulation_call_delay(&self) -> suit_isa::SimDuration {
         self.delays.emulation_call()
@@ -345,5 +339,17 @@ mod tests {
         assert_eq!(UndervoltLevel::Mv70.offset_mv(), -70.0);
         assert_eq!(UndervoltLevel::Mv97.offset_mv(), -97.0);
         assert_eq!(format!("{}", UndervoltLevel::Mv97), "-97 mV");
+    }
+
+    #[test]
+    fn undervolt_level_keys_round_trip() {
+        assert_eq!(UndervoltLevel::Mv70.key(), "70");
+        assert_eq!(UndervoltLevel::Mv97.key(), "97");
+        assert_eq!("70".parse(), Ok(UndervoltLevel::Mv70));
+        assert_eq!("-97".parse(), Ok(UndervoltLevel::Mv97));
+        assert_eq!(
+            "98".parse::<UndervoltLevel>(),
+            Err("unknown offset '98' (expected 70 or 97)".to_string())
+        );
     }
 }

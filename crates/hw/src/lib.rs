@@ -7,8 +7,8 @@
 //! *calibrated models* seeded with the paper's own measured constants —
 //! exactly the quantities the paper's event-based simulator consumes:
 //!
-//! * [`measured`] — every number Section 5 reports, as named constants with
-//!   paper citations.
+//! * [`measured`] — the Section 5 numbers the models read, as named
+//!   constants with paper citations.
 //! * [`pstate`] — p-state tables and DVFS curves (Fig. 13), including the
 //!   efficient curve construction of §3.2 and the modified-IMUL safe-voltage
 //!   curve of §6.9.
@@ -25,10 +25,6 @@
 //!   and 𝒞 (Xeon Silver 4208), plus the i5-1035G1 of Table 2.
 //! * [`thermal`] — a first-order RC package thermal model behind Table 3's
 //!   fan-speed → temperature → safe-offset relationship.
-//! * [`msrs`] — bit-exact encoders/decoders for the software interfaces
-//!   the paper measured through: the `MSR 0x150` overclocking mailbox,
-//!   `IA32_PERF_STATUS`/`IA32_PERF_CTL`, `APERF`/`MPERF`, and the RAPL
-//!   energy counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +33,6 @@ pub mod cpu;
 pub mod delays;
 pub mod guardband;
 pub mod measured;
-pub mod msrs;
 pub mod power;
 pub mod pstate;
 pub mod thermal;

@@ -4,7 +4,9 @@
 //! quantities the paper's own event-based simulator consumes (§6.2: "The
 //! simulated CPU behaves as given by the base measurements from
 //! Section 5"); our simulator consumes the same ones, which is what makes
-//! the hardware substitution sound.
+//! the hardware substitution sound. Each constant has a reader outside
+//! this file (`tests/model_properties.rs` checks it), and the models read
+//! these numbers from here rather than typing them again.
 
 /// Voltage-change delay on the Intel Core i9-9900K, in µs (Fig. 8: mean
 /// 350 µs, σ = 22, max 379 µs over 20 repetitions).
@@ -53,14 +55,8 @@ pub const I9_CURVE_GRADIENT_MV_PER_GHZ: f64 = 183.0;
 
 /// Aging guardband of the i9-9900K, in mV (§5.6: 5 GHz · 15 % · 183 mV/GHz).
 pub const AGING_GUARDBAND_MV: f64 = 137.0;
-/// Aging guardband as a fraction of supply voltage (§5.6: ≈ 12 %).
-pub const AGING_GUARDBAND_FRACTION: f64 = 0.12;
 /// FinFET propagation-delay degradation over 10 years at >100 °C (§2.2/§5.6).
 pub const AGING_DELAY_DEGRADATION_10Y: f64 = 0.15;
-/// Temperature guardband, in mV (§5.7: 35 mV between 50 °C and 88 °C).
-pub const TEMPERATURE_GUARDBAND_MV: f64 = 35.0;
-/// Temperature guardband as a fraction of the 991 mV supply at 4 GHz (§5.7).
-pub const TEMPERATURE_GUARDBAND_FRACTION: f64 = 0.035;
 
 /// Max undervolt at 50 °C core temperature on the i9-9900K, mV (Table 3).
 pub const MAX_UNDERVOLT_AT_50C_MV: f64 = -90.0;
@@ -151,17 +147,6 @@ pub const I9_SPEC_MEAN_POWER_W: f64 = 93.0;
 /// (Fig. 12: ≈ 4.5 GHz).
 pub const I9_SPEC_MEAN_FREQ_GHZ: f64 = 4.5;
 
-/// Fraction of instructions that are IMUL in 525.x264_r (§6.1: 0.99 %).
-pub const X264_IMUL_FRACTION: f64 = 0.0099;
-/// Average IMUL fraction over the other SPEC benchmarks (§6.1: 0.07 %).
-pub const SPEC_AVG_IMUL_FRACTION: f64 = 0.0007;
-/// SPEC-average distance between infrequent faultable instructions
-/// (§1: one per ~5 × 10⁹ instructions).
-pub const SPEC_AVG_FAULTABLE_GAP: f64 = 5.0e9;
-/// IMUL occurs as frequently as every 560 instructions in the worst case
-/// (§1).
-pub const IMUL_MIN_GAP: f64 = 560.0;
-
 /// Operating-strategy parameters of Table 7 for CPUs 𝒜 and 𝒞.
 pub mod params_intel {
     /// Deadline p_dl, µs.
@@ -186,19 +171,6 @@ pub mod params_amd {
     pub const P_DF: f64 = 9.0;
 }
 
-/// Table 4: performance impact of compiling without SSE/AVX, fractional.
-/// `(benchmark, i9_9900k, ryzen_7700x)`.
-pub const TABLE4_NO_SIMD: [(&str, f64, f64); 8] = [
-    ("fprate", -0.041, -0.059),
-    ("intrate", 0.005, 0.026),
-    ("508.namd", -0.22, -0.35),
-    ("521.wrf", -0.014, -0.053),
-    ("538.imagick", -0.12, -0.090),
-    ("554.roms", -0.033, -0.19),
-    ("525.x264", 0.070, 0.22),
-    ("548.exchange2", 0.077, 0.068),
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,16 +186,6 @@ mod tests {
         // §5.6: 5 GHz · 15 % · 183 mV/GHz = 137 mV.
         let gb = 5.0 * AGING_DELAY_DEGRADATION_10Y * I9_CURVE_GRADIENT_MV_PER_GHZ;
         assert!((gb - AGING_GUARDBAND_MV).abs() < 1.0, "{gb}");
-    }
-
-    #[test]
-    fn temperature_guardband_consistency() {
-        // Table 3: −90 mV at 50 °C vs −55 mV at 88 °C → 35 mV difference,
-        // 3.5 % of the 991 mV supply at 4 GHz.
-        let diff = MAX_UNDERVOLT_AT_88C_MV - MAX_UNDERVOLT_AT_50C_MV;
-        assert!((diff - TEMPERATURE_GUARDBAND_MV).abs() < 0.1);
-        let frac = TEMPERATURE_GUARDBAND_MV / I9_VOLT_AT_4GHZ_MV;
-        assert!((frac - TEMPERATURE_GUARDBAND_FRACTION).abs() < 0.002);
     }
 
     #[test]

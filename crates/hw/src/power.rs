@@ -8,6 +8,7 @@
 //! observation that efficiency "approximately doubles" from −70 mV to
 //! −97 mV is exactly the quadratic voltage dependency this model encodes.
 
+use crate::measured;
 use crate::pstate::DvfsCurve;
 
 /// A calibrated package power model.
@@ -54,10 +55,13 @@ impl PowerModel {
         }
     }
 
-    /// The i9-9900K model: 93 W at 1082 mV / 4.5 GHz with 20 % leakage and
-    /// 8 W of uncore.
+    /// The i9-9900K model: Fig. 12's mean SPEC power at its mean frequency
+    /// and that frequency's voltage on [`DvfsCurve::i9_9900k`], with 20 %
+    /// leakage and 8 W of uncore.
     pub fn i9_9900k() -> Self {
-        Self::calibrated(93.0, 1082.0, 4.5, 0.20, 8.0)
+        let f = measured::I9_SPEC_MEAN_FREQ_GHZ;
+        let v = DvfsCurve::i9_9900k().voltage_at(f);
+        Self::calibrated(measured::I9_SPEC_MEAN_POWER_W, v, f, 0.20, 8.0)
     }
 
     /// Dynamic core power at the given operating point, W.

@@ -16,6 +16,7 @@
 //! solver remain available for absolute watts and for the `C_f` operating
 //! point.
 
+use crate::cpu::UndervoltLevel;
 use crate::measured::{self, Table2Row};
 use crate::power::PowerModel;
 use crate::pstate::{DvfsCurve, PState};
@@ -103,16 +104,20 @@ impl SteadyStateModel {
         tdp_w: f64,
         base_freq_ghz: f64,
     ) -> Self {
-        let r70 = table2_row(cpu, -70.0).expect("Table 2 row at -70 mV");
-        let r97 = table2_row(cpu, -97.0).expect("Table 2 row at -97 mV");
+        // One anchor per evaluated level, at its offset magnitude.
+        let [(x1, r1), (x2, r2)] = UndervoltLevel::ALL.map(|level| {
+            let offset = level.offset_mv();
+            let row = table2_row(cpu, offset).expect("a Table 2 row per level");
+            (-offset, row)
+        });
         SteadyStateModel {
             power,
             curve,
             tdp_w,
             base_freq_ghz,
-            score_fit: QuadraticFit::through(70.0, r70.score, 97.0, r97.score),
-            power_fit: QuadraticFit::through(70.0, r70.power, 97.0, r97.power),
-            freq_fit: QuadraticFit::through(70.0, r70.freq, 97.0, r97.freq),
+            score_fit: QuadraticFit::through(x1, r1.score, x2, r2.score),
+            power_fit: QuadraticFit::through(x1, r1.power, x2, r2.power),
+            freq_fit: QuadraticFit::through(x1, r1.freq, x2, r2.freq),
         }
     }
 

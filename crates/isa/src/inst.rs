@@ -64,20 +64,6 @@ impl Inst {
         }
     }
 
-    /// Creates a unary instruction `dst = op(src1)`.
-    pub fn unary(opcode: Opcode, dst: u8, src1: u8) -> Self {
-        assert!(
-            dst < ARCH_REGS && src1 < ARCH_REGS,
-            "register name out of range"
-        );
-        Inst {
-            opcode,
-            dst: Some(dst),
-            src1: Some(src1),
-            src2: None,
-        }
-    }
-
     /// Creates a load `dst = [src1]`.
     pub fn load(dst: u8, addr: u8) -> Self {
         assert!(

@@ -253,6 +253,11 @@ pub const TABLE1: [Table1Row; 12] = [
     },
 ];
 
+/// Fraction of instructions that are IMUL in 525.x264_r (§6.1: 0.99 %).
+pub const X264_IMUL_FRACTION: f64 = 0.0099;
+/// Average IMUL fraction over the other SPEC benchmarks (§6.1: 0.07 %).
+pub const SPEC_AVG_IMUL_FRACTION: f64 = 0.0007;
+
 /// A set of opcodes, used to describe which instructions the OS disables on
 /// the efficient DVFS curve (the *disable opcode MSR* of §3.3).
 ///

@@ -67,11 +67,6 @@ impl Cache {
         self.hit_latency
     }
 
-    /// Accesses so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
     /// Miss ratio so far (0 when never accessed).
     pub fn miss_ratio(&self) -> f64 {
         if self.accesses == 0 {

@@ -84,11 +84,6 @@ impl StridePrefetcher {
     pub fn issued(&self) -> u64 {
         self.issued
     }
-
-    /// Prefetch degree (lines ahead).
-    pub fn degree(&self) -> u32 {
-        self.degree
-    }
 }
 
 /// Default prefetcher geometry: 256-entry RPT, 2 lines ahead — the gem5

@@ -15,6 +15,7 @@
 //!   misses, which dominate the baseline CPI),
 //! * **branch predictability** (drives pipeline flushes).
 
+use suit_isa::opcode::{SPEC_AVG_IMUL_FRACTION, X264_IMUL_FRACTION};
 use suit_isa::{Inst, Opcode};
 use suit_rng::{Rng, SuitRng};
 
@@ -84,7 +85,7 @@ impl UopProfile {
     fn int(name: &'static str, dep: f64, ws_kb: u64, brnd: f64) -> Self {
         UopProfile {
             name,
-            imul_frac: 0.0007,
+            imul_frac: SPEC_AVG_IMUL_FRACTION,
             load_frac: 0.25,
             store_frac: 0.10,
             branch_frac: 0.20,
@@ -105,7 +106,7 @@ impl UopProfile {
     fn fp(name: &'static str, dep: f64, ws_kb: u64, stream: f64) -> Self {
         UopProfile {
             name,
-            imul_frac: 0.0007,
+            imul_frac: SPEC_AVG_IMUL_FRACTION,
             load_frac: 0.28,
             store_frac: 0.12,
             branch_frac: 0.06,
@@ -146,7 +147,7 @@ pub fn spec_profiles() -> Vec<UopProfile> {
         // slowdowns possible while the 3 → 4 step stays small.
         UopProfile {
             name: "525.x264",
-            imul_frac: 0.0099,
+            imul_frac: X264_IMUL_FRACTION,
             imul_chain_frac: 1.0,
             imul_phase_frac: 0.066,
             imul_phase_density: 0.15,

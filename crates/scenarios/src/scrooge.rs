@@ -215,10 +215,7 @@ pub fn search(
         chosen: best,
         points_evaluated,
         domains,
-        level_mv: match level {
-            UndervoltLevel::Mv70 => 70,
-            UndervoltLevel::Mv97 => 97,
-        },
+        level_mv: (-level.offset_mv()) as u32,
         fleet_perf: fleet.perf(),
         fleet_power: fleet.power(),
         fleet_efficiency: fleet.efficiency(),

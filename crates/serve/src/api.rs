@@ -439,10 +439,12 @@ pub fn parse_scenario(body: &str) -> Result<(Job, Option<u64>), BadRequest> {
 }
 
 /// Runs a validated job. Fan-out inside batch jobs goes over
-/// [`suit_exec`] with `threads`; the deadline is checked cooperatively
-/// between simulation bursts (each fan-out point checks before it
-/// starts), so an expired request aborts with [`ExecError::DeadlineExpired`]
-/// instead of holding a worker for the rest of the sweep.
+/// [`suit_exec`] with `threads`. The deadline is checked before the job
+/// starts; workload batches and `simulate-trace` check it again before
+/// each fan-out unit, and the table6 batch, faults and scenario jobs
+/// once more after the whole run. `simulate` is checked only before it
+/// starts. An expired check answers [`ExecError::DeadlineExpired`];
+/// nothing interrupts a simulation already running.
 pub fn execute(job: &Job, threads: Threads, deadline: Deadline) -> Result<String, ExecError> {
     if deadline.expired() {
         return Err(ExecError::DeadlineExpired);

@@ -167,11 +167,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.0.begin_shutdown();
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.0.shutdown.load(Ordering::SeqCst)
-    }
 }
 
 impl State {
@@ -374,12 +369,82 @@ fn handle_connection(state: &State, mut stream: TcpStream) {
     }
 }
 
+/// A compute endpoint's body parser.
+type ParseJob = fn(&str) -> Result<(api::Job, Option<u64>), api::BadRequest>;
+
+/// What answers a routed request.
+#[derive(Clone, Copy)]
+enum Handler {
+    Healthz,
+    Metrics,
+    Shutdown,
+    TraceUpload,
+    TraceInfo,
+    SimulateTrace,
+    Compute(Endpoint, ParseJob),
+}
+
+/// Every endpoint: its path, its one method and its handler. A path that
+/// ends in `/` also matches every path below it (`/v1/trace/<id>`).
+const ROUTES: &[(&str, Method, Handler)] = &[
+    ("/v1/healthz", Method::Get, Handler::Healthz),
+    ("/v1/metrics", Method::Get, Handler::Metrics),
+    ("/v1/shutdown", Method::Post, Handler::Shutdown),
+    (
+        "/v1/simulate",
+        Method::Post,
+        Handler::Compute(Endpoint::Simulate, api::parse_simulate),
+    ),
+    (
+        "/v1/batch",
+        Method::Post,
+        Handler::Compute(Endpoint::Batch, api::parse_batch),
+    ),
+    (
+        "/v1/faults",
+        Method::Post,
+        Handler::Compute(Endpoint::Faults, api::parse_faults),
+    ),
+    (
+        "/v1/scenario",
+        Method::Post,
+        Handler::Compute(Endpoint::Scenario, api::parse_scenario),
+    ),
+    ("/v1/trace", Method::Post, Handler::TraceUpload),
+    ("/v1/trace/", Method::Get, Handler::TraceInfo),
+    ("/v1/simulate-trace", Method::Post, Handler::SimulateTrace),
+];
+
+/// The route table's row for `path`, if any.
+fn route(path: &str) -> Option<&'static (&'static str, Method, Handler)> {
+    ROUTES.iter().find(|(p, ..)| {
+        if p.ends_with('/') {
+            path.starts_with(p)
+        } else {
+            path == *p
+        }
+    })
+}
+
 /// Routes one parsed request. Control endpoints answer inline;
 /// compute endpoints go through the admission queue.
 fn dispatch(state: &State, request: &Request) -> Response {
     let started = Instant::now();
-    match (&request.method, request.path.as_str()) {
-        (Method::Get, "/v1/healthz") => {
+    let path = request.path.as_str();
+    if let Method::Other(m) = &request.method {
+        state.tele.count(Counter::ServeBadRequests);
+        return Response::error(405, &format!("unsupported method '{m}'"));
+    }
+    let Some((prefix, method, handler)) = route(path) else {
+        state.tele.count(Counter::ServeBadRequests);
+        return Response::error(404, &format!("no such endpoint '{path}'"));
+    };
+    if request.method != *method {
+        state.tele.count(Counter::ServeBadRequests);
+        return Response::error(405, &format!("wrong method for {path}"));
+    }
+    match *handler {
+        Handler::Healthz => {
             state.tele.count(Counter::ServeRequests);
             let status = if state.shutting_down() {
                 "draining"
@@ -388,7 +453,7 @@ fn dispatch(state: &State, request: &Request) -> Response {
             };
             Response::ok(format!("{{\"status\":\"{status}\"}}"))
         }
-        (Method::Get, "/v1/metrics") => {
+        Handler::Metrics => {
             state.tele.count(Counter::ServeRequests);
             let body = metrics_json(state);
             state
@@ -396,15 +461,15 @@ fn dispatch(state: &State, request: &Request) -> Response {
                 .observe(Hist::ServeMetricsUs, elapsed_us(started));
             Response::ok(body)
         }
-        (Method::Post, "/v1/shutdown") => {
+        Handler::Shutdown => {
             state.tele.count(Counter::ServeRequests);
             state.begin_shutdown();
             Response::ok("{\"status\":\"draining\"}")
         }
         // The upload body is the raw binary container — no UTF-8 pass.
-        (Method::Post, "/v1/trace") => trace_upload(state, &request.body, started),
-        (Method::Get, path) if path.starts_with("/v1/trace/") => {
-            let id = &path["/v1/trace/".len()..];
+        Handler::TraceUpload => trace_upload(state, &request.body, started),
+        Handler::TraceInfo => {
+            let id = &path[prefix.len()..];
             match state.traces.get(id) {
                 Some(t) => {
                     state.tele.count(Counter::ServeRequests);
@@ -416,13 +481,10 @@ fn dispatch(state: &State, request: &Request) -> Response {
                 }
             }
         }
-        (Method::Post, "/v1/simulate-trace") => {
-            let body = match std::str::from_utf8(&request.body) {
-                Ok(s) => s,
-                Err(_) => {
-                    state.tele.count(Counter::ServeBadRequests);
-                    return Response::error(400, "request body is not valid UTF-8");
-                }
+        Handler::SimulateTrace => {
+            let body = match text_body(state, request) {
+                Ok(body) => body,
+                Err(refused) => return refused,
             };
             match api::parse_simulate_trace(body) {
                 Err(api::BadRequest(msg)) => {
@@ -456,21 +518,12 @@ fn dispatch(state: &State, request: &Request) -> Response {
                 },
             }
         }
-        (Method::Post, path @ ("/v1/simulate" | "/v1/batch" | "/v1/faults" | "/v1/scenario")) => {
-            let body = match std::str::from_utf8(&request.body) {
-                Ok(s) => s,
-                Err(_) => {
-                    state.tele.count(Counter::ServeBadRequests);
-                    return Response::error(400, "request body is not valid UTF-8");
-                }
+        Handler::Compute(endpoint, parse) => {
+            let body = match text_body(state, request) {
+                Ok(body) => body,
+                Err(refused) => return refused,
             };
-            let (endpoint, parsed) = match path {
-                "/v1/simulate" => (Endpoint::Simulate, api::parse_simulate(body)),
-                "/v1/batch" => (Endpoint::Batch, api::parse_batch(body)),
-                "/v1/scenario" => (Endpoint::Scenario, api::parse_scenario(body)),
-                _ => (Endpoint::Faults, api::parse_faults(body)),
-            };
-            match parsed {
+            match parse(body) {
                 Err(api::BadRequest(msg)) => {
                     state.tele.count(Counter::ServeBadRequests);
                     Response::error(400, &msg)
@@ -482,32 +535,15 @@ fn dispatch(state: &State, request: &Request) -> Response {
                 }
             }
         }
-        (Method::Get | Method::Post, path)
-            if matches!(
-                path,
-                "/v1/healthz"
-                    | "/v1/metrics"
-                    | "/v1/shutdown"
-                    | "/v1/simulate"
-                    | "/v1/batch"
-                    | "/v1/faults"
-                    | "/v1/scenario"
-                    | "/v1/trace"
-                    | "/v1/simulate-trace"
-            ) || path.starts_with("/v1/trace/") =>
-        {
-            state.tele.count(Counter::ServeBadRequests);
-            Response::error(405, &format!("wrong method for {path}"))
-        }
-        (Method::Other(m), _) => {
-            state.tele.count(Counter::ServeBadRequests);
-            Response::error(405, &format!("unsupported method '{m}'"))
-        }
-        (_, path) => {
-            state.tele.count(Counter::ServeBadRequests);
-            Response::error(404, &format!("no such endpoint '{path}'"))
-        }
     }
+}
+
+/// The request body as UTF-8, or the `400` that refuses it.
+fn text_body<'r>(state: &State, request: &'r Request) -> Result<&'r str, Response> {
+    std::str::from_utf8(&request.body).map_err(|_| {
+        state.tele.count(Counter::ServeBadRequests);
+        Response::error(400, "request body is not valid UTF-8")
+    })
 }
 
 /// `POST /v1/trace`: validate the uploaded container end to end, then

@@ -782,11 +782,6 @@ impl<R: Read + Seek> Bursts<R> {
             Some(e) => Err(e),
         }
     }
-
-    /// The underlying reader (for residency introspection mid-stream).
-    pub fn reader(&self) -> &StreamingReader<R> {
-        &self.reader
-    }
 }
 
 impl<R: Read + Seek> Iterator for Bursts<R> {

@@ -55,16 +55,6 @@ impl<'p> TraceGen<'p> {
         }
     }
 
-    /// The profile this generator samples from.
-    pub fn profile(&self) -> &'p WorkloadProfile {
-        self.profile
-    }
-
-    /// Instructions emitted so far.
-    pub fn position_insts(&self) -> u64 {
-        self.pos_insts
-    }
-
     /// Lognormal sample with the given *mean* (not median) and log-space σ.
     fn lognormal(&mut self, mean: f64, log_sigma: f64) -> f64 {
         // E[lognormal(µ, σ)] = exp(µ + σ²/2) → µ = ln(mean) − σ²/2.

@@ -23,7 +23,7 @@
 //!   residencies and overheads the paper reports (e.g. 557.xz ≈ 97 % on
 //!   the efficient curve, 520.omnetpp ≈ 3 %, SPEC average ≈ 73 %).
 //! * [`gen::TraceGen`] — a deterministic, seedable iterator of bursts.
-//! * [`stats`] — gap-size histograms and timeline extraction (Figs. 5, 7).
+//! * [`stats`] — gap-size histograms (Figs. 5, 7).
 //! * [`analyze`] — the §5.1 workload characterisation plus an analytic
 //!   residency predictor cross-validated against the simulator.
 //! * [`io`] — the trace metadata a replay needs and QEMU event-list

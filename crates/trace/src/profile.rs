@@ -25,6 +25,7 @@
 
 use std::sync::OnceLock;
 
+use suit_isa::opcode::{SPEC_AVG_IMUL_FRACTION, X264_IMUL_FRACTION};
 use suit_isa::Opcode;
 
 /// Which application group a profile belongs to.
@@ -130,20 +131,10 @@ impl WorkloadProfile {
         self.burst_interval_insts / self.insts_per_us()
     }
 
-    /// Mean burst span in µs at the reference frequency.
-    pub fn burst_span_us(&self) -> f64 {
-        self.events_per_burst * self.within_gap_insts / self.insts_per_us()
-    }
-
     /// Mean instructions between faultable instructions over the whole
     /// trace (the §1 "one every N instructions" metric).
     pub fn mean_event_gap_insts(&self) -> f64 {
         self.burst_interval_insts / self.events_per_burst
-    }
-
-    /// Expected number of bursts in the full virtual trace.
-    pub fn expected_bursts(&self) -> f64 {
-        self.total_insts as f64 / self.burst_interval_insts
     }
 
     /// The no-SIMD recompile overhead for a CPU vendor (`true` = Intel).
@@ -206,7 +197,7 @@ pub fn all() -> &'static [WorkloadProfile] {
 }
 
 fn build_profiles() -> Vec<WorkloadProfile> {
-    let avg_imul = 0.0007; // §6.1: 0.07 % on average outside 525.x264
+    let avg_imul = SPEC_AVG_IMUL_FRACTION;
     let mut v = vec![
         // name, suite, ipc, imul, noSIMD(intel), noSIMD(amd), residency, span µs, within-gap insts
         spec(
@@ -312,7 +303,7 @@ fn build_profiles() -> Vec<WorkloadProfile> {
             "525.x264",
             Suite::SpecInt,
             2.2,
-            0.0099,
+            X264_IMUL_FRACTION,
             0.070,
             0.220,
             0.870,
@@ -471,7 +462,7 @@ fn build_profiles() -> Vec<WorkloadProfile> {
         suite: Suite::Network,
         ipc: 1.2,
         total_insts: 20_000_000_000,
-        imul_fraction: 0.0007,
+        imul_fraction: SPEC_AVG_IMUL_FRACTION,
         no_simd_intel: -0.30, // bit-sliced AES is far slower than AES-NI
         no_simd_amd: -0.30,
         target_residency: 0.45,
@@ -492,7 +483,7 @@ fn build_profiles() -> Vec<WorkloadProfile> {
         suite: Suite::Network,
         ipc: 1.5,
         total_insts: 20_000_000_000,
-        imul_fraction: 0.0007,
+        imul_fraction: SPEC_AVG_IMUL_FRACTION,
         no_simd_intel: -0.25,
         no_simd_amd: -0.25,
         target_residency: 0.48,

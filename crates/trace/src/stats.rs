@@ -1,55 +1,12 @@
-//! Gap-size statistics and timeline extraction (Figs. 5 and 7).
+//! Gap-size statistics (Figs. 5 and 7).
 //!
 //! The paper visualises traces as *gap-size timelines*: for each faultable
 //! instruction, a point at (instruction index, log₁₀ of the gap since the
 //! previous faultable instruction). Horizontal runs are quiet stretches;
-//! vertical drops are bursts. [`gap_timeline`] reproduces that series and
-//! [`GapHistogram`] the log-bucketed distribution.
+//! vertical drops are bursts. [`GapHistogram`] is the log-bucketed
+//! distribution of those gaps.
 
 use crate::event::Burst;
-
-/// One point of a Fig. 5/7 gap-size timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelinePoint {
-    /// Instruction index of the faultable instruction.
-    pub index: u64,
-    /// Gap (instructions) since the previous faultable instruction.
-    pub gap: u64,
-}
-
-impl TimelinePoint {
-    /// log₁₀ of the gap — the y-axis of Figs. 5 and 7 (zero gap plots as 0).
-    pub fn log10_gap(&self) -> f64 {
-        if self.gap == 0 {
-            0.0
-        } else {
-            (self.gap as f64).log10()
-        }
-    }
-}
-
-/// Expands bursts into the per-event gap timeline of Figs. 5 and 7,
-/// stopping after `max_points` points (the figures truncate, too).
-pub fn gap_timeline<I>(bursts: I, max_points: usize) -> Vec<TimelinePoint>
-where
-    I: IntoIterator<Item = Burst>,
-{
-    let mut out = Vec::new();
-    let mut pos: u64 = 0;
-    for b in bursts {
-        let mut gap = b.gap_insts;
-        pos += b.gap_insts;
-        for _ in 0..b.events {
-            out.push(TimelinePoint { index: pos, gap });
-            if out.len() >= max_points {
-                return out;
-            }
-            pos += u64::from(b.within_gap_insts) + 1;
-            gap = u64::from(b.within_gap_insts);
-        }
-    }
-    out
-}
 
 /// A histogram of gap sizes in decade buckets: bucket `i` counts gaps in
 /// `[10^i, 10^(i+1))`.
@@ -108,64 +65,6 @@ mod tests {
     use super::*;
     use crate::gen::TraceGen;
     use crate::profile;
-    use suit_isa::Opcode;
-
-    #[test]
-    fn timeline_positions_and_gaps() {
-        let bursts = vec![
-            Burst::new(100, 3, 10, Opcode::Aesenc),
-            Burst::new(1000, 1, 0, Opcode::Vor),
-        ];
-        let t = gap_timeline(bursts, usize::MAX);
-        assert_eq!(t.len(), 4);
-        assert_eq!(
-            t[0],
-            TimelinePoint {
-                index: 100,
-                gap: 100
-            }
-        );
-        assert_eq!(
-            t[1],
-            TimelinePoint {
-                index: 111,
-                gap: 10
-            }
-        );
-        assert_eq!(
-            t[2],
-            TimelinePoint {
-                index: 122,
-                gap: 10
-            }
-        );
-        // Next burst starts after the last event's slot plus its gap:
-        // the last event at 122 occupies its slot and a trailing
-        // within-gap stride (122 + 11 = 133), then the 1000-gap follows.
-        assert_eq!(t[3].gap, 1000);
-        assert_eq!(t[3].index, 133 + 1000);
-    }
-
-    #[test]
-    fn timeline_truncates() {
-        let bursts = vec![Burst::new(10, 1000, 1, Opcode::Vxor)];
-        assert_eq!(gap_timeline(bursts, 7).len(), 7);
-    }
-
-    #[test]
-    fn log10_gap() {
-        assert_eq!(TimelinePoint { index: 0, gap: 0 }.log10_gap(), 0.0);
-        assert!(
-            (TimelinePoint {
-                index: 0,
-                gap: 1000
-            }
-            .log10_gap()
-                - 3.0)
-                .abs()
-                < 1e-12
-        );
-    }
 
     #[test]
     fn histogram_buckets() {

@@ -6,6 +6,8 @@
 //! counterexample, and the failing case seed is persisted to
 //! `tests/corpus/` so the regression replays first on every future run.
 
+use std::path::{Path, PathBuf};
+
 use suit::check::{corpus_dir, gen, Checker};
 use suit::core::strategy::StrategyParams;
 use suit::core::thrash::ThrashGuard;
@@ -359,5 +361,62 @@ fn all_workloads_simulate_on_all_cpus_and_levels() {
             let r = simulate(&cpu, p, &cfg);
             assert!(r.duration.as_secs_f64() > 0.0, "{} on {}", p.name, cpu.name);
         }
+    }
+}
+
+/// `suit_hw::measured` is where the models read the paper's §5 numbers,
+/// so every `pub const` in it must be named by some other source file's
+/// code (another file's tests count; comments do not).
+#[test]
+fn every_measured_constant_has_a_reader() {
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("read source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    fn code(path: &Path) -> String {
+        let src = std::fs::read_to_string(path).expect("read source file");
+        let code_lines = src.lines().filter(|l| !l.trim_start().starts_with("//"));
+        code_lines.collect::<Vec<_>>().join("\n")
+    }
+    fn names(code: &str, ident: &str) -> bool {
+        let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        code.match_indices(ident).any(|(at, _)| {
+            !code[..at].chars().next_back().is_some_and(is_ident)
+                && !code[at + ident.len()..]
+                    .chars()
+                    .next()
+                    .is_some_and(is_ident)
+        })
+    }
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let measured = root.join("crates/hw/src/measured.rs");
+    let consts: Vec<String> = code(&measured)
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("pub const "))
+        .map(|rest| rest[..rest.find(':').expect("typed const")].to_string())
+        .collect();
+    assert!(consts.len() > 20, "found only {consts:?}");
+
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples", "benchmark/src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let others: Vec<String> = files
+        .iter()
+        .filter(|f| **f != measured)
+        .map(|f| code(f))
+        .collect();
+    for name in &consts {
+        assert!(
+            others.iter().any(|src| names(src, name)),
+            "measured::{name} has no reader outside measured.rs"
+        );
     }
 }

@@ -12,10 +12,14 @@ use std::time::Duration;
 use suit::exec::Threads;
 use suit::serve::api;
 use suit::serve::{
-    request, request_text, request_with_headers, ServeConfig, Server, ShutdownHandle,
+    request, request_bytes, request_text, request_with_headers, ServeConfig, Server,
+    ShutdownHandle, TraceStore,
 };
 use suit::sim::experiment::run_table6;
+use suit::store;
 use suit::telemetry::json::{parse, Value};
+use suit::trace::io::TraceMeta;
+use suit::trace::{profile, TraceGen};
 
 /// Binds an ephemeral port, runs the server on a background thread, and
 /// returns the address, a shutdown handle, and the join handle.
@@ -531,6 +535,17 @@ fn connection_close_inside_a_token_list_closes_after_the_response() {
     stop(handle, join);
 }
 
+/// Asserts a structured error with exactly this status and message.
+fn assert_error(resp: &suit::serve::ClientResponse, status: u16, message: &str, what: &str) {
+    let text = resp.text().expect("utf-8 body");
+    assert_eq!(resp.status, status, "{what}: {text}");
+    let quoted = suit::telemetry::json::escape(message);
+    assert!(
+        text.contains(&format!("\"message\":{quoted}")),
+        "{what}: expected message {quoted}, got {text}"
+    );
+}
+
 #[test]
 fn unknown_paths_and_wrong_methods_fail_cleanly() {
     let (addr, handle, join) = start(ServeConfig::default());
@@ -540,5 +555,72 @@ fn unknown_paths_and_wrong_methods_fail_cleanly() {
     assert_eq!(resp.status, 405);
     let resp = request(&addr, "POST", "/v1/metrics", Some("{}"), TIMEOUT).expect("request");
     assert_eq!(resp.status, 405);
+
+    // An unknown path is a 404 under GET and POST; any other method is a
+    // 405 on every path, known or not.
+    for method in ["GET", "POST"] {
+        let resp = request(&addr, method, "/v1/nope", Some("{}"), TIMEOUT).expect("request");
+        let what = format!("{method} /v1/nope");
+        assert_error(&resp, 404, "no such endpoint '/v1/nope'", &what);
+    }
+    let resp = request(&addr, "PUT", "/v1/nope", None, TIMEOUT).expect("request");
+    assert_error(&resp, 405, "unsupported method 'PUT'", "PUT /v1/nope");
+
+    // A small stored trace, so `GET /v1/trace/<id>` has something to find.
+    let p = profile::by_name("502.gcc").expect("502.gcc profile");
+    let bursts: Vec<_> = TraceGen::new(p, 7).take(64).collect();
+    let meta = TraceMeta {
+        name: p.name.into(),
+        ipc: p.ipc,
+        total_insts: bursts.iter().map(|b| b.total_insts()).sum(),
+    };
+    let packed = store::pack_to_vec(&meta, bursts, 16).expect("pack");
+    let up = request_bytes(&addr, "POST", "/v1/trace", &packed, TIMEOUT).expect("upload");
+    assert_eq!(up.status, 200, "upload: {:?}", up.text());
+    let info_path = format!("/v1/trace/{}", TraceStore::id_for(&packed));
+
+    // Every endpoint with its one method. The right method must reach the
+    // handler: a malformed JSON body is a 400, never a 404 or 405.
+    // `/v1/shutdown` goes last, since it starts the drain.
+    let routes: [(&str, &str); 10] = [
+        ("GET", "/v1/healthz"),
+        ("GET", "/v1/metrics"),
+        ("POST", "/v1/simulate"),
+        ("POST", "/v1/batch"),
+        ("POST", "/v1/faults"),
+        ("POST", "/v1/scenario"),
+        ("POST", "/v1/trace"),
+        ("GET", &info_path),
+        ("POST", "/v1/simulate-trace"),
+        ("POST", "/v1/shutdown"),
+    ];
+    for (right, path) in routes {
+        let resp = request(&addr, "PUT", path, None, TIMEOUT).expect("request");
+        assert_error(
+            &resp,
+            405,
+            "unsupported method 'PUT'",
+            &format!("PUT {path}"),
+        );
+        for method in ["GET", "POST"] {
+            let resp = if method == right && path == "/v1/trace" {
+                request_bytes(&addr, method, path, &packed, TIMEOUT)
+            } else {
+                request(&addr, method, path, Some("not json"), TIMEOUT)
+            }
+            .expect("request");
+            let what = format!("{method} {path}");
+            if method == right {
+                assert!(
+                    resp.status != 404 && resp.status != 405,
+                    "{what}: {} {:?}",
+                    resp.status,
+                    resp.text()
+                );
+            } else {
+                assert_error(&resp, 405, &format!("wrong method for {path}"), &what);
+            }
+        }
+    }
     stop(handle, join);
 }
