@@ -195,4 +195,39 @@ mod tests {
             );
         }
     }
+
+    /// Each row of EXPERIMENTS.md's Table 6 reports, as its Measured
+    /// triple, the SPECgmean Pwr / Perf / Eff that the committed
+    /// default-cap golden prints for that row at −97 mV.
+    #[test]
+    fn experiments_table6_matches_the_default_golden() {
+        let golden = include_str!("../../../goldens/default/table6.txt");
+        let golden = &golden[golden.find("at -97 mV").expect("a -97 mV block")..];
+        let experiments = include_str!("../../../EXPERIMENTS.md");
+        let section = &experiments[experiments.find("## Table 6").expect("Table 6")..];
+        let rows = section.lines().skip_while(|l| !l.starts_with("|---"));
+        let rows: Vec<&str> = rows.skip(1).take_while(|l| l.starts_with('|')).collect();
+        assert_eq!(rows.len(), 6, "{section}");
+        // The golden spells the configs in ASCII.
+        let ascii = [("𝒜", "A"), ("ℬ", "B"), ("𝒞", "C"), ("₁", "1"), ("₄", "4")]
+            .into_iter()
+            .chain([("∞", "inf"), ("𝑓", "f"), ("𝑉", "V"), ("𝑒", "e")]);
+        for row in rows {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let config = ascii
+                .clone()
+                .fold(cells[1].to_string(), |s, (a, b)| s.replace(a, b));
+            let gmean = |metric: &str| {
+                golden
+                    .lines()
+                    .map(|l| l.split('|').map(str::trim).collect::<Vec<_>>())
+                    .find(|c| c.len() > 2 && c[0] == config && c[1] == metric)
+                    .map(|c| c[2].to_string())
+                    .unwrap_or_else(|| panic!("no {config} {metric} row in the golden"))
+            };
+            let want = format!("{} / {} / {}", gmean("Pwr"), gmean("Perf"), gmean("Eff"));
+            let measured = cells[3].replace('−', "-").replace(" %", "%");
+            assert_eq!(measured, want, "EXPERIMENTS.md Table 6 row {}", cells[1]);
+        }
+    }
 }

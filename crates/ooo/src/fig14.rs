@@ -79,9 +79,12 @@ pub fn run(n: u64) -> Fig14 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
-    fn fig14_small() -> Fig14 {
-        run(400_000)
+    /// One sweep shared by every test here: each only reads it.
+    fn fig14_small() -> &'static Fig14 {
+        static SWEEP: OnceLock<Fig14> = OnceLock::new();
+        SWEEP.get_or_init(|| run(400_000))
     }
 
     #[test]

@@ -280,14 +280,32 @@ impl ScenarioConfig {
             return Err("scenario config must be a JSON object".to_string());
         };
         match v.get("scenario").and_then(|s| s.as_str()) {
-            Some("sram") => Ok(ScenarioConfig::Sram(SramScenarioConfig::from_value(
+            Some(kind) => Self::of_kind(kind, v, skip),
+            None => Err("missing 'scenario' (\"sram\" or \"scrooge\")".to_string()),
+        }
+    }
+
+    /// Parses the document `v` as a `kind` scenario, ignoring the keys in
+    /// `skip`. Its `"scenario"` key is optional, but must name `kind` if
+    /// present.
+    pub fn of_kind(kind: &str, v: &json::Value, skip: &[&str]) -> Result<ScenarioConfig, String> {
+        match kind {
+            "sram" => Ok(ScenarioConfig::Sram(SramScenarioConfig::from_value(
                 v, skip,
             )?)),
-            Some("scrooge") => Ok(ScenarioConfig::Scrooge(ScroogeConfig::from_value(v, skip)?)),
-            Some(other) => Err(format!(
+            "scrooge" => Ok(ScenarioConfig::Scrooge(ScroogeConfig::from_value(v, skip)?)),
+            other => Err(format!(
                 "unknown scenario '{other}' (expected \"sram\" or \"scrooge\")"
             )),
-            None => Err("missing 'scenario' (\"sram\" or \"scrooge\")".to_string()),
+        }
+    }
+
+    /// Applies command-line overrides to the rows of the config's field
+    /// table: `value_of(flag)` is the value given for a row's flag.
+    pub fn apply_flags(&mut self, value_of: impl Fn(&str) -> Option<String>) -> Result<(), String> {
+        match self {
+            ScenarioConfig::Sram(c) => fields::apply_flags(SramScenarioConfig::FIELDS, c, value_of),
+            ScenarioConfig::Scrooge(c) => fields::apply_flags(ScroogeConfig::FIELDS, c, value_of),
         }
     }
 }

@@ -34,6 +34,48 @@ pub use config::{ScenarioConfig, ScroogeConfig, SramScenarioConfig};
 pub use scrooge::{search, PointEval, ScroogeReport};
 pub use sram::{run, SramScenarioReport};
 
+use suit_telemetry::Telemetry;
+
+/// The report of either campaign.
+#[derive(Debug)]
+pub enum ScenarioReport {
+    /// The SRAM fault-domain sweep and its audit matrix.
+    Sram(SramScenarioReport),
+    /// The Scrooge attacker-economics search.
+    Scrooge(ScroogeReport),
+}
+
+impl ScenarioConfig {
+    /// Runs the campaign over `threads` workers, recording into `tele`.
+    /// The report is byte-identical at every thread count.
+    pub fn run(&self, threads: usize, tele: &Telemetry) -> Result<ScenarioReport, String> {
+        Ok(match self {
+            ScenarioConfig::Sram(c) => ScenarioReport::Sram(sram::run(c, threads, tele)),
+            ScenarioConfig::Scrooge(c) => {
+                ScenarioReport::Scrooge(scrooge::search(c, threads, tele)?)
+            }
+        })
+    }
+}
+
+impl ScenarioReport {
+    /// The canonical JSON report `POST /v1/scenario` answers with.
+    pub fn to_json(&self) -> String {
+        match self {
+            ScenarioReport::Sram(r) => r.to_json(),
+            ScenarioReport::Scrooge(r) => r.to_json(),
+        }
+    }
+
+    /// The text rendering `suit-cli scenario` prints.
+    pub fn render(&self) -> String {
+        match self {
+            ScenarioReport::Sram(r) => r.render(),
+            ScenarioReport::Scrooge(r) => r.render(),
+        }
+    }
+}
+
 /// Canonical JSON float text shared by the report serializers: finite
 /// values render with Rust's shortest round-trip `Display` (stable
 /// across platforms), non-finite values as `null`.

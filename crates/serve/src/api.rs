@@ -513,21 +513,13 @@ pub fn execute(job: &Job, threads: Threads, deadline: Deadline) -> Result<String
             ))
         }
         Job::Scenario(cfg) => {
-            let tele = suit_telemetry::Telemetry::off();
-            let out = match cfg.as_ref() {
-                ScenarioConfig::Sram(c) => {
-                    suit_scenarios::sram::run(c, threads.count(), &tele).to_json()
-                }
-                ScenarioConfig::Scrooge(c) => {
-                    suit_scenarios::scrooge::search(c, threads.count(), &tele)
-                        .expect("scenario config validated at parse time")
-                        .to_json()
-                }
-            };
+            let report = cfg
+                .run(threads.count(), &suit_telemetry::Telemetry::off())
+                .expect("scenario config validated at parse time");
             if deadline.expired() {
                 return Err(ExecError::DeadlineExpired);
             }
-            Ok(out)
+            Ok(report.to_json())
         }
         Job::SimulateTrace(tj) => {
             let root = SuitRng::seed_from_u64(tj.spec.seed);

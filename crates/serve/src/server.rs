@@ -107,32 +107,11 @@ const POLL: Duration = Duration::from_millis(25);
 /// One queued compute job.
 struct QueuedJob {
     job: api::Job,
-    endpoint: Endpoint,
+    /// The endpoint's latency histogram.
+    hist: Hist,
     deadline: Deadline,
     accepted: Instant,
     tx: SyncSender<Response>,
-}
-
-/// The compute endpoints (indexes the per-endpoint latency histograms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Endpoint {
-    Simulate,
-    Batch,
-    Faults,
-    SimulateTrace,
-    Scenario,
-}
-
-impl Endpoint {
-    fn latency_hist(self) -> Hist {
-        match self {
-            Endpoint::Simulate => Hist::ServeSimulateUs,
-            Endpoint::Batch => Hist::ServeBatchUs,
-            Endpoint::Faults => Hist::ServeFaultsUs,
-            Endpoint::SimulateTrace => Hist::ServeSimulateTraceUs,
-            Endpoint::Scenario => Hist::ServeScenarioUs,
-        }
-    }
 }
 
 /// Shared server state.
@@ -282,9 +261,7 @@ fn worker_loop(state: &State) {
         state.inflight.fetch_add(1, Ordering::SeqCst);
         let response = run_job(state, &queued);
         state.inflight.fetch_sub(1, Ordering::SeqCst);
-        state
-            .tele
-            .observe(queued.endpoint.latency_hist(), elapsed_us(queued.accepted));
+        state.tele.observe(queued.hist, elapsed_us(queued.accepted));
         // The connection thread may have given up (deadline, peer gone);
         // a dead receiver is fine.
         let _ = queued.tx.send(response);
@@ -369,8 +346,16 @@ fn handle_connection(state: &State, mut stream: TcpStream) {
     }
 }
 
-/// A compute endpoint's body parser.
-type ParseJob = fn(&str) -> Result<(api::Job, Option<u64>), api::BadRequest>;
+/// A compute endpoint's body parser: the job and its `deadline_ms`, or
+/// the response that refuses the request.
+type ParseJob = fn(&str, &TraceStore) -> Result<(api::Job, Option<u64>), Response>;
+
+/// A body that fails validation is a `400` carrying the reason.
+impl From<api::BadRequest> for Response {
+    fn from(e: api::BadRequest) -> Response {
+        Response::error(400, &e.0)
+    }
+}
 
 /// What answers a routed request.
 #[derive(Clone, Copy)]
@@ -380,8 +365,8 @@ enum Handler {
     Shutdown,
     TraceUpload,
     TraceInfo,
-    SimulateTrace,
-    Compute(Endpoint, ParseJob),
+    /// A job for the admission queue, and its latency histogram.
+    Compute(Hist, ParseJob),
 }
 
 /// Every endpoint: its path, its one method and its handler. A path that
@@ -393,27 +378,55 @@ const ROUTES: &[(&str, Method, Handler)] = &[
     (
         "/v1/simulate",
         Method::Post,
-        Handler::Compute(Endpoint::Simulate, api::parse_simulate),
+        Handler::Compute(Hist::ServeSimulateUs, |body, _| {
+            Ok(api::parse_simulate(body)?)
+        }),
     ),
     (
         "/v1/batch",
         Method::Post,
-        Handler::Compute(Endpoint::Batch, api::parse_batch),
+        Handler::Compute(Hist::ServeBatchUs, |body, _| Ok(api::parse_batch(body)?)),
     ),
     (
         "/v1/faults",
         Method::Post,
-        Handler::Compute(Endpoint::Faults, api::parse_faults),
+        Handler::Compute(Hist::ServeFaultsUs, |body, _| Ok(api::parse_faults(body)?)),
     ),
     (
         "/v1/scenario",
         Method::Post,
-        Handler::Compute(Endpoint::Scenario, api::parse_scenario),
+        Handler::Compute(Hist::ServeScenarioUs, |body, _| {
+            Ok(api::parse_scenario(body)?)
+        }),
     ),
     ("/v1/trace", Method::Post, Handler::TraceUpload),
     ("/v1/trace/", Method::Get, Handler::TraceInfo),
-    ("/v1/simulate-trace", Method::Post, Handler::SimulateTrace),
+    (
+        "/v1/simulate-trace",
+        Method::Post,
+        Handler::Compute(Hist::ServeSimulateTraceUs, parse_simulate_trace),
+    ),
 ];
+
+/// `POST /v1/simulate-trace`: the body's spec, resolved against the
+/// trace store; an ID the store does not hold is a `404`.
+fn parse_simulate_trace(
+    body: &str,
+    traces: &TraceStore,
+) -> Result<(api::Job, Option<u64>), Response> {
+    let (spec, deadline_ms) = api::parse_simulate_trace(body)?;
+    let Some(stored) = traces.get(&spec.trace) else {
+        return Err(Response::error(
+            404,
+            &format!(
+                "no stored trace '{}' (upload it with POST /v1/trace)",
+                spec.trace
+            ),
+        ));
+    };
+    let job = api::Job::SimulateTrace(Box::new(api::TraceJob { spec, stored }));
+    Ok((job, deadline_ms))
+}
 
 /// The route table's row for `path`, if any.
 fn route(path: &str) -> Option<&'static (&'static str, Method, Handler)> {
@@ -481,69 +494,23 @@ fn dispatch(state: &State, request: &Request) -> Response {
                 }
             }
         }
-        Handler::SimulateTrace => {
-            let body = match text_body(state, request) {
-                Ok(body) => body,
-                Err(refused) => return refused,
-            };
-            match api::parse_simulate_trace(body) {
-                Err(api::BadRequest(msg)) => {
+        Handler::Compute(hist, parse) => {
+            let parsed = std::str::from_utf8(&request.body)
+                .map_err(|_| Response::error(400, "request body is not valid UTF-8"))
+                .and_then(|body| parse(body, &state.traces));
+            match parsed {
+                Err(refused) => {
                     state.tele.count(Counter::ServeBadRequests);
-                    Response::error(400, &msg)
-                }
-                Ok((spec, deadline_ms)) => match state.traces.get(&spec.trace) {
-                    None => {
-                        state.tele.count(Counter::ServeBadRequests);
-                        Response::error(
-                            404,
-                            &format!(
-                                "no stored trace '{}' (upload it with POST /v1/trace)",
-                                spec.trace
-                            ),
-                        )
-                    }
-                    Some(stored) => {
-                        let deadline =
-                            Deadline::after_ms(deadline_ms.or(state.cfg.default_deadline_ms));
-                        let job = api::Job::SimulateTrace(Box::new(api::TraceJob { spec, stored }));
-                        submit_cached(
-                            state,
-                            request,
-                            job,
-                            Endpoint::SimulateTrace,
-                            deadline,
-                            started,
-                        )
-                    }
-                },
-            }
-        }
-        Handler::Compute(endpoint, parse) => {
-            let body = match text_body(state, request) {
-                Ok(body) => body,
-                Err(refused) => return refused,
-            };
-            match parse(body) {
-                Err(api::BadRequest(msg)) => {
-                    state.tele.count(Counter::ServeBadRequests);
-                    Response::error(400, &msg)
+                    refused
                 }
                 Ok((job, deadline_ms)) => {
                     let deadline =
                         Deadline::after_ms(deadline_ms.or(state.cfg.default_deadline_ms));
-                    submit_cached(state, request, job, endpoint, deadline, started)
+                    submit_cached(state, request, job, hist, deadline, started)
                 }
             }
         }
     }
-}
-
-/// The request body as UTF-8, or the `400` that refuses it.
-fn text_body<'r>(state: &State, request: &'r Request) -> Result<&'r str, Response> {
-    std::str::from_utf8(&request.body).map_err(|_| {
-        state.tele.count(Counter::ServeBadRequests);
-        Response::error(400, "request body is not valid UTF-8")
-    })
 }
 
 /// `POST /v1/trace`: validate the uploaded container end to end, then
@@ -638,12 +605,12 @@ fn submit_cached(
     state: &State,
     request: &Request,
     job: api::Job,
-    endpoint: Endpoint,
+    hist: Hist,
     deadline: Deadline,
     accepted: Instant,
 ) -> Response {
     if !state.cache.enabled() {
-        return submit(state, job, endpoint, deadline, accepted);
+        return submit(state, job, hist, deadline, accepted);
     }
     let key = cache::canonical_job(&job);
     if let Some(hit) = state.cache.get(&key) {
@@ -658,7 +625,7 @@ fn submit_cached(
     match state.flights.join(&key) {
         Role::Leader(flight) => {
             state.tele.count(Counter::ServeCacheMisses);
-            let mut resp = submit(state, job, endpoint, deadline, accepted);
+            let mut resp = submit(state, job, hist, deadline, accepted);
             if resp.status == 200 {
                 let etag = cache::etag_for(&key);
                 resp.etag = Some(etag.clone());
@@ -707,12 +674,13 @@ fn conditional(state: &State, request: &Request, resp: Response) -> Response {
 }
 
 /// An honest `Retry-After` for a full queue: the time to drain what is
-/// queued at the endpoint's recently observed pace — queue depth × p50
-/// job latency — clamped to `1..=60` seconds. Before any job has
-/// completed there is no observed rate, so fall back to 1 s.
-fn retry_after_s(state: &State, endpoint: Endpoint, queued: usize) -> u32 {
+/// queued at the endpoint's recently observed pace (its latency
+/// histogram `hist`) — queue depth × p50 job latency — clamped to
+/// `1..=60` seconds. Before any job has completed there is no observed
+/// rate, so fall back to 1 s.
+fn retry_after_s(state: &State, hist: Hist, queued: usize) -> u32 {
     let snap = state.tele.snapshot();
-    let hist = snap.hist(endpoint.latency_hist());
+    let hist = snap.hist(hist);
     if hist.count() == 0 {
         return 1;
     }
@@ -725,7 +693,7 @@ fn retry_after_s(state: &State, endpoint: Endpoint, queued: usize) -> u32 {
 fn submit(
     state: &State,
     job: api::Job,
-    endpoint: Endpoint,
+    hist: Hist,
     deadline: Deadline,
     accepted: Instant,
 ) -> Response {
@@ -741,12 +709,12 @@ fn submit(
             state.tele.count(Counter::ServeRejected);
             return Response::too_many_requests(
                 "admission queue is full; retry later",
-                retry_after_s(state, endpoint, queued),
+                retry_after_s(state, hist, queued),
             );
         }
         q.push_back(QueuedJob {
             job,
-            endpoint,
+            hist,
             deadline,
             accepted,
             tx,

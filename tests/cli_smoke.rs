@@ -616,3 +616,75 @@ fn removed_trace_verbs_and_flags_fail() {
         "a rejected record must not create its output"
     );
 }
+
+#[test]
+fn bad_values_of_flags_outside_config_tables_print_usage_before_any_work() {
+    // A refused value stops the command before it binds a socket,
+    // connects, creates a file or simulates: nothing reaches stdout.
+    let path = temp_trace("refused");
+    for (args, needle) in [
+        (
+            ["serve", "--addr", "127.0.0.1:0", "--cache-bytes", "x"].as_slice(),
+            "--cache-bytes must be a non-negative integer, got 'x'",
+        ),
+        (
+            ["analyze", "557.xz", "0"].as_slice(),
+            "bursts must be a positive integer, got '0'",
+        ),
+        (
+            ["client", "/v1/healthz", "--timeout-ms", "0"].as_slice(),
+            "--timeout-ms must be a positive integer, got '0'",
+        ),
+        (
+            [
+                "trace",
+                "record",
+                "--workload",
+                "502.gcc",
+                "--out",
+                &path,
+                "--chunk-bursts",
+                "0",
+            ]
+            .as_slice(),
+            "--chunk-bursts must be in 1..=",
+        ),
+        (
+            ["fleet", "--cores-per", "2"].as_slice(),
+            "unknown flag '--cores-per'",
+        ),
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = stderr(&out);
+        assert!(
+            err.starts_with(&format!("error: {needle}")),
+            "{args:?}: {err}"
+        );
+        assert!(err.contains("usage: suit-cli"), "{args:?}: {err}");
+        assert_eq!(stdout(&out), "", "{args:?}");
+    }
+    assert!(
+        !std::path::Path::new(&path).exists(),
+        "a refused record must not create its output"
+    );
+}
+
+#[test]
+fn commands_without_their_argument_print_usage() {
+    for (args, needle) in [
+        ("mix", "missing <office|webserver|hpc|media|all>"),
+        ("analyze", "missing <workload>"),
+        ("trace", "missing trace (expected record, info or seek)"),
+        ("client", "missing <path>"),
+    ] {
+        let out = cli(&[args]);
+        assert_eq!(out.status.code(), Some(1), "{args}");
+        let err = stderr(&out);
+        assert!(
+            err.starts_with(&format!("error: {needle}\n")),
+            "{args}: {err}"
+        );
+        assert!(err.contains("usage: suit-cli"), "{args}: {err}");
+    }
+}
