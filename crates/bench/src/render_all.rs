@@ -196,6 +196,37 @@ mod tests {
         }
     }
 
+    /// The `|`-separated cells of a table line, trimmed, without the
+    /// empty cell before a leading `|`.
+    fn cells(line: &str) -> Vec<&str> {
+        let line = line.trim_start();
+        let line = line.strip_prefix('|').unwrap_or(line);
+        line.split('|').map(str::trim).collect()
+    }
+
+    /// The cells of the first line of `text` whose first cell is `key`.
+    fn row<'t>(text: &'t str, key: &str) -> Vec<&'t str> {
+        text.lines()
+            .map(cells)
+            .find(|c| c[0] == key)
+            .unwrap_or_else(|| panic!("no '{key}' row"))
+    }
+
+    /// EXPERIMENTS.md from `heading` to the next section, with "−" and
+    /// " %" spelled as the goldens spell them.
+    fn experiments_section(heading: &str) -> String {
+        let doc = include_str!("../../../EXPERIMENTS.md");
+        let section = &doc[doc.find(heading).unwrap_or_else(|| panic!("no {heading}"))..];
+        let end = section.find("\n## ").unwrap_or(section.len());
+        section[..end].replace('−', "-").replace(" %", "%")
+    }
+
+    /// The body rows of the first Markdown table in `section`.
+    fn table_rows(section: &str) -> Vec<&str> {
+        let rows = section.lines().skip_while(|l| !l.starts_with("|---"));
+        rows.skip(1).take_while(|l| l.starts_with('|')).collect()
+    }
+
     /// Each row of EXPERIMENTS.md's Table 6 reports, as its Measured
     /// triple, the SPECgmean Pwr / Perf / Eff that the committed
     /// default-cap golden prints for that row at −97 mV.
@@ -203,31 +234,97 @@ mod tests {
     fn experiments_table6_matches_the_default_golden() {
         let golden = include_str!("../../../goldens/default/table6.txt");
         let golden = &golden[golden.find("at -97 mV").expect("a -97 mV block")..];
-        let experiments = include_str!("../../../EXPERIMENTS.md");
-        let section = &experiments[experiments.find("## Table 6").expect("Table 6")..];
-        let rows = section.lines().skip_while(|l| !l.starts_with("|---"));
-        let rows: Vec<&str> = rows.skip(1).take_while(|l| l.starts_with('|')).collect();
+        let section = experiments_section("## Table 6");
+        let rows = table_rows(&section);
         assert_eq!(rows.len(), 6, "{section}");
         // The golden spells the configs in ASCII.
         let ascii = [("𝒜", "A"), ("ℬ", "B"), ("𝒞", "C"), ("₁", "1"), ("₄", "4")]
             .into_iter()
             .chain([("∞", "inf"), ("𝑓", "f"), ("𝑉", "V"), ("𝑒", "e")]);
-        for row in rows {
-            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        for line in rows {
+            let doc = cells(line);
             let config = ascii
                 .clone()
-                .fold(cells[1].to_string(), |s, (a, b)| s.replace(a, b));
+                .fold(doc[0].to_string(), |s, (a, b)| s.replace(a, b));
             let gmean = |metric: &str| {
                 golden
                     .lines()
-                    .map(|l| l.split('|').map(str::trim).collect::<Vec<_>>())
+                    .map(cells)
                     .find(|c| c.len() > 2 && c[0] == config && c[1] == metric)
                     .map(|c| c[2].to_string())
                     .unwrap_or_else(|| panic!("no {config} {metric} row in the golden"))
             };
             let want = format!("{} / {} / {}", gmean("Pwr"), gmean("Perf"), gmean("Eff"));
-            let measured = cells[3].replace('−', "-").replace(" %", "%");
-            assert_eq!(measured, want, "EXPERIMENTS.md Table 6 row {}", cells[1]);
+            assert_eq!(doc[2], want, "EXPERIMENTS.md Table 6 row {}", doc[0]);
+        }
+    }
+
+    /// The numbers EXPERIMENTS.md quotes for Figs. 12 and 14, §6.4's
+    /// residency table and the thrashing and IMUL-trap ablations are the
+    /// ones their committed goldens print: the default-cap goldens, and
+    /// the `--test` one for Fig. 12, whose closed-form model ignores the
+    /// cap.
+    #[test]
+    fn experiments_numbers_match_the_goldens() {
+        // Prose wraps anywhere, so it is compared with whitespace folded.
+        let prose = |heading| {
+            let section = experiments_section(heading);
+            section.split_whitespace().collect::<Vec<_>>().join(" ")
+        };
+        let fig12 = row(include_str!("../../../goldens/test/fig12.txt"), "-97");
+        let text = prose("## Fig. 12");
+        for want in [
+            format!("score {}", fig12[1]),
+            format!("→ {} W", fig12[2]),
+            format!("→ {} GHz", fig12[3]),
+        ] {
+            assert!(text.contains(&want), "Fig. 12 should say '{want}': {text}");
+        }
+
+        let fig14 = include_str!("../../../goldens/default/fig14.txt");
+        let text = experiments_section("## Fig. 14");
+        for latency in ["4 cycles", "30 cycles"] {
+            let golden = row(fig14, latency);
+            let want = format!("{} / {}", golden[1], golden[2]);
+            assert_eq!(row(&text, latency)[2], want, "Fig. 14 at {latency}");
+        }
+
+        let residency = include_str!("../../../goldens/default/residency.txt");
+        let section = experiments_section("## §6.4 residency");
+        let rows = table_rows(&section);
+        assert_eq!(rows.len(), 4, "{section}");
+        for line in rows {
+            let doc = cells(line);
+            let golden = row(residency, doc[0]);
+            assert_eq!(doc[1], golden[2], "§6.4 paper residency of {}", doc[0]);
+            let measured = doc[2].split(' ').next();
+            assert_eq!(measured, Some(golden[1]), "§6.4 residency of {}", doc[0]);
+        }
+
+        let ablations = include_str!("../../../goldens/default/ablations.txt");
+        let omnetpp = row(ablations, "520.omnetpp");
+        let (on, off) = omnetpp[5].split_once('/').expect("switches on/off");
+        let (on, off): (u32, u32) = (on.parse().unwrap(), off.parse().unwrap());
+        let grouped = |n: u32| match n {
+            1000.. => format!("{} {:03}", n / 1000, n % 1000),
+            _ => n.to_string(),
+        };
+        let hardened = row(ablations, "hardened IMUL (SUIT)");
+        let text = prose("## Ablations");
+        for want in [
+            format!(
+                "takes {}× the curve switches",
+                (off as f64 / on as f64).round()
+            ),
+            format!("({} → {})", grouped(on), grouped(off)),
+            format!("loses {} performance", omnetpp[3].trim_start_matches('-')),
+            format!("parks conservative at {} perf", omnetpp[1]),
+            format!("residency collapses from {} to", hardened[1]),
+        ] {
+            assert!(
+                text.contains(&want),
+                "Ablations should say '{want}': {text}"
+            );
         }
     }
 }

@@ -32,6 +32,7 @@ use suit_telemetry::{Counter, Hist, Telemetry};
 use suit_trace::gen::standard_normal;
 
 use crate::security::AuditOutcome;
+use crate::vmin::onset_probability;
 
 /// Which microarchitectural array a bank belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,16 +148,7 @@ impl SramArrayModel {
     /// shape as the instruction model, over the sharper
     /// [`SRAM_ONSET_WIDTH_MV`] band.
     pub fn fault_probability(&self, index: usize, offset_mv: f64) -> f64 {
-        let undervolt = -offset_mv;
-        let threshold = self.margin_mv(index);
-        if undervolt <= threshold {
-            0.0
-        } else if undervolt >= threshold + SRAM_ONSET_WIDTH_MV {
-            1.0
-        } else {
-            let x = (undervolt - threshold) / SRAM_ONSET_WIDTH_MV;
-            x * x
-        }
+        onset_probability(self.margin_mv(index), offset_mv, SRAM_ONSET_WIDTH_MV)
     }
 
     /// Whether bank `index` can flip at all at `offset_mv`.

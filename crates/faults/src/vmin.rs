@@ -41,6 +41,22 @@ pub fn mean_margin_mv(op: Opcode) -> f64 {
 /// onset of §2.3); below it they are certain.
 pub const ONSET_WIDTH_MV: f64 = 12.0;
 
+/// The fault onset both Vmin families share: 0 while the undervolt
+/// (`-offset_mv`) is within `margin_mv`, then rising as the square of the
+/// depth past the margin over `width_mv`, and 1 from `margin_mv +
+/// width_mv` on.
+pub(crate) fn onset_probability(margin_mv: f64, offset_mv: f64, width_mv: f64) -> f64 {
+    let undervolt = -offset_mv; // positive magnitude
+    if undervolt <= margin_mv {
+        0.0
+    } else if undervolt >= margin_mv + width_mv {
+        1.0
+    } else {
+        let x = (undervolt - margin_mv) / width_mv;
+        x * x
+    }
+}
+
 /// One sampled minimum voltage for (core, opcode).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VminSample {
@@ -103,16 +119,7 @@ impl ChipVminModel {
     /// (matching the "faults very infrequently at first" observation),
     /// and 1 below.
     pub fn fault_probability(&self, core: usize, op: Opcode, offset_mv: f64) -> f64 {
-        let undervolt = -offset_mv; // positive magnitude
-        let threshold = self.margin_mv(core, op);
-        if undervolt <= threshold {
-            0.0
-        } else if undervolt >= threshold + ONSET_WIDTH_MV {
-            1.0
-        } else {
-            let x = (undervolt - threshold) / ONSET_WIDTH_MV;
-            x * x
-        }
+        onset_probability(self.margin_mv(core, op), offset_mv, ONSET_WIDTH_MV)
     }
 
     /// Whether any execution of `op` at `offset_mv` can fault at all.

@@ -75,14 +75,3 @@ impl ScenarioReport {
         }
     }
 }
-
-/// Canonical JSON float text shared by the report serializers: finite
-/// values render with Rust's shortest round-trip `Display` (stable
-/// across platforms), non-finite values as `null`.
-pub(crate) fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}

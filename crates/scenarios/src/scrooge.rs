@@ -34,10 +34,9 @@ use suit_hw::UndervoltLevel;
 use suit_isa::{Opcode, TABLE1};
 use suit_rng::SuitRng;
 use suit_sim::fleet::FleetSim;
-use suit_telemetry::{Counter, Telemetry};
+use suit_telemetry::{json::json_num, Counter, Telemetry};
 
 use crate::config::ScroogeConfig;
-use crate::json_num;
 use crate::sram::{audit_row_json, AuditRow};
 
 /// Voltage margin bought back per unit of frequency scaling, mV: at

@@ -15,10 +15,10 @@ use suit_faults::{
     audit_suit_traps_only, AuditOutcome, AuditSequence, ChipVminModel, SramArrayModel,
     SramCampaign,
 };
-use suit_telemetry::{json::escape, Telemetry};
+use suit_telemetry::json::{escape, json_num};
+use suit_telemetry::Telemetry;
 
 use crate::config::SramScenarioConfig;
-use crate::json_num;
 
 /// One bank of the report: its sampled parameters and sweep results.
 #[derive(Debug, Clone, PartialEq)]

@@ -29,7 +29,7 @@ use suit_sim::experiment::{run_table6, RowResult};
 use suit_sim::result::RunResult;
 use suit_telemetry::fields;
 use suit_telemetry::fields::Codec as _;
-use suit_telemetry::json::{escape, parse, Value};
+use suit_telemetry::json::{escape, json_num, parse, Value};
 use suit_trace::{profile, WorkloadProfile};
 
 use crate::tracestore::StoredTrace;
@@ -62,7 +62,7 @@ impl Deadline {
     }
 }
 
-/// One validated compute job, ready to run on a worker.
+/// One validated compute job, ready to run in a job slot.
 #[derive(Debug, Clone)]
 pub enum Job {
     /// `POST /v1/simulate`: a single workload point (boxed to keep the
@@ -189,7 +189,7 @@ pub enum BatchSpec {
 
 /// The validated body of `POST /v1/simulate-trace` — everything but the
 /// stored trace itself, which the server resolves from the trace store
-/// by ID before queueing a [`TraceJob`].
+/// by ID before running a [`TraceJob`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     /// Content-addressed trace ID from `POST /v1/trace` (32 hex digits).
@@ -243,8 +243,8 @@ fn trace_id(id: &str) -> Result<(), String> {
     Err("field 'trace' must be a 32-hex-digit trace ID (from POST /v1/trace)".to_string())
 }
 
-/// A queued trace replay: the validated spec plus the stored container
-/// it resolved to (shared bytes, so queue clones are cheap).
+/// A trace replay job: the validated spec plus the stored container it
+/// resolved to (shared bytes, so clones are cheap).
 #[derive(Debug, Clone)]
 pub struct TraceJob {
     /// The validated request.
@@ -595,16 +595,6 @@ pub fn trace_info_json(id: &str, t: &StoredTrace) -> String {
 /// The profile of a workload name validated at parse time.
 fn workload(name: &str) -> &'static WorkloadProfile {
     profile::by_name(name).expect("workload validated at parse time")
-}
-
-/// A JSON number: shortest round-trip `Display` for finite values,
-/// `null` for NaN/±∞ (JSON has no encoding for them).
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
 }
 
 /// Serialises one [`RunResult`] — raw aggregates plus the paper's

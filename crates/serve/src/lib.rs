@@ -47,8 +47,9 @@
 //! [`api`] (body validation, job execution, deterministic JSON
 //! serialization), [`cache`] (request canonicalization, content-hash
 //! ETags, bounded LRU, in-flight coalescing), [`server`] (acceptor,
-//! bounded admission queue, worker pool, graceful shutdown), [`client`]
-//! (blocking one-shot client for the CLI and tests).
+//! connection threads that run their own jobs in a bounded count of job
+//! slots, graceful shutdown), [`client`] (blocking one-shot client for
+//! the CLI and tests).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,51 +1,53 @@
-//! The resident service: acceptor, bounded admission queue, worker pool,
-//! keep-alive connections with an idle reaper, and graceful shutdown.
+//! The resident service: acceptor, connection threads that run their own
+//! jobs in a bounded count of job slots, keep-alive connections with an
+//! idle reaper, and graceful shutdown.
 //!
 //! ## Threading model
 //!
-//! * **Acceptor** — the thread inside [`Server::run`] polls the listener
-//!   (non-blocking accept + short sleep so the shutdown flag is always
-//!   observed) and spawns one scoped thread per connection, capped at
+//! * **Acceptor** — the thread inside [`Server::run`] blocks in
+//!   `accept()` and spawns one scoped thread per connection, capped at
 //!   [`ServeConfig::max_connections`] (`503` beyond the cap).
 //! * **Connection threads** — own the socket: read with short timeouts
 //!   (accumulating idle time so stale keep-alive connections are reaped
 //!   after [`ServeConfig::idle_timeout`]), parse with [`crate::http`]'s
-//!   strict limits, answer control endpoints inline, and hand compute
-//!   jobs to the admission queue.
-//! * **Worker pool** — [`ServeConfig::threads`] workers pop jobs from the
-//!   bounded queue and run them; sweeps inside a job fan out over
-//!   [`suit_exec`] with the same thread policy, which is what keeps every
-//!   response byte-identical at any worker count.
+//!   strict limits, answer control endpoints inline, and run each compute
+//!   job themselves once it holds one of the [`ServeConfig::threads`] job
+//!   slots. Sweeps inside a job fan out over [`suit_exec`] with the same
+//!   thread policy, which is what keeps every response byte-identical at
+//!   any slot count.
+//!
+//! A slot is a count under a mutex, not a thread: no job is handed from
+//! one thread to another.
 //!
 //! ## Backpressure and deadlines
 //!
-//! The admission queue holds at most [`ServeConfig::queue_depth`] jobs.
-//! A request arriving while the queue is full is answered `429` with a
-//! `Retry-After` header *immediately* — the server never buffers
-//! unbounded work. Each job may carry a deadline (`deadline_ms` body
-//! field, else [`ServeConfig::default_deadline_ms`]): expired jobs are
-//! answered `408` without running, and batch jobs re-check the deadline
-//! between fan-out points.
+//! At most [`ServeConfig::queue_depth`] jobs wait for a slot, and they
+//! take slots in arrival order. A job arriving while that many wait is
+//! answered `429` with a `Retry-After` header *immediately* — the server
+//! never buffers unbounded work. Each job may carry a deadline
+//! (`deadline_ms` body field, else [`ServeConfig::default_deadline_ms`]):
+//! a job whose deadline passed while it waited is answered `408` without
+//! running, and batch jobs re-check the deadline between fan-out points.
 //!
 //! ## Graceful shutdown
 //!
 //! `POST /v1/shutdown` (or [`Server::shutdown_handle`]) flips one atomic
-//! flag. The acceptor stops accepting, workers drain every queued job,
-//! connection threads finish their in-flight exchange with
-//! `Connection: close`, and [`Server::run`] joins them all before
-//! returning — in-flight work completes, nothing is dropped.
+//! flag and wakes the acceptor with one connection to the listener's own
+//! address, which it drops unanswered. The acceptor stops accepting,
+//! waiting jobs still take their turn, connection threads finish their
+//! in-flight exchange with `Connection: close`, and [`Server::run`] joins
+//! them all before returning — in-flight work completes, nothing is
+//! dropped.
 
-use std::collections::VecDeque;
 use std::io::Read;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use suit_exec::Threads;
-use suit_telemetry::{Counter, Hist, Telemetry};
+use suit_telemetry::{json::json_num, Counter, Hist, Telemetry};
 
 use crate::api::{self, Deadline, ExecError};
 use crate::cache::{self, Cache, FlightTable, Role};
@@ -55,11 +57,12 @@ use crate::tracestore::{Inserted, StoredTrace, TraceStore};
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker-pool size; also the `suit-exec` fan-out policy inside
-    /// batch jobs (responses are byte-identical at every value).
+    /// Job slots: how many compute jobs run at once; also the
+    /// `suit-exec` fan-out policy inside batch jobs (responses are
+    /// byte-identical at every value).
     pub threads: Threads,
-    /// Bounded admission-queue capacity (≥ 1); a full queue answers
-    /// `429` + `Retry-After`.
+    /// How many jobs may wait for a slot (≥ 1); a job arriving while
+    /// that many wait is answered `429` + `Retry-After`.
     pub queue_depth: usize,
     /// Request parse limits (max head / body bytes).
     pub limits: Limits,
@@ -101,28 +104,42 @@ impl Default for ServeConfig {
     }
 }
 
-/// How often blocked reads/accepts re-check the shutdown flag.
+/// How often blocked reads re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
 
-/// One queued compute job.
-struct QueuedJob {
-    job: api::Job,
-    /// The endpoint's latency histogram.
-    hist: Hist,
-    deadline: Deadline,
-    accepted: Instant,
-    tx: SyncSender<Response>,
+/// The job slots. Each admitted job draws the next ticket and starts
+/// when every earlier ticket has started and a slot is free, so waiting
+/// jobs start in arrival order.
+#[derive(Default)]
+struct Slots {
+    /// How many jobs may run at once (`cfg.threads`).
+    total: usize,
+    /// Jobs running now.
+    running: usize,
+    /// Tickets drawn so far.
+    issued: u64,
+    /// Tickets that have started; `started..issued` are waiting.
+    started: u64,
+}
+
+impl Slots {
+    fn waiting(&self) -> usize {
+        (self.issued - self.started) as usize
+    }
 }
 
 /// Shared server state.
 struct State {
     cfg: ServeConfig,
     tele: Telemetry,
-    queue: Mutex<VecDeque<QueuedJob>>,
-    job_ready: Condvar,
-    inflight: AtomicUsize,
+    slots: Mutex<Slots>,
+    /// Signalled when a job starts or ends while others wait.
+    turn: Condvar,
     conns: AtomicUsize,
     shutdown: AtomicBool,
+    /// The listener's address, loopback in place of an unspecified IP:
+    /// where [`State::begin_shutdown`] connects to wake the acceptor.
+    wake_addr: SocketAddr,
     /// Content-addressed result cache (canonical request → response
     /// bytes + ETag), bounded by `cache_entries`/`cache_bytes`.
     cache: Cache,
@@ -150,10 +167,11 @@ impl ShutdownHandle {
 
 impl State {
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake every idle worker so it can observe the flag and drain.
-        let _guard = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        self.job_ready.notify_all();
+        // The first call wakes the acceptor, blocked in `accept()`, with a
+        // connection that it drops unanswered.
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
     }
 
     fn shutting_down(&self) -> bool {
@@ -172,18 +190,29 @@ impl Server {
     pub fn bind(addr: &str, cfg: ServeConfig) -> std::io::Result<Server> {
         assert!(cfg.queue_depth >= 1, "queue depth must be at least 1");
         let listener = TcpListener::bind(addr)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let cache = Cache::new(cfg.cache_entries, cfg.cache_bytes);
         let traces = TraceStore::new(cfg.trace_entries, cfg.trace_bytes);
+        let slots = Slots {
+            total: cfg.threads.count(),
+            ..Slots::default()
+        };
         Ok(Server {
             listener,
             state: Arc::new(State {
                 cfg,
                 tele: Telemetry::with_capacity(16),
-                queue: Mutex::new(VecDeque::new()),
-                job_ready: Condvar::new(),
-                inflight: AtomicUsize::new(0),
+                slots: Mutex::new(slots),
+                turn: Condvar::new(),
                 conns: AtomicUsize::new(0),
                 shutdown: AtomicBool::new(false),
+                wake_addr,
                 cache,
                 flights: FlightTable::new(),
                 traces,
@@ -201,17 +230,16 @@ impl Server {
         ShutdownHandle(Arc::clone(&self.state))
     }
 
-    /// Serves until shutdown is requested, then drains queued and
+    /// Serves until shutdown is requested, then drains waiting and
     /// in-flight jobs and joins every thread before returning.
     pub fn run(self) -> std::io::Result<()> {
         let state = &self.state;
-        self.listener.set_nonblocking(true)?;
         std::thread::scope(|scope| {
-            for _ in 0..state.cfg.threads.count() {
-                scope.spawn(|| worker_loop(state));
-            }
             while !state.shutting_down() {
                 match self.listener.accept() {
+                    // The wake-up from `begin_shutdown`, or a client that
+                    // raced it: dropped unanswered.
+                    Ok(_) if state.shutting_down() => {}
                     Ok((stream, _peer)) => {
                         if state.conns.load(Ordering::SeqCst) >= state.cfg.max_connections {
                             let mut s = stream;
@@ -225,9 +253,6 @@ impl Server {
                             state.conns.fetch_sub(1, Ordering::SeqCst);
                         });
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL);
-                    }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(e) => {
                         state.begin_shutdown();
@@ -237,34 +262,8 @@ impl Server {
             }
             Ok(())
         })
-        // All scoped threads (workers drained the queue, connections
-        // finished their in-flight exchange) have joined here.
-    }
-}
-
-/// Worker: pop jobs until the queue is empty *and* shutdown was
-/// requested — queued jobs are drained, never dropped.
-fn worker_loop(state: &State) {
-    loop {
-        let queued = {
-            let mut q = state.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(job) = q.pop_front() {
-                    break job;
-                }
-                if state.shutting_down() {
-                    return;
-                }
-                q = state.job_ready.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        state.inflight.fetch_add(1, Ordering::SeqCst);
-        let response = run_job(state, &queued);
-        state.inflight.fetch_sub(1, Ordering::SeqCst);
-        state.tele.observe(queued.hist, elapsed_us(queued.accepted));
-        // The connection thread may have given up (deadline, peer gone);
-        // a dead receiver is fine.
-        let _ = queued.tx.send(response);
+        // All scoped connection threads (waiting jobs included) have
+        // finished their in-flight exchange and joined here.
     }
 }
 
@@ -272,17 +271,16 @@ fn elapsed_us(since: Instant) -> u64 {
     since.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
-fn run_job(state: &State, queued: &QueuedJob) -> Response {
-    if queued.deadline.expired() {
+fn run_job(state: &State, job: &api::Job, deadline: Deadline) -> Response {
+    if deadline.expired() {
         state.tele.count(Counter::ServeDeadlineExpired);
         return Response::error(408, "deadline expired while queued");
     }
-    let threads = state.cfg.threads;
-    let job = queued.job.clone();
-    let deadline = queued.deadline;
     // Robustness boundary: a panicking engine must cost one request, not
-    // a worker thread (and therefore, eventually, the whole pool).
-    match catch_unwind(AssertUnwindSafe(|| api::execute(&job, threads, deadline))) {
+    // a connection thread and the slot it holds.
+    match catch_unwind(AssertUnwindSafe(|| {
+        api::execute(job, state.cfg.threads, deadline)
+    })) {
         Ok(Ok(body)) => Response::ok(body),
         Ok(Err(ExecError::DeadlineExpired)) => {
             state.tele.count(Counter::ServeDeadlineExpired);
@@ -365,7 +363,7 @@ enum Handler {
     Shutdown,
     TraceUpload,
     TraceInfo,
-    /// A job for the admission queue, and its latency histogram.
+    /// A job that runs in a job slot, and its latency histogram.
     Compute(Hist, ParseJob),
 }
 
@@ -440,7 +438,7 @@ fn route(path: &str) -> Option<&'static (&'static str, Method, Handler)> {
 }
 
 /// Routes one parsed request. Control endpoints answer inline;
-/// compute endpoints go through the admission queue.
+/// compute endpoints wait for a job slot.
 fn dispatch(state: &State, request: &Request) -> Response {
     let started = Instant::now();
     let path = request.path.as_str();
@@ -593,8 +591,8 @@ fn trace_upload_inner(state: &State, bytes: &[u8]) -> Response {
 /// Order matters for the determinism contract: a **hit** returns the
 /// exact stored bytes (byte-identical to a fresh computation, because
 /// the engines are pure functions of the canonical request); a **miss**
-/// either *leads* — runs the job through the admission queue, stores a
-/// `200` body, and publishes the outcome — or *follows* an identical
+/// either *leads* — runs the job in a slot, stores a `200` body, and
+/// publishes the outcome — or *follows* an identical
 /// in-flight request and receives the leader's outcome verbatim,
 /// including `429`/`408`/`500` failures. `If-None-Match` revalidation
 /// happens per request (each waiter compares its own header), so a
@@ -616,7 +614,9 @@ fn submit_cached(
     if let Some(hit) = state.cache.get(&key) {
         state.tele.count(Counter::ServeRequests);
         state.tele.count(Counter::ServeCacheHits);
-        let resp = revalidate(state, request, hit);
+        let mut resp = Response::ok(hit.body);
+        resp.etag = Some(hit.etag);
+        let resp = conditional(state, request, resp);
         state
             .tele
             .observe(Hist::ServeCacheHitUs, elapsed_us(accepted));
@@ -648,19 +648,8 @@ fn submit_cached(
     }
 }
 
-/// Converts a freshly cached hit into this request's answer: `304` when
-/// its `If-None-Match` revalidates, the stored bytes otherwise.
-fn revalidate(state: &State, request: &Request, hit: cache::CachedResponse) -> Response {
-    if request.if_none_match(&hit.etag) {
-        state.tele.count(Counter::ServeNotModified);
-        return Response::not_modified(hit.etag);
-    }
-    let mut resp = Response::ok(hit.body);
-    resp.etag = Some(hit.etag);
-    resp
-}
-
-/// Applies conditional-request semantics to a computed `200`.
+/// Applies conditional-request semantics to a `200` with an ETag: `304`
+/// when this request's `If-None-Match` revalidates it.
 fn conditional(state: &State, request: &Request, resp: Response) -> Response {
     if resp.status == 200 {
         if let Some(etag) = &resp.etag {
@@ -673,9 +662,9 @@ fn conditional(state: &State, request: &Request, resp: Response) -> Response {
     resp
 }
 
-/// An honest `Retry-After` for a full queue: the time to drain what is
-/// queued at the endpoint's recently observed pace (its latency
-/// histogram `hist`) — queue depth × p50 job latency — clamped to
+/// An honest `Retry-After` for a full wait list: the time to drain the
+/// `queued` waiting jobs at the endpoint's recently observed pace (its
+/// latency histogram `hist`) — waiting jobs × p50 job latency — clamped to
 /// `1..=60` seconds. Before any job has completed there is no observed
 /// rate, so fall back to 1 s.
 fn retry_after_s(state: &State, hist: Hist, queued: usize) -> u32 {
@@ -689,7 +678,9 @@ fn retry_after_s(state: &State, hist: Hist, queued: usize) -> u32 {
     drain_us.div_ceil(1_000_000).clamp(1, 60) as u32
 }
 
-/// Admission: enqueue within the bound or answer `429` immediately.
+/// Admission, then the job itself on this connection thread: at most
+/// `queue_depth` jobs wait for a slot (one more is answered `429` at
+/// once), and waiting jobs start in arrival order.
 fn submit(
     state: &State,
     job: api::Job,
@@ -700,38 +691,42 @@ fn submit(
     if state.shutting_down() {
         return Response::error(503, "server is draining");
     }
-    let (tx, rx): (SyncSender<Response>, Receiver<Response>) = std::sync::mpsc::sync_channel(1);
-    {
-        let mut q = state.queue.lock().unwrap_or_else(|e| e.into_inner());
-        if q.len() >= state.cfg.queue_depth {
-            let queued = q.len();
-            drop(q);
-            state.tele.count(Counter::ServeRejected);
-            return Response::too_many_requests(
-                "admission queue is full; retry later",
-                retry_after_s(state, hist, queued),
-            );
-        }
-        q.push_back(QueuedJob {
-            job,
-            hist,
-            deadline,
-            accepted,
-            tx,
-        });
-        state.job_ready.notify_one();
+    let mut slots = state.slots.lock().unwrap_or_else(|e| e.into_inner());
+    let waiting = slots.waiting();
+    if waiting >= state.cfg.queue_depth {
+        drop(slots);
+        state.tele.count(Counter::ServeRejected);
+        return Response::too_many_requests(
+            "admission queue is full; retry later",
+            retry_after_s(state, hist, waiting),
+        );
     }
+    let ticket = slots.issued;
+    slots.issued += 1;
     state.tele.count(Counter::ServeRequests);
-    match rx.recv() {
-        Ok(response) => response,
-        // The worker died mid-job (it never drops the sender otherwise).
-        Err(_) => Response::error(500, "worker failed while executing the job"),
+    while slots.started != ticket || slots.running == slots.total {
+        slots = state.turn.wait(slots).unwrap_or_else(|e| e.into_inner());
     }
+    slots.started += 1;
+    slots.running += 1;
+    if slots.waiting() > 0 && slots.running < slots.total {
+        state.turn.notify_all();
+    }
+    drop(slots);
+    let response = run_job(state, &job, deadline);
+    let mut slots = state.slots.lock().unwrap_or_else(|e| e.into_inner());
+    slots.running -= 1;
+    if slots.waiting() > 0 {
+        state.turn.notify_all();
+    }
+    drop(slots);
+    state.tele.observe(hist, elapsed_us(accepted));
+    response
 }
 
 /// The live `/v1/metrics` document: request counters, per-endpoint
-/// latency histograms (p50/p90/p99/max over log₂ buckets), and queue
-/// gauges.
+/// latency histograms (p50/p90/p99/max over log₂ buckets), and job-slot
+/// gauges (`queue.depth` jobs waiting, `queue.inflight` jobs running).
 fn metrics_json(state: &State) -> String {
     let snap = state.tele.snapshot();
     let lat = |h: Hist| {
@@ -739,14 +734,17 @@ fn metrics_json(state: &State) -> String {
         format!(
             "{{\"count\":{},\"mean_us\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{}}}",
             s.count(),
-            api::json_num(s.mean()),
+            json_num(s.mean()),
             s.quantile(0.5),
             s.quantile(0.9),
             s.quantile(0.99),
             s.max,
         )
     };
-    let queued = state.queue.lock().unwrap_or_else(|e| e.into_inner()).len();
+    let (waiting, running, total) = {
+        let slots = state.slots.lock().unwrap_or_else(|e| e.into_inner());
+        (slots.waiting(), slots.running, slots.total)
+    };
     let (cache_entries, cache_bytes) = state.cache.usage();
     let (cap_entries, cap_bytes) = state.cache.capacity();
     let (trace_entries, trace_bytes) = state.traces.usage();
@@ -791,10 +789,10 @@ fn metrics_json(state: &State) -> String {
         snap.counter(Counter::ServeTraceUploads),
         snap.counter(Counter::ServeTraceDedup),
         snap.counter(Counter::ServeTraceStoreFull),
-        queued,
+        waiting,
         state.cfg.queue_depth,
-        state.inflight.load(Ordering::SeqCst),
-        state.cfg.threads.count(),
+        running,
+        total,
         state.shutting_down(),
     )
 }

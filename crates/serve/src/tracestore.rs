@@ -30,7 +30,7 @@ use crate::cache::content_hash;
 /// summary the upload response and `GET /v1/trace/<id>` report.
 #[derive(Debug, Clone)]
 pub struct StoredTrace {
-    /// The container bytes (shared so queued replay jobs clone cheaply).
+    /// The container bytes (shared, so a replay job holds them uncopied).
     pub bytes: Arc<Vec<u8>>,
     /// Workload name from the container header.
     pub workload: String,

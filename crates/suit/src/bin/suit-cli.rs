@@ -659,9 +659,14 @@ fn cmd_analyze(args: &Args) -> CliResult {
 /// is optional here — the subcommand names it); `--json` prints the
 /// service's canonical JSON report instead of the text rendering.
 fn cmd_scenario(args: &Args, kind: &str) -> CliResult {
-    let doc = args.value("--config").map_or(Ok("{}".into()), read)?;
-    let doc = suit::telemetry::json::parse(&doc)?;
-    let mut cfg = suit::scenarios::ScenarioConfig::of_kind(kind, &doc, &[])?;
+    let config = |doc: &str| {
+        let doc = suit::telemetry::json::parse(doc)?;
+        suit::scenarios::ScenarioConfig::of_kind(kind, &doc, &[])
+    };
+    let mut cfg = match args.value("--config") {
+        Some(path) => config(&read(path)?).map_err(|e| format!("{path}: {e}"))?,
+        None => config("{}")?,
+    };
     cfg.apply_flags(|flag| args.value(flag).map(str::to_string))?;
     let report = cfg.run(args.threads().count(), &Telemetry::off())?;
     if args.has("--json") {

@@ -317,6 +317,17 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// A JSON number: Rust's shortest round-trip `Display` for finite values
+/// (stable across platforms), `null` for NaN/±∞, which JSON cannot
+/// encode. The serializers' counterpart to [`escape`].
+pub fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".into()
+    }
+}
+
 /// [`escape`], appending to `out` instead of allocating.
 pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');

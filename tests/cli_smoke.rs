@@ -274,6 +274,39 @@ fn scenario_config_file_overrides_and_bad_configs_fail() {
 }
 
 #[test]
+fn a_bad_scenario_config_file_is_named_in_its_error() {
+    // As `fleet --config` does: a file that fails to parse, or that holds
+    // a bad field, is named before the parser's message.
+    let path =
+        std::env::temp_dir().join(format!("suit-cli-bad-scenario-{}.json", std::process::id()));
+    let path = path.to_str().expect("utf-8 temp path");
+    for (kind, doc, message) in [
+        ("sram", "not json", "bad literal at byte 0"),
+        ("scrooge", "not json", "bad literal at byte 0"),
+        (
+            "sram",
+            r#"{"scenario":"scrooge"}"#,
+            r#"'scenario' must be "sram" here"#,
+        ),
+        (
+            "scrooge",
+            r#"{"racks":0}"#,
+            "field 'racks' must be in 1..=4096",
+        ),
+    ] {
+        std::fs::write(path, doc).expect("write config");
+        let out = cli(&["scenario", kind, "--config", path]);
+        assert!(!out.status.success(), "{kind} {doc}");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("error: {path}: {message}")),
+            "{kind} {doc}: {err}"
+        );
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn serve_flag_validation_prints_usage_and_fails() {
     // Bad values must fail *before* any socket is bound: validation is
     // fast, loud, and routed through the same usage path as --threads.

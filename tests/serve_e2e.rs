@@ -1,5 +1,5 @@
-//! Loopback end-to-end tests for `suit-serve`: real sockets, real
-//! worker pools, in-process server.
+//! Loopback end-to-end tests for `suit-serve`: real sockets, real job
+//! slots, in-process server.
 //!
 //! The load-bearing assertion is *byte identity*: a `/v1/batch` response
 //! must equal the JSON serialization of the equivalent direct
@@ -360,6 +360,96 @@ fn graceful_shutdown_drains_the_inflight_job() {
     );
     join.join().expect("server thread").expect("server run");
     let _ = handle;
+}
+
+/// Reads a numeric field out of the parsed `/v1/metrics` queue section.
+fn queue_metric(addr: &str, name: &str) -> f64 {
+    let metrics = request_text(addr, "GET", "/v1/metrics", None, TIMEOUT).expect("metrics");
+    let m = parse(&metrics).expect("metrics JSON");
+    match field(field(&m, "queue"), name) {
+        Value::Num(n) => *n,
+        other => panic!("queue.{name} should be a number, got {other:?}"),
+    }
+}
+
+#[test]
+fn waiting_jobs_start_in_arrival_order() {
+    let (addr, handle, join) = start(ServeConfig {
+        threads: Threads::Fixed(1),
+        queue_depth: 4,
+        cache_entries: 0,
+        ..ServeConfig::default()
+    });
+    // Park the drain test's slow job in the only slot…
+    let slow_addr = addr.clone();
+    let slow = std::thread::spawn(move || {
+        post(
+            &slow_addr,
+            "/v1/batch",
+            "{\"workloads\":[\"Nginx\"],\"insts\":50000000,\"cores\":4}",
+        )
+    });
+    let await_queue = |name: &str, value: f64, what: &str| {
+        for _ in 0..200 {
+            if queue_metric(&addr, name) == value {
+                return;
+            }
+            assert!(
+                !slow.is_finished(),
+                "the slow job ended before {what}; the test needs a slower job"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        panic!("queue.{name} never reached {value} ({what})");
+    };
+    await_queue("inflight", 1.0, "it was seen running");
+    // …then queue job A, and job B behind it. B is a shared-domain batch
+    // too, so it cannot finish before A's response is read even if it
+    // started first.
+    let finished = std::sync::Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for (i, (name, path, body)) in [
+            (
+                "A",
+                "/v1/simulate",
+                "{\"workload\":\"557.xz\",\"insts\":1000000}",
+            ),
+            (
+                "B",
+                "/v1/batch",
+                "{\"workloads\":[\"Nginx\"],\"insts\":5000000,\"cores\":4}",
+            ),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (addr, finished) = (&addr, &finished);
+            scope.spawn(move || {
+                post(addr, path, body).unwrap_or_else(|e| panic!("job {name}: {e}"));
+                finished.lock().unwrap().push(name);
+            });
+            await_queue("depth", (i + 1) as f64, &format!("job {name} was queued"));
+        }
+    });
+    assert_eq!(*finished.lock().unwrap(), ["A", "B"]);
+    slow.join().expect("slow thread").expect("slow job");
+    stop(handle, join);
+}
+
+#[test]
+fn shutdown_wakes_a_server_bound_to_an_unspecified_address() {
+    let server = Server::bind("0.0.0.0:0", ServeConfig::default()).expect("bind 0.0.0.0:0");
+    let handle = server.shutdown_handle();
+    let (done, ran) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.run()));
+    // Either order must work; the pause makes it likely that `run` is
+    // already blocked in `accept`, the path under test. No client ever
+    // connects.
+    std::thread::sleep(Duration::from_millis(100));
+    handle.shutdown();
+    ran.recv_timeout(Duration::from_secs(5))
+        .expect("run() must return soon after shutdown")
+        .expect("server run");
 }
 
 /// Reads a numeric field out of the parsed `/v1/metrics` cache section.
