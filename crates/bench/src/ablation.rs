@@ -211,6 +211,7 @@ pub fn noisy_neighbor(cap: Option<u64>, threads: Threads) -> TextTable {
 /// counters, histograms and events are merged deterministically across
 /// workers and their summary follows the table.
 pub fn montecarlo(runs: usize, threads: Threads, telemetry: bool) -> String {
+    // The Monte-Carlo entry points take a worker count, not a policy.
     let workers = threads.count();
     let mut merged = TelemetrySnapshot::default();
     let cpu = CpuModel::xeon_4208();

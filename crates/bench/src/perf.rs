@@ -413,17 +413,18 @@ pub fn scenario_sweep(opts: &PerfOpts) {
     let sram_bench = bench_with_throughput(
         "sram_campaign (bank-offset points)",
         Some(sram_points),
-        || sram::run(&sram_cfg, 1, &Telemetry::off()),
+        || sram::run(&sram_cfg, Threads::Fixed(1), &Telemetry::off()),
     );
-    let sram_report = sram::run(&sram_cfg, 1, &Telemetry::off());
+    let sram_report = sram::run(&sram_cfg, Threads::Fixed(1), &Telemetry::off());
     let sram_pps = sram_points as f64 / sram_bench.median.as_secs_f64().max(1e-12);
 
     let scrooge_bench =
         bench_with_throughput("scrooge_search (grid points)", Some(scrooge_points), || {
-            scrooge::search(&scrooge_cfg, 1, &Telemetry::off()).expect("bench scenario is valid")
+            scrooge::search(&scrooge_cfg, Threads::Fixed(1), &Telemetry::off())
+                .expect("bench scenario is valid")
         });
-    let scrooge_report =
-        scrooge::search(&scrooge_cfg, 1, &Telemetry::off()).expect("bench scenario is valid");
+    let scrooge_report = scrooge::search(&scrooge_cfg, Threads::Fixed(1), &Telemetry::off())
+        .expect("bench scenario is valid");
     let scrooge_pps = scrooge_points as f64 / scrooge_bench.median.as_secs_f64().max(1e-12);
 
     println!(
@@ -468,12 +469,12 @@ pub fn scenario_sweep(opts: &PerfOpts) {
         for threads in [1, 4] {
             assert_eq!(
                 sram_report.to_json(),
-                sram::run(&sram_cfg, threads, &Telemetry::off()).to_json(),
+                sram::run(&sram_cfg, Threads::Fixed(threads), &Telemetry::off()).to_json(),
                 "sram scenario diverged at {threads} threads"
             );
             assert_eq!(
                 scrooge_report.to_json(),
-                scrooge::search(&scrooge_cfg, threads, &Telemetry::off())
+                scrooge::search(&scrooge_cfg, Threads::Fixed(threads), &Telemetry::off())
                     .expect("bench scenario is valid")
                     .to_json(),
                 "scrooge search diverged at {threads} threads"

@@ -212,6 +212,11 @@ mod tests {
             .unwrap_or_else(|| panic!("no '{key}' row"))
     }
 
+    /// A cell such as `+18.1%` as a number.
+    fn percent(cell: &str) -> f64 {
+        cell.trim_end_matches('%').parse().expect("a percentage")
+    }
+
     /// EXPERIMENTS.md from `heading` to the next section, with "−" and
     /// " %" spelled as the goldens spell them.
     fn experiments_section(heading: &str) -> String {
@@ -259,11 +264,12 @@ mod tests {
         }
     }
 
-    /// The numbers EXPERIMENTS.md quotes for Figs. 12 and 14, §6.4's
-    /// residency table and the thrashing and IMUL-trap ablations are the
-    /// ones their committed goldens print: the default-cap goldens, and
-    /// the `--test` one for Fig. 12, whose closed-form model ignores the
-    /// cap.
+    /// The numbers EXPERIMENTS.md quotes for Figs. 12, 14 and 16, §6.4's
+    /// residency table, the thrashing, IMUL-trap and noisy-neighbour
+    /// ablations and the Monte-Carlo error bars are the ones their
+    /// committed goldens print: the default-cap goldens, and the `--test`
+    /// ones for Fig. 12, whose closed-form model ignores the cap, and the
+    /// Monte-Carlo report, which prints the same at both sizes.
     #[test]
     fn experiments_numbers_match_the_goldens() {
         // Prose wraps anywhere, so it is compared with whitespace folded.
@@ -279,6 +285,33 @@ mod tests {
             format!("→ {} GHz", fig12[3]),
         ] {
             assert!(text.contains(&want), "Fig. 12 should say '{want}': {text}");
+        }
+
+        // Fig. 16: the two best SPEC efficiencies at −97 mV, and the ones
+        // within a point of zero, in the golden's row order.
+        let fig16 = include_str!("../../../goldens/default/fig16.txt");
+        let spec: Vec<(&str, f64)> = fig16
+            .lines()
+            .map(cells)
+            .filter(|c| c.len() == 5 && c[0].starts_with(|d: char| d.is_ascii_digit()))
+            .map(|c| (c[0].split_once('.').expect("NNN.name").1, percent(c[4])))
+            .collect();
+        assert_eq!(spec.len(), 23, "{fig16}");
+        let mut best = spec.clone();
+        best.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let level = best[0].1.round();
+        assert_eq!(best[1].1.round(), level, "{best:?}");
+        let near_zero: Vec<&str> = spec
+            .iter()
+            .filter(|(_, eff)| eff.abs() < 1.0)
+            .map(|(name, _)| *name)
+            .collect();
+        let text = prose("## Fig. 16");
+        for want in [
+            format!("{}/{} best at ≈ +{level}%", best[0].0, best[1].0),
+            format!("{} ≈ 0", near_zero.join("/")),
+        ] {
+            assert!(text.contains(&want), "Fig. 16 should say '{want}': {text}");
         }
 
         let fig14 = include_str!("../../../goldens/default/fig14.txt");
@@ -326,5 +359,42 @@ mod tests {
                 "Ablations should say '{want}': {text}"
             );
         }
+
+        // Noisy neighbours: "from ~A% to < B%", A the golden's whole
+        // percent alone and B a bound on the residency beside 520.omnetpp.
+        let alone = percent(row(ablations, "557.xz alone")[1]);
+        let paired = percent(row(ablations, "557.xz + 520.omnetpp")[1]);
+        let claim = text
+            .split("residency from ~")
+            .nth(1)
+            .expect("the noisy-neighbour sentence");
+        let (from, rest) = claim.split_once("% to < ").expect("from ~A% to < B%");
+        let below: f64 = rest[..rest.find('%').expect("B%")].parse().expect("B");
+        assert_eq!(from, alone.trunc().to_string(), "residency alone, {alone}%");
+        assert!(paired < below, "residency beside 520.omnetpp, {paired}%");
+
+        // Monte-Carlo: 502.gcc's efficiency mean and deviation, and the
+        // run count, from the `--test` report.
+        let montecarlo = include_str!("../../../goldens/test/montecarlo.txt");
+        let runs = montecarlo
+            .strip_prefix("Monte-Carlo (")
+            .and_then(|r| r.split_once(' '))
+            .expect("the run count")
+            .0;
+        let gcc: Vec<&str> = montecarlo
+            .lines()
+            .find(|l| l.starts_with("502.gcc "))
+            .expect("a 502.gcc row")
+            .split_whitespace()
+            .collect();
+        let sign = if gcc[1].starts_with('-') { "" } else { "+" };
+        let want = format!(
+            "502.gcc efficiency {sign}{} ± {} over {runs} runs",
+            gcc[1], gcc[3]
+        );
+        assert!(
+            text.contains(&want),
+            "Ablations should say '{want}': {text}"
+        );
     }
 }

@@ -1,6 +1,5 @@
 //! Regenerators for the paper's Tables 1–8.
 
-use suit_core::strategy::StrategyParams;
 use suit_exec::Threads;
 use suit_faults::vmin::ChipVminModel;
 use suit_faults::Campaign;
@@ -9,7 +8,8 @@ use suit_hw::undervolt::{table2_row, SteadyStateModel};
 use suit_hw::UndervoltLevel;
 use suit_isa::TABLE1;
 use suit_ooo::O3Config;
-use suit_sim::experiment::{run_row_with, table6_rows, table8_counts, RowResult};
+use suit_sim::experiment::{run_row, table6_rows, table8_counts, RowResult, RowSpec};
+use suit_telemetry::Telemetry;
 use suit_trace::profile;
 
 use crate::render::{num, pct, TextTable};
@@ -23,7 +23,7 @@ pub fn table1(threads: Threads) -> TextTable {
     let mut totals = [0u32; suit_isa::Opcode::COUNT];
     for seed in 0..3 {
         let chip = ChipVminModel::sample(4, 12.0, seed);
-        let report = Campaign::standard(chip, seed).run_with_threads(threads.count());
+        let report = Campaign::standard(chip, seed).run(threads, &Telemetry::off());
         for row in TABLE1 {
             totals[row.opcode.index()] += report.faults(row.opcode);
         }
@@ -216,8 +216,7 @@ pub fn table6(level: UndervoltLevel, cap: Option<u64>, threads: Threads) -> Text
         ],
     );
     for spec in table6_rows() {
-        let params = StrategyParams::for_cpu(&spec.cpu);
-        let row = run_row_with(&spec, level, params, cap, threads);
+        let row = run_row(&spec, level, cap, threads);
         for cells in deltas_row(spec.label, &row) {
             t.row(cells);
         }
@@ -230,16 +229,7 @@ pub fn table6(level: UndervoltLevel, cap: Option<u64>, threads: Threads) -> Text
 /// sweep demonstrating the flat optimum the paper reports. Each sweep
 /// point's row fans out over `threads` workers.
 pub fn table7(cap: Option<u64>, threads: Threads) -> TextTable {
-    use suit_core::StrategyKey;
-    use suit_hw::CpuModel;
-    use suit_sim::experiment::RowSpec;
-
-    let spec = RowSpec {
-        label: "Cinf fV",
-        cpu: CpuModel::xeon_4208(),
-        cores: 1,
-        strategy: StrategyKey::FreqVolt,
-    };
+    let spec = &table6_rows()[5]; // C∞ fV
     let mut t = TextTable::new(
         "Table 7 — Operating-strategy parameter sweep (deadline p_dl on CPU C)",
         &["p_dl (us)", "SPEC eff (gmean)", "delta vs optimum"],
@@ -248,9 +238,12 @@ pub fn table7(cap: Option<u64>, threads: Threads) -> TextTable {
     let results: Vec<(u64, f64)> = DEADLINES_US
         .iter()
         .map(|&dl_us| {
-            let params =
-                StrategyParams::intel().with_deadline(suit_isa::SimDuration::from_micros(dl_us));
-            let row = run_row_with(&spec, UndervoltLevel::Mv97, params, cap, threads);
+            let deadline = suit_isa::SimDuration::from_micros(dl_us);
+            let spec = RowSpec {
+                params: spec.params.with_deadline(deadline),
+                ..spec.clone()
+            };
+            let row = run_row(&spec, UndervoltLevel::Mv97, cap, threads);
             (dl_us, row.spec_gmean().eff)
         })
         .collect();
@@ -282,8 +275,7 @@ pub fn table8(cap: Option<u64>, threads: Threads) -> TextTable {
         ("Cinf fV", 16),
     ];
     for (spec, (_, paper_wins)) in table6_rows().iter().zip(paper) {
-        let params = StrategyParams::for_cpu(&spec.cpu);
-        let row = run_row_with(spec, UndervoltLevel::Mv97, params, cap, threads);
+        let row = run_row(spec, UndervoltLevel::Mv97, cap, threads);
         let (ns, suit) = table8_counts(&row);
         t.row(vec![
             spec.label.to_string(),
@@ -298,8 +290,7 @@ pub fn table8(cap: Option<u64>, threads: Threads) -> TextTable {
 /// §6.4 residency report: fraction of time on the efficient curve.
 pub fn residency(cap: Option<u64>, threads: Threads) -> TextTable {
     let spec = &table6_rows()[5]; // C∞ fV
-    let params = StrategyParams::for_cpu(&spec.cpu);
-    let row = run_row_with(spec, UndervoltLevel::Mv97, params, cap, threads);
+    let row = run_row(spec, UndervoltLevel::Mv97, cap, threads);
     let mut t = TextTable::new(
         "Efficient-curve residency on CPU C, fV, -97 mV (paper §6.4)",
         &["Workload", "Residency", "Paper"],

@@ -303,7 +303,7 @@ impl Checker {
             // Failing cases panic inside run_case; quiet the hook for the
             // whole block so a failure does not spam per-worker traces.
             let fails = with_quiet_panics(|| {
-                suit_exec::run(n as usize, Threads::Fixed(workers), |j| {
+                suit_exec::run(n as usize, self.workers, |j| {
                     let case_seed = root.fork(start + j as u64).root_seed();
                     let mut src = Source::fresh(case_seed);
                     run_case(gen, prop, &mut src)

@@ -45,48 +45,22 @@ impl Campaign {
         }
     }
 
-    /// Runs the campaign and tallies faults per opcode, fanned out across
-    /// all available cores. The tally is identical for every thread count.
-    pub fn run(&self) -> CampaignReport {
-        self.run_with_threads(Threads::Auto.count())
-    }
-
-    /// [`Self::run`] with an explicit worker count. One job per
-    /// (core, frequency) shard on the [`suit_exec`] executor; shard `s`
-    /// draws from `fork(s)` of the campaign seed, so the merged report is
-    /// a pure function of the configuration no matter how shards land on
-    /// workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn run_with_threads(&self, threads: usize) -> CampaignReport {
-        self.run_with_threads_telemetry(threads, &Telemetry::off())
-    }
-
-    /// [`Self::run_with_threads`] recording per-shard injection counts and
-    /// first-fault depths into `tele`. Shards are claimed by workers in
-    /// scheduling-dependent order, so only commutative telemetry
-    /// operations (counters, histograms) are recorded here — no timeline
-    /// events — keeping the shared-recorder snapshot thread-count
-    /// invariant. The per-shard reports themselves come back index-ordered
-    /// from the executor and merge with commutative, associative ops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn run_with_threads_telemetry(&self, threads: usize, tele: &Telemetry) -> CampaignReport {
-        assert!(threads >= 1, "need at least one worker");
+    /// Runs the campaign over `threads` workers and tallies faults per
+    /// opcode, recording per-shard injection counts and first-fault
+    /// depths into `tele`. One job per (core, frequency) shard on the
+    /// [`suit_exec`] executor; shard `s` draws from `fork(s)` of the
+    /// campaign seed, so the merged report is a pure function of the
+    /// configuration no matter how shards land on workers. Shards are
+    /// claimed in scheduling-dependent order, so only commutative
+    /// telemetry operations (counters, histograms) are recorded here —
+    /// no timeline events — keeping the shared-recorder snapshot
+    /// thread-count invariant like the report.
+    pub fn run(&self, threads: Threads, tele: &Telemetry) -> CampaignReport {
         let shards = self.chip.core_count() * self.freqs_ghz.len();
-        let partials = suit_exec::run_seeded(
-            shards,
-            Threads::Fixed(threads),
-            self.seed,
-            |s, mut rng: SuitRng| {
-                let core = s / self.freqs_ghz.len();
-                self.run_shard(core, &mut rng, tele)
-            },
-        );
+        let partials = suit_exec::run_seeded(shards, threads, self.seed, |s, mut rng: SuitRng| {
+            let core = s / self.freqs_ghz.len();
+            self.run_shard(core, &mut rng, tele)
+        });
         let mut report = CampaignReport::empty();
         for p in &partials {
             report.merge(p);
@@ -231,7 +205,7 @@ mod tests {
 
     #[test]
     fn imul_tops_the_fault_ranking() {
-        let report = Campaign::standard(chip(), 1).run();
+        let report = Campaign::standard(chip(), 1).run(Threads::Auto, &Telemetry::off());
         let ranking = report.ranking();
         assert_eq!(ranking[0], Opcode::Imul, "{ranking:?}");
         // And VPADDQ (1 fault in the paper) is at or near the bottom.
@@ -241,7 +215,7 @@ mod tests {
 
     #[test]
     fn fault_counts_follow_margin_order_broadly() {
-        let report = Campaign::standard(chip(), 1).run();
+        let report = Campaign::standard(chip(), 1).run(Threads::Auto, &Telemetry::off());
         // Rarely-faulting instructions fault at deeper offsets on average
         // (Table 1 caption).
         assert!(report.faults(Opcode::Imul) > report.faults(Opcode::Vpcmp));
@@ -255,16 +229,17 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic() {
-        let a = Campaign::standard(chip(), 9).run();
-        let b = Campaign::standard(chip(), 9).run();
+        let a = Campaign::standard(chip(), 9).run(Threads::Auto, &Telemetry::off());
+        let b = Campaign::standard(chip(), 9).run(Threads::Auto, &Telemetry::off());
         assert_eq!(a, b);
     }
 
     #[test]
     fn campaign_is_thread_count_invariant() {
-        let serial = Campaign::standard(chip(), 9).run_with_threads(1);
+        let serial = Campaign::standard(chip(), 9).run(Threads::Fixed(1), &Telemetry::off());
         for threads in [2, 4, 8] {
-            let parallel = Campaign::standard(chip(), 9).run_with_threads(threads);
+            let parallel =
+                Campaign::standard(chip(), 9).run(Threads::Fixed(threads), &Telemetry::off());
             assert_eq!(serial, parallel, "{threads} threads diverged");
         }
     }
@@ -273,7 +248,7 @@ mod tests {
     fn campaign_telemetry_is_thread_count_invariant() {
         let campaign = Campaign::standard(chip(), 9);
         let tele = Telemetry::recording();
-        let serial = campaign.run_with_threads_telemetry(1, &tele);
+        let serial = campaign.run(Threads::Fixed(1), &tele);
         let reference = tele.snapshot();
         let shards = (campaign.chip.core_count() * campaign.freqs_ghz.len()) as u64;
         assert_eq!(reference.counter(Counter::CampaignShards), shards);
@@ -283,7 +258,7 @@ mod tests {
         assert!(reference.hist(Hist::FirstFaultDepthMv).count() > 0);
         for threads in [2, 4, 8] {
             let tele = Telemetry::recording();
-            let parallel = campaign.run_with_threads_telemetry(threads, &tele);
+            let parallel = campaign.run(Threads::Fixed(threads), &tele);
             assert_eq!(serial, parallel, "{threads} threads diverged");
             assert_eq!(
                 reference,
@@ -298,7 +273,7 @@ mod tests {
         let c = chip();
         let mut campaign = Campaign::standard(c, 1);
         campaign.offsets_mv = vec![0.0, -20.0, -50.0];
-        let report = campaign.run();
+        let report = campaign.run(Threads::Auto, &Telemetry::off());
         for row in TABLE1 {
             assert_eq!(report.faults(row.opcode), 0, "{}", row.opcode);
         }

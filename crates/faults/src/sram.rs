@@ -211,43 +211,18 @@ impl SramCampaign {
         }
     }
 
-    /// Runs the campaign over all available cores; the tally is
-    /// identical for every thread count.
-    pub fn run(&self) -> SramCampaignReport {
-        self.run_with_threads(Threads::Auto.count())
-    }
-
-    /// [`Self::run`] with an explicit worker count: one shard per bank
-    /// on the [`suit_exec`] executor, shard `s` drawing from `fork(s)` of
-    /// the campaign seed, partials merged with commutative ops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn run_with_threads(&self, threads: usize) -> SramCampaignReport {
-        self.run_with_threads_telemetry(threads, &Telemetry::off())
-    }
-
-    /// [`Self::run_with_threads`] recording per-shard counts into
-    /// `tele`. Only commutative operations (counters, histograms), so
-    /// the snapshot is thread-count invariant like the report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn run_with_threads_telemetry(
-        &self,
-        threads: usize,
-        tele: &Telemetry,
-    ) -> SramCampaignReport {
-        assert!(threads >= 1, "need at least one worker");
+    /// Runs the campaign over `threads` workers, recording per-shard
+    /// counts into `tele`: one shard per bank on the [`suit_exec`]
+    /// executor, shard `s` drawing from `fork(s)` of the campaign seed,
+    /// partials merged with commutative ops. Telemetry records only
+    /// commutative operations (counters, histograms), so the snapshot is
+    /// thread-count invariant like the report.
+    pub fn run(&self, threads: Threads, tele: &Telemetry) -> SramCampaignReport {
         let shards = self.array.bank_count();
-        let partials = suit_exec::run_seeded(
-            shards,
-            Threads::Fixed(threads),
-            self.seed,
-            |bank, mut rng: SuitRng| self.run_shard(bank, &mut rng, tele),
-        );
+        let partials =
+            suit_exec::run_seeded(shards, threads, self.seed, |bank, mut rng: SuitRng| {
+                self.run_shard(bank, &mut rng, tele)
+            });
         let mut report = SramCampaignReport::empty(shards);
         for p in &partials {
             report.merge(p);
@@ -510,9 +485,10 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_and_thread_count_invariant() {
-        let serial = SramCampaign::standard(array(), 9).run_with_threads(1);
+        let serial = SramCampaign::standard(array(), 9).run(Threads::Fixed(1), &Telemetry::off());
         for threads in [2, 4, 8] {
-            let parallel = SramCampaign::standard(array(), 9).run_with_threads(threads);
+            let parallel =
+                SramCampaign::standard(array(), 9).run(Threads::Fixed(threads), &Telemetry::off());
             assert_eq!(serial, parallel, "{threads} threads diverged");
         }
         assert!(serial.total_faults() > 0, "standard sweep must fault");
@@ -523,7 +499,7 @@ mod tests {
     fn campaign_telemetry_is_thread_count_invariant() {
         let campaign = SramCampaign::standard(array(), 9);
         let tele = Telemetry::recording();
-        let serial = campaign.run_with_threads_telemetry(1, &tele);
+        let serial = campaign.run(Threads::Fixed(1), &tele);
         let reference = tele.snapshot();
         let banks = campaign.array.bank_count() as u64;
         assert_eq!(reference.counter(Counter::SramBanksSwept), banks);
@@ -534,7 +510,7 @@ mod tests {
         assert_eq!(reference.hist(Hist::SramFaultsPerBank).count(), banks);
         for threads in [2, 4] {
             let tele = Telemetry::recording();
-            let parallel = campaign.run_with_threads_telemetry(threads, &tele);
+            let parallel = campaign.run(Threads::Fixed(threads), &tele);
             assert_eq!(serial, parallel, "{threads} threads diverged");
             assert_eq!(reference, tele.snapshot(), "{threads}-thread telemetry");
         }
@@ -544,7 +520,7 @@ mod tests {
     fn no_faults_at_conservative_voltage() {
         let mut campaign = SramCampaign::standard(array(), 1);
         campaign.offsets_mv = vec![0.0, -50.0, -100.0];
-        let report = campaign.run();
+        let report = campaign.run(Threads::Auto, &Telemetry::off());
         // −100 mV sits below every bank margin in this family.
         assert_eq!(report.total_faults(), 0);
     }

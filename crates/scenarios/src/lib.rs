@@ -34,6 +34,7 @@ pub use config::{ScenarioConfig, ScroogeConfig, SramScenarioConfig};
 pub use scrooge::{search, PointEval, ScroogeReport};
 pub use sram::{run, SramScenarioReport};
 
+use suit_exec::Threads;
 use suit_telemetry::Telemetry;
 
 /// The report of either campaign.
@@ -48,7 +49,7 @@ pub enum ScenarioReport {
 impl ScenarioConfig {
     /// Runs the campaign over `threads` workers, recording into `tele`.
     /// The report is byte-identical at every thread count.
-    pub fn run(&self, threads: usize, tele: &Telemetry) -> Result<ScenarioReport, String> {
+    pub fn run(&self, threads: Threads, tele: &Telemetry) -> Result<ScenarioReport, String> {
         Ok(match self {
             ScenarioConfig::Sram(c) => ScenarioReport::Sram(sram::run(c, threads, tele)),
             ScenarioConfig::Scrooge(c) => {

@@ -99,16 +99,11 @@ pub struct ScroogeReport {
 /// evaluated-points counter into `tele`. The report is byte-identical at
 /// every thread count. Errors only if the fleet config is rejected —
 /// [`ScroogeConfig::validate`] beforehand makes that unreachable.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
 pub fn search(
     cfg: &ScroogeConfig,
-    threads: usize,
+    threads: Threads,
     tele: &Telemetry,
 ) -> Result<ScroogeReport, String> {
-    assert!(threads >= 1, "need at least one worker");
     let domains = cfg.racks * cfg.domains_per_rack;
     let root = SuitRng::seed_from_u64(cfg.seed);
     let models: Vec<DomainModels> = (0..domains)
@@ -131,7 +126,7 @@ pub fn search(
     // fan-out is thread-count invariant; the arg-max scan is serial and
     // keeps the *first* best point (index order) on ties.
     let grid_points = cfg.offset_steps * cfg.freq_steps;
-    let grid = suit_exec::run(grid_points, Threads::Fixed(threads), |k| {
+    let grid = suit_exec::run(grid_points, threads, |k| {
         let (i, j) = (k / cfg.freq_steps, k % cfg.freq_steps);
         let offset = cfg.offset_min_mv * i as f64 / (cfg.offset_steps - 1) as f64;
         let freq = 1.0 - (1.0 - cfg.freq_min) * j as f64 / (cfg.freq_steps - 1) as f64;
@@ -161,7 +156,7 @@ pub fn search(
             (best.offset_mv, (best.freq_scale - dfreq).max(cfg.freq_min)),
             (best.offset_mv, (best.freq_scale + dfreq).min(1.0)),
         ];
-        let evals = suit_exec::run(candidates.len(), Threads::Fixed(threads), |k| {
+        let evals = suit_exec::run(candidates.len(), threads, |k| {
             let (offset, freq) = candidates[k];
             eval_point(cfg, &models, offset, freq)
         });
@@ -182,7 +177,7 @@ pub fn search(
     } else {
         UndervoltLevel::Mv70
     };
-    let fleet = FleetSim::new(cfg.fleet_config(level))?.run(Threads::Fixed(threads));
+    let fleet = FleetSim::new(cfg.fleet_config(level))?.run(threads);
     let eff_offset = (best.offset_mv + (1.0 - best.freq_scale) * FREQ_MARGIN_MV_PER_UNIT).min(0.0);
     let m0 = &models[0];
     let len = cfg.audit_len;
@@ -362,9 +357,9 @@ mod tests {
     #[test]
     fn search_is_thread_count_invariant() {
         let cfg = ScroogeConfig::default();
-        let one = search(&cfg, 1, &Telemetry::off()).unwrap();
+        let one = search(&cfg, Threads::Fixed(1), &Telemetry::off()).unwrap();
         for threads in [2, 4] {
-            let many = search(&cfg, threads, &Telemetry::off()).unwrap();
+            let many = search(&cfg, Threads::Fixed(threads), &Telemetry::off()).unwrap();
             assert_eq!(one.to_json(), many.to_json(), "{threads} threads diverged");
         }
     }
@@ -372,7 +367,7 @@ mod tests {
     #[test]
     fn chosen_point_is_in_bounds_and_profitable() {
         let cfg = ScroogeConfig::default();
-        let r = search(&cfg, 2, &Telemetry::off()).unwrap();
+        let r = search(&cfg, Threads::Fixed(2), &Telemetry::off()).unwrap();
         assert!((cfg.offset_min_mv..=0.0).contains(&r.chosen.offset_mv));
         assert!((cfg.freq_min..=1.0).contains(&r.chosen.freq_scale));
         // The grid contains the do-nothing point (offset 0, freq 1, net
@@ -412,7 +407,7 @@ mod tests {
     #[test]
     fn defences_hold_at_the_chosen_point_and_telemetry_counts() {
         let tele = Telemetry::recording();
-        let r = search(&ScroogeConfig::default(), 2, &tele).unwrap();
+        let r = search(&ScroogeConfig::default(), Threads::Fixed(2), &tele).unwrap();
         assert!(r.defended_rows_secure(), "{:#?}", r.defences);
         assert_eq!(
             tele.snapshot().counter(Counter::ScroogePointsEvaluated),

@@ -10,6 +10,7 @@
 //! invariant under audit is *no live bank operates below its bank-Vmin,
 //! or its contents are treated as untrusted*.
 
+use suit_exec::Threads;
 use suit_faults::{
     audit_naive_undervolt, audit_sram_guarded, audit_sram_naive, audit_suit_system,
     audit_suit_traps_only, AuditOutcome, AuditSequence, ChipVminModel, SramArrayModel,
@@ -68,9 +69,9 @@ pub struct SramScenarioReport {
 ///
 /// # Panics
 ///
-/// Panics if `threads` is zero or the config is invalid — validate with
+/// Panics if the config is invalid — validate with
 /// [`SramScenarioConfig::validate`] first (the JSON parsers always do).
-pub fn run(cfg: &SramScenarioConfig, threads: usize, tele: &Telemetry) -> SramScenarioReport {
+pub fn run(cfg: &SramScenarioConfig, threads: Threads, tele: &Telemetry) -> SramScenarioReport {
     let array = SramArrayModel::sample(cfg.cache_banks, cfg.rob_banks, cfg.sigma_mv, cfg.seed);
     let campaign = SramCampaign {
         array: array.clone(),
@@ -78,7 +79,7 @@ pub fn run(cfg: &SramScenarioConfig, threads: usize, tele: &Telemetry) -> SramSc
         reads: cfg.reads,
         seed: cfg.seed,
     };
-    let sweep = campaign.run_with_threads_telemetry(threads, tele);
+    let sweep = campaign.run(threads, tele);
     let banks = (0..array.bank_count())
         .map(|i| BankRow {
             kind: array.bank(i).kind.label(),
@@ -236,9 +237,9 @@ mod tests {
     #[test]
     fn report_is_thread_count_invariant() {
         let cfg = SramScenarioConfig::default();
-        let one = run(&cfg, 1, &Telemetry::off());
+        let one = run(&cfg, Threads::Fixed(1), &Telemetry::off());
         for threads in [2, 4] {
-            let many = run(&cfg, threads, &Telemetry::off());
+            let many = run(&cfg, Threads::Fixed(threads), &Telemetry::off());
             assert_eq!(one, many, "{threads} threads diverged");
             assert_eq!(one.to_json(), many.to_json());
         }
@@ -249,7 +250,11 @@ mod tests {
         // One seed can be lucky; the property test sweeps more. Here,
         // pin the default: the sweep reaches −180 mV, far below every
         // bank margin, so the naive SRAM audit must corrupt.
-        let r = run(&SramScenarioConfig::default(), 2, &Telemetry::off());
+        let r = run(
+            &SramScenarioConfig::default(),
+            Threads::Fixed(2),
+            &Telemetry::off(),
+        );
         assert!(r.total_faults > 0);
         assert!(r.defended_rows_secure(), "{:#?}", r.audits);
         let sram_naive = r
@@ -262,7 +267,11 @@ mod tests {
 
     #[test]
     fn json_is_valid_and_discriminated() {
-        let r = run(&SramScenarioConfig::default(), 1, &Telemetry::off());
+        let r = run(
+            &SramScenarioConfig::default(),
+            Threads::Fixed(1),
+            &Telemetry::off(),
+        );
         let doc = suit_telemetry::json::parse(&r.to_json()).expect("valid JSON");
         assert_eq!(doc.get("scenario").and_then(|s| s.as_str()), Some("sram"));
         assert_eq!(

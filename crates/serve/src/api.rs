@@ -27,9 +27,9 @@ use suit_scenarios::ScenarioConfig;
 use suit_sim::engine::{run_stream, simulate, SimConfig, MAX_DOMAIN_CORES};
 use suit_sim::experiment::{run_table6, RowResult};
 use suit_sim::result::RunResult;
-use suit_telemetry::fields;
 use suit_telemetry::fields::Codec as _;
 use suit_telemetry::json::{escape, json_num, parse, Value};
+use suit_telemetry::{fields, Telemetry};
 use suit_trace::{profile, WorkloadProfile};
 
 use crate::tracestore::StoredTrace;
@@ -438,12 +438,12 @@ pub fn parse_scenario(body: &str) -> Result<(Job, Option<u64>), BadRequest> {
     Ok((Job::Scenario(Box::new(cfg)), deadline_ms))
 }
 
-/// Runs a validated job. Fan-out inside batch jobs goes over
-/// [`suit_exec`] with `threads`. The deadline is checked before the job
-/// starts; workload batches and `simulate-trace` check it again before
-/// each fan-out unit, and the table6 batch, faults and scenario jobs
-/// once more after the whole run. `simulate` is checked only before it
-/// starts. An expired check answers [`ExecError::DeadlineExpired`];
+/// Runs a validated job. Every fan-out inside it goes over [`suit_exec`]
+/// with `threads`, passed on unchanged. The deadline is checked before
+/// the job starts; workload batches and `simulate-trace` check it again
+/// before each fan-out unit, and the table6 batch, faults and scenario
+/// jobs once more after the whole run. `simulate` is checked only before
+/// it starts. An expired check answers [`ExecError::DeadlineExpired`];
 /// nothing interrupts a simulation already running.
 pub fn execute(job: &Job, threads: Threads, deadline: Deadline) -> Result<String, ExecError> {
     if deadline.expired() {
@@ -482,7 +482,7 @@ pub fn execute(job: &Job, threads: Threads, deadline: Deadline) -> Result<String
             let chip = ChipVminModel::sample(spec.cores, spec.sigma_mv, spec.seed);
             let mut campaign = Campaign::standard(chip, spec.seed);
             campaign.executions = spec.executions;
-            let report = campaign.run_with_threads(threads.count());
+            let report = campaign.run(threads, &Telemetry::off());
             if deadline.expired() {
                 return Err(ExecError::DeadlineExpired);
             }
@@ -514,7 +514,7 @@ pub fn execute(job: &Job, threads: Threads, deadline: Deadline) -> Result<String
         }
         Job::Scenario(cfg) => {
             let report = cfg
-                .run(threads.count(), &suit_telemetry::Telemetry::off())
+                .run(threads, &Telemetry::off())
                 .expect("scenario config validated at parse time");
             if deadline.expired() {
                 return Err(ExecError::DeadlineExpired);

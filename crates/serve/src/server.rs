@@ -26,8 +26,9 @@
 //! answered `429` with a `Retry-After` header *immediately* — the server
 //! never buffers unbounded work. Each job may carry a deadline
 //! (`deadline_ms` body field, else [`ServeConfig::default_deadline_ms`]):
-//! a job whose deadline passed while it waited is answered `408` without
-//! running, and batch jobs re-check the deadline between fan-out points.
+//! a waiting job leaves the line and is answered `408` as soon as its
+//! deadline passes, without running, and batch jobs re-check the
+//! deadline between fan-out points.
 //!
 //! ## Graceful shutdown
 //!
@@ -39,11 +40,13 @@
 //! them all before returning — in-flight work completes, nothing is
 //! dropped.
 
+use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use suit_exec::Threads;
@@ -57,9 +60,9 @@ use crate::tracestore::{Inserted, StoredTrace, TraceStore};
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Job slots: how many compute jobs run at once; also the
-    /// `suit-exec` fan-out policy inside batch jobs (responses are
-    /// byte-identical at every value).
+    /// Job slots: how many compute jobs run at once; also the policy
+    /// every `suit-exec` fan-out inside a job runs with, passed on
+    /// unchanged (responses are byte-identical at every value).
     pub threads: Threads,
     /// How many jobs may wait for a slot (≥ 1); a job arriving while
     /// that many wait is answered `429` + `Retry-After`.
@@ -107,25 +110,18 @@ impl Default for ServeConfig {
 /// How often blocked reads re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
 
-/// The job slots. Each admitted job draws the next ticket and starts
-/// when every earlier ticket has started and a slot is free, so waiting
-/// jobs start in arrival order.
+/// The job slots. An admitted job joins the line; the job at the front
+/// starts when a slot is free, so waiting jobs start in arrival order. A
+/// job whose deadline passes while it waits leaves the line at once.
 #[derive(Default)]
 struct Slots {
     /// How many jobs may run at once (`cfg.threads`).
     total: usize,
     /// Jobs running now.
     running: usize,
-    /// Tickets drawn so far.
-    issued: u64,
-    /// Tickets that have started; `started..issued` are waiting.
-    started: u64,
-}
-
-impl Slots {
-    fn waiting(&self) -> usize {
-        (self.issued - self.started) as usize
-    }
+    /// The waiting jobs in arrival order, each named by the connection
+    /// thread that runs it (a thread waits for one job at a time).
+    line: VecDeque<ThreadId>,
 }
 
 /// Shared server state.
@@ -133,7 +129,8 @@ struct State {
     cfg: ServeConfig,
     tele: Telemetry,
     slots: Mutex<Slots>,
-    /// Signalled when a job starts or ends while others wait.
+    /// Signalled when a job starts, ends or leaves the line while others
+    /// wait.
     turn: Condvar,
     conns: AtomicUsize,
     shutdown: AtomicBool,
@@ -680,7 +677,8 @@ fn retry_after_s(state: &State, hist: Hist, queued: usize) -> u32 {
 
 /// Admission, then the job itself on this connection thread: at most
 /// `queue_depth` jobs wait for a slot (one more is answered `429` at
-/// once), and waiting jobs start in arrival order.
+/// once), waiting jobs start in arrival order, and a job whose deadline
+/// passes while it waits is answered `408` then, not when its turn comes.
 fn submit(
     state: &State,
     job: api::Job,
@@ -692,7 +690,7 @@ fn submit(
         return Response::error(503, "server is draining");
     }
     let mut slots = state.slots.lock().unwrap_or_else(|e| e.into_inner());
-    let waiting = slots.waiting();
+    let waiting = slots.line.len();
     if waiting >= state.cfg.queue_depth {
         drop(slots);
         state.tele.count(Counter::ServeRejected);
@@ -701,22 +699,39 @@ fn submit(
             retry_after_s(state, hist, waiting),
         );
     }
-    let ticket = slots.issued;
-    slots.issued += 1;
+    let me = std::thread::current().id();
+    slots.line.push_back(me);
     state.tele.count(Counter::ServeRequests);
-    while slots.started != ticket || slots.running == slots.total {
-        slots = state.turn.wait(slots).unwrap_or_else(|e| e.into_inner());
+    while slots.line.front() != Some(&me) || slots.running == slots.total {
+        let left = deadline
+            .0
+            .map(|at| at.saturating_duration_since(Instant::now()));
+        slots = match left {
+            None => state.turn.wait(slots).unwrap_or_else(|e| e.into_inner()),
+            Some(left) if !left.is_zero() => {
+                let woken = state.turn.wait_timeout(slots, left);
+                woken.unwrap_or_else(|e| e.into_inner()).0
+            }
+            Some(_) => {
+                slots.line.retain(|&t| t != me);
+                state.turn.notify_all();
+                drop(slots);
+                state.tele.count(Counter::ServeDeadlineExpired);
+                state.tele.observe(hist, elapsed_us(accepted));
+                return Response::error(408, "deadline expired while queued");
+            }
+        };
     }
-    slots.started += 1;
+    slots.line.pop_front();
     slots.running += 1;
-    if slots.waiting() > 0 && slots.running < slots.total {
+    if !slots.line.is_empty() && slots.running < slots.total {
         state.turn.notify_all();
     }
     drop(slots);
     let response = run_job(state, &job, deadline);
     let mut slots = state.slots.lock().unwrap_or_else(|e| e.into_inner());
     slots.running -= 1;
-    if slots.waiting() > 0 {
+    if !slots.line.is_empty() {
         state.turn.notify_all();
     }
     drop(slots);
@@ -743,7 +758,7 @@ fn metrics_json(state: &State) -> String {
     };
     let (waiting, running, total) = {
         let slots = state.slots.lock().unwrap_or_else(|e| e.into_inner());
-        (slots.waiting(), slots.running, slots.total)
+        (slots.line.len(), slots.running, slots.total)
     };
     let (cache_entries, cache_bytes) = state.cache.usage();
     let (cap_entries, cap_bytes) = state.cache.capacity();

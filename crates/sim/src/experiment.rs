@@ -27,47 +27,27 @@ pub struct RowSpec {
     pub cores: usize,
     /// The operating strategy.
     pub strategy: StrategyKey,
+    /// The strategy's Table 7 parameters.
+    pub params: StrategyParams,
 }
 
-/// All six configuration rows of Table 6.
+/// All six configuration rows of Table 6, each with its CPU's Table 7
+/// parameters.
 pub fn table6_rows() -> Vec<RowSpec> {
+    let row = |label, cpu: CpuModel, cores, strategy| RowSpec {
+        label,
+        params: StrategyParams::for_cpu(&cpu),
+        cpu,
+        cores,
+        strategy,
+    };
     vec![
-        RowSpec {
-            label: "A1 fV",
-            cpu: CpuModel::i9_9900k(),
-            cores: 1,
-            strategy: StrategyKey::FreqVolt,
-        },
-        RowSpec {
-            label: "A4 fV",
-            cpu: CpuModel::i9_9900k(),
-            cores: 4,
-            strategy: StrategyKey::FreqVolt,
-        },
-        RowSpec {
-            label: "Ainf e",
-            cpu: CpuModel::i9_9900k(),
-            cores: 1,
-            strategy: StrategyKey::Emulation,
-        },
-        RowSpec {
-            label: "Binf f",
-            cpu: CpuModel::ryzen_7700x(),
-            cores: 1,
-            strategy: StrategyKey::Frequency,
-        },
-        RowSpec {
-            label: "Binf e",
-            cpu: CpuModel::ryzen_7700x(),
-            cores: 1,
-            strategy: StrategyKey::Emulation,
-        },
-        RowSpec {
-            label: "Cinf fV",
-            cpu: CpuModel::xeon_4208(),
-            cores: 1,
-            strategy: StrategyKey::FreqVolt,
-        },
+        row("A1 fV", CpuModel::i9_9900k(), 1, StrategyKey::FreqVolt),
+        row("A4 fV", CpuModel::i9_9900k(), 4, StrategyKey::FreqVolt),
+        row("Ainf e", CpuModel::i9_9900k(), 1, StrategyKey::Emulation),
+        row("Binf f", CpuModel::ryzen_7700x(), 1, StrategyKey::Frequency),
+        row("Binf e", CpuModel::ryzen_7700x(), 1, StrategyKey::Emulation),
+        row("Cinf fV", CpuModel::xeon_4208(), 1, StrategyKey::FreqVolt),
     ]
 }
 
@@ -169,27 +149,19 @@ impl RowResult {
     }
 }
 
-/// Runs one Table 6 row at one undervolt level over all 25 workloads,
-/// fanned out over all available cores.
+/// Runs one Table 6 row at one undervolt level over all 25 workloads
+/// with the row's strategy parameters: the 25 workloads plus the
+/// SPECnoSIMD set form one indexed job set on the [`suit_exec`]
+/// executor, over `threads` workers. Each job is a pure function of its
+/// index, so the row is byte-identical at every thread count; stealing
+/// keeps workers busy even though per-workload costs vary by an order of
+/// magnitude (520.omnetpp switches curves far more often than 557.xz).
 ///
 /// `max_insts` caps the per-workload virtual trace; `None` runs the full
 /// 2 × 10¹⁰ instructions (use caps in debug builds).
-pub fn run_row(spec: &RowSpec, level: UndervoltLevel, max_insts: Option<u64>) -> RowResult {
-    let params = StrategyParams::for_cpu(&spec.cpu);
-    run_row_with(spec, level, params, max_insts, Threads::Auto)
-}
-
-/// [`run_row`] with explicit strategy parameters (the Table 7 sweep) and
-/// worker policy: the 25 workloads plus the SPECnoSIMD set form one
-/// indexed job set on the [`suit_exec`] executor. Each job is a pure
-/// function of its index, so the row is byte-identical at every thread
-/// count; stealing keeps workers busy even though per-workload costs
-/// vary by an order of magnitude (520.omnetpp switches curves far more
-/// often than 557.xz).
-pub fn run_row_with(
+pub fn run_row(
     spec: &RowSpec,
     level: UndervoltLevel,
-    params: StrategyParams,
     max_insts: Option<u64>,
     threads: Threads,
 ) -> RowResult {
@@ -197,7 +169,7 @@ pub fn run_row_with(
     let spec_suite: Vec<&WorkloadProfile> = profile::spec_suite().collect();
     let cfg = SimConfig {
         strategy: spec.strategy,
-        params,
+        params: spec.params,
         cores: spec.cores,
         max_insts,
         ..SimConfig::fv_intel(level)
@@ -232,8 +204,7 @@ pub fn run_table6(threads: Threads, max_insts: Option<u64>) -> Vec<RowResult> {
         .collect();
     suit_exec::run(cells.len(), threads, |i| {
         let (spec, level) = cells[i];
-        let params = StrategyParams::for_cpu(&spec.cpu);
-        run_row_with(spec, level, params, max_insts, Threads::Fixed(1))
+        run_row(spec, level, max_insts, Threads::Fixed(1))
     })
 }
 
@@ -278,9 +249,8 @@ mod tests {
         // The fan-out across the 25 + 23 workload jobs is index-ordered,
         // so a parallel row must be byte-identical to the serial one.
         let spec = &table6_rows()[5];
-        let params = StrategyParams::for_cpu(&spec.cpu);
-        let serial = run_row_with(spec, UndervoltLevel::Mv97, params, CAP, Threads::Fixed(1));
-        let parallel = run_row_with(spec, UndervoltLevel::Mv97, params, CAP, Threads::Fixed(4));
+        let serial = run_row(spec, UndervoltLevel::Mv97, CAP, Threads::Fixed(1));
+        let parallel = run_row(spec, UndervoltLevel::Mv97, CAP, Threads::Fixed(4));
         assert_eq!(serial, parallel);
         assert_eq!(serial.per_workload.len(), 25);
         assert_eq!(serial.no_simd.len(), 23);
@@ -301,7 +271,7 @@ mod tests {
     fn xeon_fv_row_shows_the_headline_shape() {
         // Table 6 𝒞∞ 𝑓𝑉 at −97 mV: power ≈ −10 %, perf ≈ 0, eff ≈ +11 %.
         let spec = &table6_rows()[5];
-        let row = run_row(spec, UndervoltLevel::Mv97, CAP);
+        let row = run_row(spec, UndervoltLevel::Mv97, CAP, Threads::Auto);
         let g = row.spec_gmean();
         assert!((-0.14..=-0.05).contains(&g.power), "power {:.3}", g.power);
         assert!((-0.03..=0.03).contains(&g.perf), "perf {:.3}", g.perf);
@@ -316,7 +286,7 @@ mod tests {
         // Table 6 𝒜∞ 𝑒 at −97 mV: perf gmean −42 %, median −12 %; a few
         // catastrophic benchmarks dominate the geometric mean (§6.6).
         let spec = &table6_rows()[2];
-        let row = run_row(spec, UndervoltLevel::Mv97, CAP);
+        let row = run_row(spec, UndervoltLevel::Mv97, CAP, Threads::Auto);
         let g = row.spec_gmean();
         let m = row.spec_median();
         assert!(g.perf < -0.25, "gmean perf {:.3}", g.perf);
@@ -333,11 +303,11 @@ mod tests {
     fn table8_no_simd_wins_most_on_amd() {
         // Table 8: on ℬ (long switch delay) no-SIMD wins 21+/23.
         let rows = table6_rows();
-        let b = run_row(&rows[3], UndervoltLevel::Mv97, CAP);
+        let b = run_row(&rows[3], UndervoltLevel::Mv97, CAP, Threads::Auto);
         let (no_simd_wins, _) = table8_counts(&b);
         assert!(no_simd_wins >= 15, "no-SIMD wins {no_simd_wins}/23");
         // On 𝒞 (fast per-core switching) SUIT holds a meaningful share.
-        let c = run_row(&rows[5], UndervoltLevel::Mv97, CAP);
+        let c = run_row(&rows[5], UndervoltLevel::Mv97, CAP, Threads::Auto);
         let (nw_c, sw_c) = table8_counts(&c);
         assert!(sw_c >= 4, "SUIT wins only {sw_c}/23 on C");
         assert!(nw_c + sw_c == 23);

@@ -22,7 +22,7 @@
 //! domains need no resumable engine state across epochs.
 //!
 //! [`FleetSim::run`] is the one driver: an epoch loop that fans the
-//! domains out over `suit-exec` and merges telemetry roll-ups in
+//! domains out over one `suit_exec::run` per epoch and aggregates them in
 //! domain-index order. The scheduler property suite pins its result at
 //! one thread against four over random topologies.
 //!
@@ -40,10 +40,10 @@ use suit_exec::Threads;
 use suit_hw::{CpuModel, UndervoltLevel};
 use suit_isa::SimDuration;
 use suit_rng::{RngCore, SuitRng};
-use suit_telemetry::{fields, json, Telemetry, TelemetrySnapshot};
+use suit_telemetry::{fields, json};
 use suit_trace::{profile, WorkloadProfile};
 
-use crate::engine::{simulate_telemetry, SimConfig};
+use crate::engine::{simulate, SimConfig};
 use crate::result::RunResult;
 
 /// Upper bound on racks.
@@ -437,9 +437,6 @@ pub struct FleetSim {
     profiles: Vec<&'static WorkloadProfile>,
 }
 
-/// Event-ring capacity per domain-epoch telemetry shard.
-const TELEMETRY_CAPACITY: usize = 2048;
-
 impl FleetSim {
     /// Validates `cfg` and resolves the CPU model, strategy parameters
     /// and workload profiles.
@@ -542,7 +539,6 @@ impl FleetSim {
         domain: usize,
         epoch: usize,
         allowed: Option<UndervoltLevel>,
-        tele: &Telemetry,
     ) -> EpochOut {
         let p = self.profiles[domain % self.profiles.len()];
         match self.realized_level(allowed) {
@@ -553,7 +549,7 @@ impl FleetSim {
                     ..self.base.clone()
                 };
                 EpochOut {
-                    result: simulate_telemetry(&self.cfg.cpu, p, &sc, tele),
+                    result: simulate(&self.cfg.cpu, p, &sc),
                     level: Some(level),
                 }
             }
@@ -613,26 +609,10 @@ impl FleetSim {
         report.final_temp_c = governor.temperature_c();
     }
 
-    /// Runs the fleet: the production sharded driver.
+    /// Runs the fleet over `threads` workers: each epoch fans the active
+    /// domains out over one [`suit_exec::run`], then settles every
+    /// rack's sync point in rack order.
     pub fn run(&self, threads: Threads) -> FleetResult {
-        self.run_sharded(threads, None)
-    }
-
-    /// [`FleetSim::run`] with telemetry: every domain-epoch slice
-    /// records into its own shard, and shards merge in domain-index
-    /// order within each epoch, epochs in order — so the merged
-    /// snapshot is byte-identical at every thread count.
-    pub fn run_with_telemetry(&self, threads: Threads) -> (FleetResult, TelemetrySnapshot) {
-        let mut merged = TelemetrySnapshot::default();
-        let result = self.run_sharded(threads, Some(&mut merged));
-        (result, merged)
-    }
-
-    fn run_sharded(
-        &self,
-        threads: Threads,
-        mut telemetry: Option<&mut TelemetrySnapshot>,
-    ) -> FleetResult {
         let dpr = self.cfg.domains_per_rack;
         let active = self.active_domains();
         let mut governors: Vec<OffsetGovernor> =
@@ -647,19 +627,9 @@ impl FleetSim {
 
         for epoch in 0..self.cfg.epochs {
             let levels: Vec<Option<UndervoltLevel>> = governors.iter().map(|g| g.level()).collect();
-            let outs: Vec<EpochOut> = match telemetry.as_deref_mut() {
-                Some(merged) => {
-                    let (outs, snap) =
-                        suit_exec::run_telemetry(active, threads, TELEMETRY_CAPACITY, |d, tele| {
-                            self.run_domain_epoch(d, epoch, levels[d / dpr], tele)
-                        });
-                    merged.merge_shard(&snap);
-                    outs
-                }
-                None => suit_exec::run(active, threads, |d| {
-                    self.run_domain_epoch(d, epoch, levels[d / dpr], &Telemetry::off())
-                }),
-            };
+            let outs = suit_exec::run(active, threads, |d| {
+                self.run_domain_epoch(d, epoch, levels[d / dpr])
+            });
             for r in 0..self.cfg.racks {
                 let lo = (r * dpr).min(active);
                 let hi = ((r + 1) * dpr).min(active);
@@ -700,18 +670,6 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.events() > 0);
         assert!(a.duration_s() > 0.0);
-    }
-
-    #[test]
-    fn telemetry_is_observational_and_thread_invariant() {
-        let sim = FleetSim::new(tiny()).unwrap();
-        let plain = sim.run(Threads::Fixed(1));
-        let (r1, t1) = sim.run_with_telemetry(Threads::Fixed(1));
-        let (r4, t4) = sim.run_with_telemetry(Threads::Fixed(4));
-        assert_eq!(plain, r1);
-        assert_eq!(r1, r4);
-        assert_eq!(t1.to_perfetto_json(), t4.to_perfetto_json());
-        assert!(t1.counter(suit_telemetry::Counter::CoreSteps) > 0);
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! * [`result`] — run results: performance / power / efficiency deltas and
 //!   efficient-curve residency.
 //! * [`experiment`] — the Table 6 / Fig. 16 harness: every (CPU, cores,
-//!   strategy, offset) × workload combination, with SPEC aggregation.
+//!   strategy, Table 7 parameters, offset) × workload combination, with
+//!   SPEC aggregation.
 //! * [`timeline`] — p-state timelines for Figs. 5 and 6.
 //! * [`montecarlo`] — distributional re-runs with sampled transition
 //!   delays and trace seeds (the error bars around the point estimates).

@@ -133,25 +133,10 @@ fn one_run(
 }
 
 /// Runs `runs` simulations of (`cpu`, `profile`, `cfg`), each with freshly
-/// sampled transition delays and a distinct trace seed, sharded across all
-/// available cores. Results are identical for every thread count.
-///
-/// # Panics
-///
-/// Panics if `runs` is zero.
-pub fn monte_carlo(
-    cpu: &CpuModel,
-    profile: &WorkloadProfile,
-    cfg: &SimConfig,
-    runs: usize,
-) -> McSummary {
-    monte_carlo_with_threads(cpu, profile, cfg, runs, Threads::Auto.count())
-}
-
-/// [`monte_carlo`] with an explicit worker count. `threads = 1` recovers
-/// the serial campaign; any other count produces byte-identical
-/// distributions because run `i`'s randomness is `fork(i)` of the
-/// top-level seed regardless of which worker executes it.
+/// sampled transition delays and a distinct trace seed, over `threads`
+/// workers. `threads = 1` recovers the serial campaign; any other count
+/// produces byte-identical distributions because run `i`'s randomness is
+/// `fork(i)` of the top-level seed regardless of which worker executes it.
 ///
 /// # Panics
 ///
@@ -261,7 +246,7 @@ mod tests {
     fn monte_carlo_spreads_around_the_deterministic_run() {
         let (cpu, p, cfg) = setup();
         let det = simulate(&cpu, p, &cfg);
-        let mc = monte_carlo(&cpu, p, &cfg, 12);
+        let mc = monte_carlo_with_threads(&cpu, p, &cfg, 12, 2);
         // The deterministic mean-delay run sits inside the MC envelope.
         assert!(
             det.efficiency() >= mc.eff.min() - 0.01,
@@ -280,8 +265,8 @@ mod tests {
     #[test]
     fn monte_carlo_is_reproducible() {
         let (cpu, p, cfg) = setup();
-        let a = monte_carlo(&cpu, p, &cfg, 5);
-        let b = monte_carlo(&cpu, p, &cfg, 5);
+        let a = monte_carlo_with_threads(&cpu, p, &cfg, 5, 2);
+        let b = monte_carlo_with_threads(&cpu, p, &cfg, 5, 2);
         assert_eq!(a, b);
     }
 
@@ -298,9 +283,9 @@ mod tests {
     #[test]
     fn distinct_seeds_give_distinct_campaigns() {
         let (cpu, p, mut cfg) = setup();
-        let a = monte_carlo(&cpu, p, &cfg, 4);
+        let a = monte_carlo_with_threads(&cpu, p, &cfg, 4, 2);
         cfg.seed ^= 0xABCD;
-        let b = monte_carlo(&cpu, p, &cfg, 4);
+        let b = monte_carlo_with_threads(&cpu, p, &cfg, 4, 2);
         assert_ne!(a, b);
     }
 
@@ -329,6 +314,6 @@ mod tests {
     #[should_panic(expected = "at least one run")]
     fn rejects_zero_runs() {
         let (cpu, p, cfg) = setup();
-        let _ = monte_carlo(&cpu, p, &cfg, 0);
+        let _ = monte_carlo_with_threads(&cpu, p, &cfg, 0, 2);
     }
 }

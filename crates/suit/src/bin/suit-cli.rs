@@ -668,7 +668,7 @@ fn cmd_scenario(args: &Args, kind: &str) -> CliResult {
         None => config("{}")?,
     };
     cfg.apply_flags(|flag| args.value(flag).map(str::to_string))?;
-    let report = cfg.run(args.threads().count(), &Telemetry::off())?;
+    let report = cfg.run(args.threads(), &Telemetry::off())?;
     if args.has("--json") {
         println!("{}", report.to_json());
     } else {

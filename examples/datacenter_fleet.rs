@@ -97,7 +97,12 @@ fn main() {
     // The paper's Table 6 gmean for the same machine class, as the
     // per-workload cross-check of the fleet numbers above.
     let spec = &table6_rows()[5]; // C-inf fV
-    let row = run_row(spec, UndervoltLevel::Mv97, Some(2_000_000_000));
+    let row = run_row(
+        spec,
+        UndervoltLevel::Mv97,
+        Some(2_000_000_000),
+        Threads::Auto,
+    );
     let g = row.spec_gmean();
     println!(
         "\nTable 6 cross-check (C fV, SPEC gmean): perf {:+.1}%  power {:+.1}%  eff {:+.1}%",
@@ -114,6 +119,7 @@ fn main() {
             &table6_rows()[idx],
             UndervoltLevel::Mv97,
             Some(1_000_000_000),
+            Threads::Auto,
         );
         println!(
             "  {:>7}: efficiency {:+.1} % (residency {:.0} %)",

@@ -5,14 +5,16 @@
 //! cargo run --release -p suit --example security_audit
 //! ```
 
+use suit::exec::Threads;
 use suit::faults::vmin::ChipVminModel;
 use suit::faults::{audit_naive_undervolt, audit_suit_system, AuditSequence, Campaign};
 use suit::isa::Opcode;
+use suit::telemetry::Telemetry;
 
 fn main() {
     // --- Fault characterisation (the Table 1 landscape) ------------------
     let chip = ChipVminModel::sample(4, 12.0, 2024);
-    let report = Campaign::standard(chip.clone(), 1).run();
+    let report = Campaign::standard(chip.clone(), 1).run(Threads::Auto, &Telemetry::off());
     println!("Fault-injection campaign on a simulated 4-core chip:");
     println!("  instruction ranking by fault count (paper Table 1 order: IMUL first):");
     for (i, op) in report.ranking().iter().enumerate().take(5) {

@@ -60,10 +60,10 @@ fn monte_carlo_is_invariant_to_oversubscription() {
 fn fault_campaign_reports_are_identical_across_thread_counts() {
     let chip = ChipVminModel::sample(2, 12.0, 7);
     let campaign = Campaign::standard(chip, 1234);
-    let reference = campaign.run_with_threads(1);
+    let reference = campaign.run(Threads::Fixed(1), &Telemetry::off());
     for threads in [2, 4, 8] {
         assert_eq!(
-            campaign.run_with_threads(threads),
+            campaign.run(Threads::Fixed(threads), &Telemetry::off()),
             reference,
             "campaign diverged at {threads} threads"
         );
@@ -118,10 +118,10 @@ fn fault_campaign_telemetry_is_identical_across_thread_counts() {
     let chip = ChipVminModel::sample(2, 12.0, 3);
     let campaign = Campaign::standard(chip, 99);
     let reference_tele = Telemetry::recording();
-    let reference = campaign.run_with_threads_telemetry(1, &reference_tele);
+    let reference = campaign.run(Threads::Fixed(1), &reference_tele);
     for threads in [4, 8] {
         let tele = Telemetry::recording();
-        let report = campaign.run_with_threads_telemetry(threads, &tele);
+        let report = campaign.run(Threads::Fixed(threads), &tele);
         assert_eq!(report, reference, "report diverged at {threads} threads");
         assert_eq!(
             tele.snapshot(),

@@ -3,6 +3,7 @@
 
 use suit::core::strategy::StrategyParams;
 use suit::core::StrategyKey;
+use suit::exec::Threads;
 use suit::hw::{CpuModel, UndervoltLevel};
 use suit::sim::analytic::{simulate_emulation, simulate_no_simd};
 use suit::sim::engine::{simulate, SimConfig};
@@ -20,7 +21,7 @@ fn headline_efficiency_on_xeon() {
     // §9: "run the CPU on a more efficient DVFS curve 72.7 % of the time,
     // increasing the efficiency by 11.0 % with no performance impact".
     let spec = &table6_rows()[5]; // C∞ fV
-    let row = run_row(spec, UndervoltLevel::Mv97, CAP);
+    let row = run_row(spec, UndervoltLevel::Mv97, CAP, Threads::Auto);
     let g = row.spec_gmean();
     assert!((0.07..=0.15).contains(&g.eff), "efficiency {:+.3}", g.eff);
     assert!(
@@ -78,7 +79,12 @@ fn state_time_accounting_is_conserved() {
 #[test]
 fn every_workload_simulates_on_every_cpu_row() {
     for spec in table6_rows() {
-        let row = run_row(&spec, UndervoltLevel::Mv70, Some(300_000_000));
+        let row = run_row(
+            &spec,
+            UndervoltLevel::Mv70,
+            Some(300_000_000),
+            Threads::Auto,
+        );
         assert_eq!(row.per_workload.len(), 25, "{}", spec.label);
         for r in &row.per_workload {
             assert!(r.duration.as_secs_f64() > 0.0);
@@ -175,8 +181,18 @@ fn analytic_residency_predictor_matches_the_engine() {
 fn four_core_shared_domain_halves_the_gain() {
     // §6.4: 𝒜₁ +12 % → 𝒜₄ +5.8 % on a shared DVFS domain.
     let rows = table6_rows();
-    let a1 = run_row(&rows[0], UndervoltLevel::Mv97, Some(1_000_000_000));
-    let a4 = run_row(&rows[1], UndervoltLevel::Mv97, Some(1_000_000_000));
+    let a1 = run_row(
+        &rows[0],
+        UndervoltLevel::Mv97,
+        Some(1_000_000_000),
+        Threads::Auto,
+    );
+    let a4 = run_row(
+        &rows[1],
+        UndervoltLevel::Mv97,
+        Some(1_000_000_000),
+        Threads::Auto,
+    );
     let (e1, e4) = (a1.spec_gmean().eff, a4.spec_gmean().eff);
     assert!(
         e4 < e1,

@@ -364,26 +364,56 @@ fn all_workloads_simulate_on_all_cpus_and_levels() {
     }
 }
 
+/// The workspace root.
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("read source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// A source file without its comment lines.
+fn code(path: &Path) -> String {
+    let src = std::fs::read_to_string(path).expect("read source file");
+    let code_lines = src.lines().filter(|l| !l.trim_start().starts_with("//"));
+    code_lines.collect::<Vec<_>>().join("\n")
+}
+
+/// `code` without its `#[cfg(test)]` items. Under rustfmt an item that
+/// does not end on its first line ends at the first later line holding
+/// only a `}` at the item's indentation.
+fn without_tests(code: &str) -> String {
+    let mut out = Vec::new();
+    let mut lines = code.lines();
+    while let Some(line) = lines.next() {
+        if line.trim() != "#[cfg(test)]" {
+            out.push(line);
+            continue;
+        }
+        let item = lines.next().unwrap_or_default();
+        if !item.trim_end().ends_with(';') {
+            let indent = &item[..item.len() - item.trim_start().len()];
+            let close = format!("{indent}}}");
+            lines.by_ref().find(|l| *l == close);
+        }
+    }
+    out.join("\n")
+}
+
 /// `suit_hw::measured` is where the models read the paper's §5 numbers,
 /// so every `pub const` in it must be named by some other source file's
 /// code (another file's tests count; comments do not).
 #[test]
 fn every_measured_constant_has_a_reader() {
-    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-        for entry in std::fs::read_dir(dir).expect("read source dir") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                rust_files(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(path);
-            }
-        }
-    }
-    fn code(path: &Path) -> String {
-        let src = std::fs::read_to_string(path).expect("read source file");
-        let code_lines = src.lines().filter(|l| !l.trim_start().starts_with("//"));
-        code_lines.collect::<Vec<_>>().join("\n")
-    }
     fn names(code: &str, ident: &str) -> bool {
         let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
         code.match_indices(ident).any(|(at, _)| {
@@ -395,7 +425,7 @@ fn every_measured_constant_has_a_reader() {
         })
     }
 
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = repo_root();
     let measured = root.join("crates/hw/src/measured.rs");
     let consts: Vec<String> = code(&measured)
         .lines()
@@ -417,6 +447,26 @@ fn every_measured_constant_has_a_reader() {
         assert!(
             others.iter().any(|src| names(src, name)),
             "measured::{name} has no reader outside measured.rs"
+        );
+    }
+}
+
+/// A fan-out's worker policy is the `suit_exec::Threads` its caller
+/// passes, so no production code under `crates/` takes a bare
+/// `threads: usize` — except the two Monte-Carlo entry points, which the
+/// end-to-end benchmark calls with a worker count.
+#[test]
+fn fan_outs_take_the_callers_threads() {
+    let root = repo_root();
+    let exempt = root.join("crates/sim/src/montecarlo.rs");
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    assert!(files.contains(&exempt), "{exempt:?} moved");
+    for file in files.iter().filter(|f| **f != exempt) {
+        assert!(
+            !without_tests(&code(file)).contains("threads: usize"),
+            "{} takes a bare `threads: usize`; pass the caller's `Threads`",
+            file.strip_prefix(&root).unwrap_or(file).display()
         );
     }
 }

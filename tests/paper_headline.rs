@@ -3,6 +3,7 @@
 //! assertions pin the *shape*: who wins, by roughly what factor, and where
 //! the crossovers fall.
 
+use suit::exec::Threads;
 use suit::hw::UndervoltLevel;
 use suit::sim::experiment::{run_row, table6_rows};
 
@@ -17,7 +18,7 @@ const CAP: Option<u64> = Some(2_000_000_000);
 #[test]
 fn abstract_headline_with_compile_time_optimisation() {
     let spec = &table6_rows()[5]; // C∞
-    let row = run_row(spec, UndervoltLevel::Mv97, CAP);
+    let row = run_row(spec, UndervoltLevel::Mv97, CAP, Threads::Auto);
     let ns = row.spec_no_simd();
     assert!(
         (0.12..=0.26).contains(&ns.eff),
@@ -36,7 +37,7 @@ fn abstract_headline_with_compile_time_optimisation() {
 #[test]
 fn conclusion_headline_plain_suit() {
     let spec = &table6_rows()[5];
-    let row = run_row(spec, UndervoltLevel::Mv97, CAP);
+    let row = run_row(spec, UndervoltLevel::Mv97, CAP, Threads::Auto);
     let g = row.spec_gmean();
     assert!(
         (0.07..=0.15).contains(&g.eff),
@@ -51,7 +52,7 @@ fn conclusion_headline_plain_suit() {
 #[test]
 fn power_reduction_and_peak_efficiency() {
     let spec = &table6_rows()[0]; // A1 fV
-    let row = run_row(spec, UndervoltLevel::Mv97, CAP);
+    let row = run_row(spec, UndervoltLevel::Mv97, CAP, Threads::Auto);
     // Peak per-benchmark efficiency reaches high-teens.
     let best = row
         .per_workload
@@ -76,8 +77,12 @@ fn power_reduction_and_peak_efficiency() {
 #[test]
 fn efficiency_doubles_between_offsets() {
     let spec = &table6_rows()[5];
-    let e70 = run_row(spec, UndervoltLevel::Mv70, CAP).spec_gmean().eff;
-    let e97 = run_row(spec, UndervoltLevel::Mv97, CAP).spec_gmean().eff;
+    let e70 = run_row(spec, UndervoltLevel::Mv70, CAP, Threads::Auto)
+        .spec_gmean()
+        .eff;
+    let e97 = run_row(spec, UndervoltLevel::Mv97, CAP, Threads::Auto)
+        .spec_gmean()
+        .eff;
     let ratio = e97 / e70;
     assert!((1.6..=3.4).contains(&ratio), "ratio {ratio:.2} vs paper ~2");
 }
@@ -86,7 +91,15 @@ fn efficiency_doubles_between_offsets() {
 #[test]
 fn table6_row_ordering_holds() {
     let rows = table6_rows();
-    let eff = |i: usize| run_row(&rows[i], UndervoltLevel::Mv97, Some(1_000_000_000)).spec_gmean();
+    let eff = |i: usize| {
+        run_row(
+            &rows[i],
+            UndervoltLevel::Mv97,
+            Some(1_000_000_000),
+            Threads::Auto,
+        )
+        .spec_gmean()
+    };
     let a1 = eff(0);
     let a4 = eff(1);
     let ae = eff(2);

@@ -49,8 +49,8 @@ fn scrooge_search_is_byte_identical_across_thread_counts() {
             audit_len: 300,
             ..ScroogeConfig::default()
         };
-        let one = scrooge::search(&cfg, 1, &Telemetry::off()).unwrap();
-        let four = scrooge::search(&cfg, 4, &Telemetry::off()).unwrap();
+        let one = scrooge::search(&cfg, Threads::Fixed(1), &Telemetry::off()).unwrap();
+        let four = scrooge::search(&cfg, Threads::Fixed(4), &Telemetry::off()).unwrap();
         assert_eq!(
             one.to_json(),
             four.to_json(),
@@ -76,7 +76,7 @@ fn defended_audits_are_silent_error_free_across_seeds() {
             audit_len: 1000,
             ..SramScenarioConfig::default()
         };
-        let report = sram::run(&cfg, 2, &Telemetry::off());
+        let report = sram::run(&cfg, Threads::Fixed(2), &Telemetry::off());
         let classes: Vec<&str> = report.audits.iter().map(|r| r.fault_class).collect();
         assert!(classes.contains(&"instruction") && classes.contains(&"sram"));
         assert!(
@@ -146,7 +146,7 @@ fn reports_serialize_with_discriminators() {
         audit_len: 200,
         ..SramScenarioConfig::default()
     };
-    let r = sram::run(&sram_cfg, 1, &Telemetry::off());
+    let r = sram::run(&sram_cfg, Threads::Fixed(1), &Telemetry::off());
     let doc = suit::telemetry::json::parse(&r.to_json()).expect("valid JSON");
     assert_eq!(doc.get("scenario").and_then(|s| s.as_str()), Some("sram"));
 
@@ -155,7 +155,7 @@ fn reports_serialize_with_discriminators() {
         audit_len: 200,
         ..ScroogeConfig::default()
     };
-    let r = scrooge::search(&scrooge_cfg, 2, &Telemetry::off()).unwrap();
+    let r = scrooge::search(&scrooge_cfg, Threads::Fixed(2), &Telemetry::off()).unwrap();
     let doc = suit::telemetry::json::parse(&r.to_json()).expect("valid JSON");
     assert_eq!(
         doc.get("scenario").and_then(|s| s.as_str()),

@@ -7,7 +7,7 @@
 //! else (400s, 429 backpressure, 408 deadlines, graceful drain) pins the
 //! service's robustness contract.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use suit::exec::Threads;
 use suit::serve::api;
@@ -261,9 +261,10 @@ fn scenario_round_trips_match_the_direct_library_call_at_1_and_4_workers() {
         ..ScroogeConfig::default()
     };
     for workers in [1, 4] {
-        let threads = workers; // suit-exec fan-out tracks the pool size
+        // The service hands its slot policy to every suit-exec fan-out.
+        let threads = Threads::Fixed(workers);
         let (addr, handle, join) = start(ServeConfig {
-            threads: Threads::Fixed(workers),
+            threads,
             ..ServeConfig::default()
         });
         let got = post(&addr, "/v1/scenario", sram_body).expect("sram scenario");
@@ -317,23 +318,21 @@ fn scenario_bodies_validate_strictly_over_the_wire() {
     stop(handle, join);
 }
 
+/// The slow job the slot tests park in a server's only slot: a shared
+/// 4-core domain runs every round on the general path (a lone core's
+/// bursts commit in closed form, so a single-core batch ends before a
+/// poll sees it). About 1.5 s in a debug build.
+const SLOW_BATCH: &str = "{\"workloads\":[\"Nginx\"],\"insts\":50000000,\"cores\":4}";
+
 #[test]
 fn graceful_shutdown_drains_the_inflight_job() {
     let (addr, handle, join) = start(ServeConfig {
         threads: Threads::Fixed(1),
         ..ServeConfig::default()
     });
-    // Park a slow job on the single worker: a shared 4-core domain runs
-    // every round on the general path (a lone core's bursts commit in
-    // closed form, so a single-core batch ends before a poll sees it)…
+    // Park the slow job on the single worker…
     let slow_addr = addr.clone();
-    let slow = std::thread::spawn(move || {
-        post(
-            &slow_addr,
-            "/v1/batch",
-            "{\"workloads\":[\"Nginx\"],\"insts\":50000000,\"cores\":4}",
-        )
-    });
+    let slow = std::thread::spawn(move || post(&slow_addr, "/v1/batch", SLOW_BATCH));
     // …wait until it is actually inflight…
     let mut inflight = false;
     for _ in 0..200 {
@@ -382,13 +381,7 @@ fn waiting_jobs_start_in_arrival_order() {
     });
     // Park the drain test's slow job in the only slot…
     let slow_addr = addr.clone();
-    let slow = std::thread::spawn(move || {
-        post(
-            &slow_addr,
-            "/v1/batch",
-            "{\"workloads\":[\"Nginx\"],\"insts\":50000000,\"cores\":4}",
-        )
-    });
+    let slow = std::thread::spawn(move || post(&slow_addr, "/v1/batch", SLOW_BATCH));
     let await_queue = |name: &str, value: f64, what: &str| {
         for _ in 0..200 {
             if queue_metric(&addr, name) == value {
@@ -433,6 +426,63 @@ fn waiting_jobs_start_in_arrival_order() {
     });
     assert_eq!(*finished.lock().unwrap(), ["A", "B"]);
     slow.join().expect("slow thread").expect("slow job");
+    stop(handle, join);
+}
+
+#[test]
+fn a_waiting_job_is_answered_408_as_soon_as_its_deadline_passes() {
+    let (addr, handle, join) = start(ServeConfig {
+        threads: Threads::Fixed(1),
+        cache_entries: 0,
+        ..ServeConfig::default()
+    });
+    // Park the slow job in the only slot…
+    let began = Instant::now();
+    let slow_addr = addr.clone();
+    let slow = std::thread::spawn(move || {
+        let body = post(&slow_addr, "/v1/batch", SLOW_BATCH);
+        (body, began.elapsed())
+    });
+    let mut inflight = false;
+    for _ in 0..200 {
+        assert!(
+            !slow.is_finished(),
+            "the slow job ended before it was seen running; the test needs a slower job"
+        );
+        if queue_metric(&addr, "inflight") == 1.0 {
+            inflight = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(inflight, "slow job never became inflight");
+    // …then queue a job whose deadline passes long before the slot frees.
+    let sent = Instant::now();
+    let resp = request(
+        &addr,
+        "POST",
+        "/v1/simulate",
+        Some("{\"workload\":\"557.xz\",\"deadline_ms\":50}"),
+        TIMEOUT,
+    )
+    .expect("request");
+    let waited = sent.elapsed();
+    assert!(
+        !slow.is_finished(),
+        "the slow job ended before the 408 came; the test needs a slower job"
+    );
+    assert_error(&resp, 408, "deadline expired while queued", "queued job");
+    assert_eq!(
+        queue_metric(&addr, "depth"),
+        0.0,
+        "the expired job left the line"
+    );
+    let (body, slow_took) = slow.join().expect("slow thread");
+    body.expect("slow job");
+    assert!(
+        waited * 2 < slow_took,
+        "the 408 took {waited:?}, the slow job {slow_took:?}"
+    );
     stop(handle, join);
 }
 
