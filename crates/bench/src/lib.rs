@@ -70,7 +70,7 @@ pub struct Opts {
     pub scale: Scale,
     /// Workers for the row's own fan-out; the output is byte-identical
     /// at every count.
-    pub threads: Threads,
+    pub threads: Threads<'static>,
     /// `--telemetry`: rows that drive the simulator append its summary.
     pub telemetry: bool,
 }

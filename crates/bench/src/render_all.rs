@@ -313,6 +313,45 @@ mod tests {
         ] {
             assert!(text.contains(&want), "Fig. 16 should say '{want}': {text}");
         }
+        // −70 mV against −97 mV efficiency: three rows quoted, and every
+        // gain at −70 mV under half its −97 mV bar.
+        for name in ["523.xalancbmk", "502.gcc", "554.roms"] {
+            let golden = row(fig16, name);
+            let want = format!("{name} {} against {}", golden[2], golden[4]);
+            assert!(text.contains(&want), "Fig. 16 should say '{want}': {text}");
+        }
+        for c in fig16.lines().map(cells).filter(|c| c.len() == 5) {
+            if let (Ok(eff70), Ok(eff97)) = (
+                c[2].trim_end_matches('%').parse::<f64>(),
+                c[4].trim_end_matches('%').parse::<f64>(),
+            ) {
+                assert!(eff97 <= 0.0 || eff70 < eff97 / 2.0, "Fig. 16 row {c:?}");
+            }
+        }
+
+        // Table 6 at −70 mV against −97 mV: 𝒜₁ 𝑓𝑉's gmean power about
+        // half, the gmean efficiencies about a third.
+        let table6 = include_str!("../../../goldens/default/table6.txt");
+        let (mv70, mv97) = table6.split_at(table6.find("at -97 mV").expect("a -97 mV block"));
+        let gmean = |block: &str, config: &str, metric: &str| {
+            let line = block
+                .lines()
+                .map(cells)
+                .find(|c| c[0] == config && c[1] == metric);
+            line.unwrap_or_else(|| panic!("no {config} {metric} row"))[2].to_string()
+        };
+        let text = prose("## Table 6");
+        for (config, metric, doc, share) in [
+            ("A1 fV", "Pwr", "𝒜₁ 𝑓𝑉 gmean", 0.4..0.6),
+            ("A1 fV", "Eff", "𝒜₁ 𝑓𝑉", 0.25..0.4),
+            ("Cinf fV", "Eff", "𝒞∞ 𝑓𝑉", 0.25..0.4),
+        ] {
+            let (at70, at97) = (gmean(mv70, config, metric), gmean(mv97, config, metric));
+            let want = format!("{doc} {at70} against {at97}");
+            assert!(text.contains(&want), "Table 6 should say '{want}': {text}");
+            let ratio = percent(&at70) / percent(&at97);
+            assert!(share.contains(&ratio), "{config} {metric}: {at70} / {at97}");
+        }
 
         let fig14 = include_str!("../../../goldens/default/fig14.txt");
         let text = experiments_section("## Fig. 14");

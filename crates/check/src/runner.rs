@@ -154,7 +154,7 @@ pub struct Checker {
     cases: u64,
     seed: u64,
     corpus: Option<PathBuf>,
-    workers: Threads,
+    workers: Threads<'static>,
 }
 
 /// Default number of random cases per property.
@@ -208,7 +208,7 @@ impl Checker {
     /// Shrinking always runs sequentially from that seed, so the whole
     /// [`Failure`] — seed, minimal counterexample, shrink trace — is
     /// byte-identical to what a sequential run reports.
-    pub fn workers(mut self, threads: Threads) -> Self {
+    pub fn workers(mut self, threads: Threads<'static>) -> Self {
         self.workers = threads;
         self
     }
@@ -499,7 +499,7 @@ mod tests {
 
     #[test]
     fn parallel_exploration_reports_the_sequential_failure() {
-        let run = |threads: Threads| {
+        let run = |threads: Threads<'static>| {
             Checker::new("meta::parallel")
                 .cases(256)
                 .workers(threads)

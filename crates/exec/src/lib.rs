@@ -34,6 +34,15 @@
 //! with the **failing job index** attached; when several jobs panic
 //! concurrently the lowest index wins, keeping even the failure mode
 //! deterministic.
+//!
+//! ## Sharing a budget of threads
+//!
+//! A fan-out given [`Threads::Within`] draws its helpers from a shared
+//! [`Budget`] instead of spawning them unasked: it borrows only units that
+//! are idle while no job waits, runs the rest of its share on its caller,
+//! and each borrowed helper hands its unit back before claiming another
+//! index once a job is waiting. The service's job slots are such a budget,
+//! so jobs and the helpers they borrow never outnumber the slots.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,8 +55,8 @@ use suit_rng::SuitRng;
 use suit_telemetry::{Telemetry, TelemetrySnapshot};
 
 /// Worker-count policy for a fan-out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Threads {
+#[derive(Clone, Copy, Default)]
+pub enum Threads<'a> {
     /// One worker per available hardware thread
     /// (`std::thread::available_parallelism`, falling back to 1).
     #[default]
@@ -55,30 +64,103 @@ pub enum Threads {
     /// Exactly this many workers. Must be at least 1 — use
     /// [`Threads::parse`] at CLI boundaries to reject 0 gracefully.
     Fixed(usize),
+    /// At most this many workers (at least 1): the caller, which holds a
+    /// unit of the budget already, plus the helpers the budget lends
+    /// without blocking.
+    Within(usize, &'a dyn Budget),
 }
 
-impl Threads {
-    /// Resolves the policy to a concrete worker count (always ≥ 1).
+impl Threads<'_> {
+    /// Resolves the policy to a concrete worker count (always ≥ 1); for
+    /// [`Threads::Within`], the most workers a fan-out may use.
     ///
     /// # Panics
     ///
-    /// Panics on `Fixed(0)` — reject zero at the parse boundary instead.
+    /// Panics on a count of 0 — reject zero at the parse boundary instead.
     pub fn count(self) -> usize {
         match self {
             Threads::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            Threads::Fixed(n) => {
+            Threads::Fixed(n) | Threads::Within(n, _) => {
                 assert!(n >= 1, "need at least one worker");
                 n
             }
         }
     }
+}
 
+impl Threads<'static> {
     /// Parses a `--threads` CLI value: a positive integer. Zero, empty
     /// and non-numeric values are errors, never silently clamped.
-    pub fn parse(s: &str) -> Result<Threads, String> {
+    pub fn parse(s: &str) -> Result<Threads<'static>, String> {
         match s.parse::<usize>() {
             Ok(n) if n >= 1 => Ok(Threads::Fixed(n)),
             _ => Err(format!("--threads must be a positive integer, got '{s}'")),
+        }
+    }
+}
+
+impl std::fmt::Debug for Threads<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Threads::Auto => f.write_str("Auto"),
+            Threads::Fixed(n) => write!(f, "Fixed({n})"),
+            Threads::Within(n, _) => write!(f, "Within({n}, ..)"),
+        }
+    }
+}
+
+/// A shared budget of running threads, in units of one thread each, that
+/// [`Threads::Within`] fan-outs borrow their helpers from. The caller of
+/// a fan-out holds a unit already; [`run`] borrows at most `n − 1` more.
+pub trait Budget: Sync {
+    /// Lends up to `want` idle units without blocking and returns how
+    /// many it lent: none while a job waits for a unit.
+    fn borrow(&self, want: usize) -> usize;
+    /// Whether a job waits for a unit. Every borrowed helper asks before
+    /// each index it claims, so this should be one relaxed atomic load.
+    fn job_waiting(&self) -> bool;
+    /// Takes back `n` units that [`Budget::borrow`] lent.
+    fn give_back(&self, n: usize);
+}
+
+/// What [`Threads::Auto`] and [`Threads::Fixed`] fan-outs borrow from:
+/// every unit asked for, and no job ever waits.
+struct Unlimited;
+
+impl Budget for Unlimited {
+    fn borrow(&self, want: usize) -> usize {
+        want
+    }
+
+    fn job_waiting(&self) -> bool {
+        false
+    }
+
+    fn give_back(&self, _: usize) {}
+}
+
+/// Units borrowed from a budget, given back when this drops — on every
+/// way out of a helper, a panic included.
+struct Lent<'a> {
+    budget: &'a dyn Budget,
+    units: usize,
+}
+
+impl<'a> Lent<'a> {
+    /// Splits one unit off for a helper to hold.
+    fn one(&mut self) -> Lent<'a> {
+        self.units -= 1;
+        Lent {
+            budget: self.budget,
+            units: 1,
+        }
+    }
+}
+
+impl Drop for Lent<'_> {
+    fn drop(&mut self) {
+        if self.units > 0 {
+            self.budget.give_back(self.units);
         }
     }
 }
@@ -104,20 +186,34 @@ fn payload_msg(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// The caller is one of the workers: `n` workers are the caller plus
 /// `n − 1` spawned scoped threads, all running the same claim loop, so a
-/// small fan-out does not pay for a thread that would only wait.
+/// small fan-out does not pay for a thread that would only wait. Under
+/// [`Threads::Within`] the `n − 1` helpers are borrowed from the budget
+/// without blocking, so there may be fewer of them, none at all while a
+/// job waits; a helper gives its unit back before claiming another index
+/// once a job waits, and the caller finishes whatever is left.
 ///
 /// # Panics
 ///
 /// If any job panics, the remaining queue is abandoned and this function
 /// panics with the failing job index and the original message. When
-/// multiple in-flight jobs panic, the lowest index is reported.
+/// multiple in-flight jobs panic, the lowest index is reported. Every
+/// borrowed unit is back with its budget by then.
 pub fn run<T, F>(jobs: usize, threads: Threads, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let workers = threads.count().min(jobs);
-    if workers <= 1 {
+    let budget = match threads {
+        Threads::Within(_, budget) => budget,
+        Threads::Auto | Threads::Fixed(_) => &Unlimited,
+    };
+    let helpers = if workers > 1 {
+        budget.borrow(workers - 1)
+    } else {
+        0
+    };
+    if helpers == 0 {
         return (0..jobs)
             .map(|i| match panic::catch_unwind(AssertUnwindSafe(|| job(i))) {
                 Ok(v) => v,
@@ -133,8 +229,13 @@ where
     let abort = AtomicBool::new(false);
     let failed: Mutex<Option<(usize, String)>> = Mutex::new(None);
 
-    let claim = || {
+    // A borrowed helper stops to hand its unit back once a job waits; the
+    // caller holds its own unit and never stops early.
+    let claim = |helper: bool| {
         while !abort.load(Ordering::Relaxed) {
+            if helper && budget.job_waiting() {
+                break;
+            }
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= jobs {
                 break;
@@ -155,10 +256,22 @@ where
         }
     };
     std::thread::scope(|scope| {
-        for _ in 1..workers {
-            scope.spawn(claim);
+        let claim = &claim;
+        // Units not yet handed to a running helper, given back if a spawn
+        // fails.
+        let mut lent = Lent {
+            budget,
+            units: helpers,
+        };
+        for _ in 0..helpers {
+            let held = lent.one();
+            scope.spawn(move || {
+                claim(true);
+                // Moved in, so the unit goes back when the helper stops.
+                drop(held);
+            });
         }
-        claim();
+        claim(false);
     });
 
     if let Some((i, msg)) = failed.into_inner().unwrap_or_else(|e| e.into_inner()) {
@@ -373,10 +486,190 @@ mod tests {
         assert!(msg.contains("job 0") && msg.contains("boom at 0"), "{msg}");
     }
 
+    /// A budget of `total` units shared by a test's callers. A caller
+    /// holds one while it fans out, as a served job holds its slot, and
+    /// waits (raising `waiting`) while none is idle.
+    struct Pool {
+        total: usize,
+        /// Units held by callers, units lent to helpers, callers waiting.
+        units: Mutex<(usize, usize, usize)>,
+        freed: std::sync::Condvar,
+        waiting: AtomicBool,
+    }
+
+    impl Pool {
+        fn new(total: usize) -> Pool {
+            Pool {
+                total,
+                units: Mutex::new((0, 0, 0)),
+                freed: std::sync::Condvar::new(),
+                waiting: AtomicBool::new(false),
+            }
+        }
+
+        fn hold(&self) {
+            let mut u = self.units.lock().unwrap();
+            while u.0 + u.1 == self.total {
+                u.2 += 1;
+                self.waiting.store(true, Ordering::Relaxed);
+                u = self.freed.wait(u).unwrap();
+                u.2 -= 1;
+                self.waiting.store(u.2 > 0, Ordering::Relaxed);
+            }
+            u.0 += 1;
+        }
+
+        fn release(&self) {
+            self.units.lock().unwrap().0 -= 1;
+            self.freed.notify_all();
+        }
+
+        fn lent(&self) -> usize {
+            self.units.lock().unwrap().1
+        }
+    }
+
+    impl Budget for Pool {
+        fn borrow(&self, want: usize) -> usize {
+            let mut u = self.units.lock().unwrap();
+            let got = if u.2 > 0 {
+                0
+            } else {
+                want.min(self.total - u.0 - u.1)
+            };
+            u.1 += got;
+            got
+        }
+
+        fn job_waiting(&self) -> bool {
+            self.waiting.load(Ordering::Relaxed)
+        }
+
+        fn give_back(&self, n: usize) {
+            self.units.lock().unwrap().1 -= n;
+            self.freed.notify_all();
+        }
+    }
+
+    #[test]
+    fn fan_outs_within_a_budget_never_run_more_workers_than_it_holds() {
+        let mut rng = SuitRng::seed_from_u64(0xb0d9);
+        let value = |i: usize| (i as u64).wrapping_mul(0x9E37);
+        for round in 0..16 {
+            let k = rng.gen_range(1..=3usize);
+            let callers: Vec<(usize, usize)> = (0..3)
+                .map(|_| (rng.gen_range(0..=40usize), rng.gen_range(1..=6usize)))
+                .collect();
+            let pool = Pool::new(k);
+            let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            std::thread::scope(|scope| {
+                for &(jobs, n) in &callers {
+                    let (pool, running, peak) = (&pool, &running, &peak);
+                    scope.spawn(move || {
+                        pool.hold();
+                        let got = run(jobs, Threads::Within(n, pool), |i| {
+                            peak.fetch_max(
+                                running.fetch_add(1, Ordering::SeqCst) + 1,
+                                Ordering::SeqCst,
+                            );
+                            std::thread::sleep(std::time::Duration::from_micros(200));
+                            running.fetch_sub(1, Ordering::SeqCst);
+                            value(i)
+                        });
+                        pool.release();
+                        assert_eq!(got, run(jobs, Threads::Fixed(1), value), "round {round}");
+                    });
+                }
+            });
+            let peak = peak.into_inner();
+            assert!(
+                peak <= k,
+                "round {round}: {peak} workers on a budget of {k} ({callers:?})"
+            );
+            assert_eq!(pool.lent(), 0, "round {round}: units left on loan");
+        }
+    }
+
+    #[test]
+    fn helpers_stop_claiming_once_a_job_waits_and_the_caller_finishes() {
+        let caller = std::thread::current().id();
+        let pool = Pool::new(2);
+        pool.hold();
+        let arrived = AtomicUsize::new(0);
+        let helper_jobs = AtomicUsize::new(0);
+        let given_back = AtomicBool::new(false);
+        let jobs = 40;
+        let ran_on = run(jobs, Threads::Within(2, &pool), |i| {
+            let on_helper = std::thread::current().id() != caller;
+            if on_helper {
+                helper_jobs.fetch_add(1, Ordering::SeqCst);
+            }
+            if i < 2 {
+                rendezvous(&arrived, 2);
+                if on_helper {
+                    // A job arrives while the helper runs its first index.
+                    pool.waiting.store(true, Ordering::Relaxed);
+                }
+            } else if !on_helper && !given_back.load(Ordering::SeqCst) {
+                // Hold the caller until the helper has either handed its
+                // unit back or claimed another index.
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while helper_jobs.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline
+                {
+                    if pool.lent() == 0 {
+                        given_back.store(true, Ordering::SeqCst);
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+            }
+            std::thread::current().id()
+        });
+        assert_eq!(
+            helper_jobs.into_inner(),
+            1,
+            "the helper claimed past a waiting job"
+        );
+        assert!(
+            given_back.into_inner(),
+            "the helper kept its unit while the fan-out ran"
+        );
+        assert!(
+            ran_on[2..].iter().all(|&id| id == caller),
+            "the caller finishes"
+        );
+        assert_eq!(pool.lent(), 0);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_the_budget_whole() {
+        let caller = std::thread::current().id();
+        let pool = Pool::new(4);
+        pool.hold();
+        let arrived = AtomicUsize::new(0);
+        let lent_while_running = AtomicUsize::new(0);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            run(16, Threads::Within(4, &pool), |i| -> usize {
+                if i < 4 {
+                    rendezvous(&arrived, 4);
+                    lent_while_running.fetch_max(pool.lent(), Ordering::SeqCst);
+                }
+                if std::thread::current().id() != caller {
+                    panic!("boom at {i}");
+                }
+                i
+            })
+        }));
+        let msg = payload_msg(caught.expect_err("must propagate"));
+        assert!(msg.contains("boom"), "{msg}");
+        assert_eq!(lent_while_running.into_inner(), 3, "three helpers borrowed");
+        assert_eq!(pool.lent(), 0, "a helper kept its unit through the panic");
+    }
+
     #[test]
     fn parse_accepts_positive_and_rejects_junk() {
-        assert_eq!(Threads::parse("1"), Ok(Threads::Fixed(1)));
-        assert_eq!(Threads::parse("32"), Ok(Threads::Fixed(32)));
+        assert!(matches!(Threads::parse("1"), Ok(Threads::Fixed(1))));
+        assert!(matches!(Threads::parse("32"), Ok(Threads::Fixed(32))));
         for bad in ["0", "", "-3", "many", "1.5"] {
             assert!(Threads::parse(bad).is_err(), "'{bad}' must be rejected");
         }

@@ -12,9 +12,14 @@
 //!   after [`ServeConfig::idle_timeout`]), parse with [`crate::http`]'s
 //!   strict limits, answer control endpoints inline, and run each compute
 //!   job themselves once it holds one of the [`ServeConfig::threads`] job
-//!   slots. Sweeps inside a job fan out over [`suit_exec`] with the same
-//!   thread policy, which is what keeps every response byte-identical at
-//!   any slot count.
+//!   slots.
+//! * **Borrowed helpers** — sweeps inside a job fan out over [`suit_exec`]
+//!   within the same slots: a fan-out borrows only slots that are idle
+//!   while no job waits, runs the rest of its share on the job's own
+//!   thread, and each helper hands its slot back before its next index
+//!   once a job waits. Jobs and helpers together never outnumber the
+//!   slots, and results land by index, so every response is
+//!   byte-identical at any slot count and under any load.
 //!
 //! A slot is a count under a mutex, not a thread: no job is handed from
 //! one thread to another.
@@ -45,11 +50,11 @@ use std::io::Read;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-use suit_exec::Threads;
+use suit_exec::{Budget, Threads};
 use suit_telemetry::{json::json_num, Counter, Hist, Telemetry};
 
 use crate::api::{self, Deadline, ExecError};
@@ -60,10 +65,11 @@ use crate::tracestore::{Inserted, StoredTrace, TraceStore};
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Job slots: how many compute jobs run at once; also the policy
-    /// every `suit-exec` fan-out inside a job runs with, passed on
-    /// unchanged (responses are byte-identical at every value).
-    pub threads: Threads,
+    /// Job slots: how many threads compute at once, counting running jobs
+    /// and the helpers their `suit-exec` fan-outs borrow. A fan-out inside
+    /// a job uses at most this many workers, and fewer while other jobs
+    /// hold the slots (responses are byte-identical either way).
+    pub threads: Threads<'static>,
     /// How many jobs may wait for a slot (≥ 1); a job arriving while
     /// that many wait is answered `429` + `Retry-After`.
     pub queue_depth: usize,
@@ -110,28 +116,100 @@ impl Default for ServeConfig {
 /// How often blocked reads re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
 
-/// The job slots. An admitted job joins the line; the job at the front
-/// starts when a slot is free, so waiting jobs start in arrival order. A
-/// job whose deadline passes while it waits leaves the line at once.
-#[derive(Default)]
+/// The job slots: the budget of running threads. A job holds one slot
+/// while it runs, and the fan-outs inside it borrow idle ones for helpers
+/// ([`suit_exec::Budget`]). An admitted job joins the line; the job at the
+/// front starts when a slot is free, so waiting jobs start in arrival
+/// order. A job whose deadline passes while it waits leaves the line at
+/// once.
 struct Slots {
-    /// How many jobs may run at once (`cfg.threads`).
+    /// How many threads may run at once (`cfg.threads`).
     total: usize,
+    occupancy: Mutex<Occupancy>,
+    /// Signalled when a slot frees or a job leaves the line while others
+    /// wait.
+    turn: Condvar,
+    /// Whether the line holds a job, for helpers to read without the lock
+    /// before each index they claim.
+    waiting: AtomicBool,
+    /// The server's recorder, for the fan-out counters.
+    tele: Telemetry,
+}
+
+#[derive(Default)]
+struct Occupancy {
     /// Jobs running now.
-    running: usize,
+    jobs: usize,
+    /// Helpers borrowed by fan-outs inside those jobs.
+    helpers: usize,
     /// The waiting jobs in arrival order, each named by the connection
     /// thread that runs it (a thread waits for one job at a time).
     line: VecDeque<ThreadId>,
+}
+
+impl Slots {
+    fn new(total: usize, tele: Telemetry) -> Slots {
+        Slots {
+            total,
+            occupancy: Mutex::default(),
+            turn: Condvar::new(),
+            waiting: AtomicBool::new(false),
+            tele,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Occupancy> {
+        self.occupancy.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn idle(&self, u: &Occupancy) -> usize {
+        self.total - u.jobs - u.helpers
+    }
+
+    /// Keeps `waiting` equal to "the line holds a job"; called under the
+    /// lock after every change to the line.
+    fn line_changed(&self, u: &Occupancy) {
+        self.waiting.store(!u.line.is_empty(), Ordering::Relaxed);
+    }
+}
+
+impl Budget for Slots {
+    fn borrow(&self, want: usize) -> usize {
+        let mut u = self.lock();
+        let lent = if u.line.is_empty() {
+            want.min(self.idle(&u))
+        } else {
+            0
+        };
+        u.helpers += lent;
+        drop(u);
+        if lent == 0 {
+            self.tele.count(Counter::ServeFanoutsInline);
+        } else {
+            self.tele.count(Counter::ServeFanoutsBorrowed);
+            self.tele.add(Counter::ServeFanoutHelpers, lent as u64);
+        }
+        lent
+    }
+
+    fn job_waiting(&self) -> bool {
+        self.waiting.load(Ordering::Relaxed)
+    }
+
+    fn give_back(&self, n: usize) {
+        let mut u = self.lock();
+        u.helpers -= n;
+        if !u.line.is_empty() {
+            self.turn.notify_all();
+        }
+    }
 }
 
 /// Shared server state.
 struct State {
     cfg: ServeConfig,
     tele: Telemetry,
-    slots: Mutex<Slots>,
-    /// Signalled when a job starts, ends or leaves the line while others
-    /// wait.
-    turn: Condvar,
+    slots: Slots,
     conns: AtomicUsize,
     shutdown: AtomicBool,
     /// The listener's address, loopback in place of an unspecified IP:
@@ -196,17 +274,14 @@ impl Server {
         }
         let cache = Cache::new(cfg.cache_entries, cfg.cache_bytes);
         let traces = TraceStore::new(cfg.trace_entries, cfg.trace_bytes);
-        let slots = Slots {
-            total: cfg.threads.count(),
-            ..Slots::default()
-        };
+        let tele = Telemetry::with_capacity(16);
+        let slots = Slots::new(cfg.threads.count(), tele.clone());
         Ok(Server {
             listener,
             state: Arc::new(State {
                 cfg,
-                tele: Telemetry::with_capacity(16),
-                slots: Mutex::new(slots),
-                turn: Condvar::new(),
+                tele,
+                slots,
                 conns: AtomicUsize::new(0),
                 shutdown: AtomicBool::new(false),
                 wake_addr,
@@ -275,9 +350,8 @@ fn run_job(state: &State, job: &api::Job, deadline: Deadline) -> Response {
     }
     // Robustness boundary: a panicking engine must cost one request, not
     // a connection thread and the slot it holds.
-    match catch_unwind(AssertUnwindSafe(|| {
-        api::execute(job, state.cfg.threads, deadline)
-    })) {
+    let threads = Threads::Within(state.slots.total, &state.slots);
+    match catch_unwind(AssertUnwindSafe(|| api::execute(job, threads, deadline))) {
         Ok(Ok(body)) => Response::ok(body),
         Ok(Err(ExecError::DeadlineExpired)) => {
             state.tele.count(Counter::ServeDeadlineExpired);
@@ -689,10 +763,11 @@ fn submit(
     if state.shutting_down() {
         return Response::error(503, "server is draining");
     }
-    let mut slots = state.slots.lock().unwrap_or_else(|e| e.into_inner());
-    let waiting = slots.line.len();
+    let slots = &state.slots;
+    let mut u = slots.lock();
+    let waiting = u.line.len();
     if waiting >= state.cfg.queue_depth {
-        drop(slots);
+        drop(u);
         state.tele.count(Counter::ServeRejected);
         return Response::too_many_requests(
             "admission queue is full; retry later",
@@ -700,48 +775,54 @@ fn submit(
         );
     }
     let me = std::thread::current().id();
-    slots.line.push_back(me);
+    u.line.push_back(me);
+    slots.line_changed(&u);
     state.tele.count(Counter::ServeRequests);
-    while slots.line.front() != Some(&me) || slots.running == slots.total {
+    while u.line.front() != Some(&me) || slots.idle(&u) == 0 {
         let left = deadline
             .0
             .map(|at| at.saturating_duration_since(Instant::now()));
-        slots = match left {
-            None => state.turn.wait(slots).unwrap_or_else(|e| e.into_inner()),
+        u = match left {
+            None => slots.turn.wait(u).unwrap_or_else(|e| e.into_inner()),
             Some(left) if !left.is_zero() => {
-                let woken = state.turn.wait_timeout(slots, left);
+                let woken = slots.turn.wait_timeout(u, left);
                 woken.unwrap_or_else(|e| e.into_inner()).0
             }
             Some(_) => {
-                slots.line.retain(|&t| t != me);
-                state.turn.notify_all();
-                drop(slots);
+                u.line.retain(|&t| t != me);
+                slots.line_changed(&u);
+                slots.turn.notify_all();
+                drop(u);
                 state.tele.count(Counter::ServeDeadlineExpired);
                 state.tele.observe(hist, elapsed_us(accepted));
                 return Response::error(408, "deadline expired while queued");
             }
         };
     }
-    slots.line.pop_front();
-    slots.running += 1;
-    if !slots.line.is_empty() && slots.running < slots.total {
-        state.turn.notify_all();
+    u.line.pop_front();
+    slots.line_changed(&u);
+    u.jobs += 1;
+    if !u.line.is_empty() && slots.idle(&u) > 0 {
+        slots.turn.notify_all();
     }
-    drop(slots);
+    drop(u);
     let response = run_job(state, &job, deadline);
-    let mut slots = state.slots.lock().unwrap_or_else(|e| e.into_inner());
-    slots.running -= 1;
-    if !slots.line.is_empty() {
-        state.turn.notify_all();
+    let mut u = slots.lock();
+    u.jobs -= 1;
+    if !u.line.is_empty() {
+        slots.turn.notify_all();
     }
-    drop(slots);
+    drop(u);
     state.tele.observe(hist, elapsed_us(accepted));
     response
 }
 
 /// The live `/v1/metrics` document: request counters, per-endpoint
-/// latency histograms (p50/p90/p99/max over log₂ buckets), and job-slot
-/// gauges (`queue.depth` jobs waiting, `queue.inflight` jobs running).
+/// latency histograms (p50/p90/p99/max over log₂ buckets), job-slot
+/// gauges (`queue.depth` jobs waiting, `queue.inflight` jobs running,
+/// `queue.borrowed` helpers running in borrowed slots), and the fan-out
+/// counters (`fanouts.inline` ran on their job's thread alone,
+/// `fanouts.borrowed` borrowed `fanouts.helpers` helpers in all).
 fn metrics_json(state: &State) -> String {
     let snap = state.tele.snapshot();
     let lat = |h: Hist| {
@@ -756,9 +837,9 @@ fn metrics_json(state: &State) -> String {
             s.max,
         )
     };
-    let (waiting, running, total) = {
-        let slots = state.slots.lock().unwrap_or_else(|e| e.into_inner());
-        (slots.line.len(), slots.running, slots.total)
+    let (waiting, jobs, helpers) = {
+        let u = state.slots.lock();
+        (u.line.len(), u.jobs, u.helpers)
     };
     let (cache_entries, cache_bytes) = state.cache.usage();
     let (cap_entries, cap_bytes) = state.cache.capacity();
@@ -773,7 +854,8 @@ fn metrics_json(state: &State) -> String {
          \"capacity_bytes\":{},\"hit_latency_us\":{}}},\
          \"traces\":{{\"entries\":{},\"bytes\":{},\"capacity_entries\":{},\"capacity_bytes\":{},\
          \"uploads\":{},\"dedup\":{},\"store_full\":{}}},\
-         \"queue\":{{\"depth\":{},\"capacity\":{},\"inflight\":{}}},\
+         \"queue\":{{\"depth\":{},\"capacity\":{},\"inflight\":{},\"borrowed\":{}}},\
+         \"fanouts\":{{\"inline\":{},\"borrowed\":{},\"helpers\":{}}},\
          \"workers\":{},\"draining\":{}}}",
         snap.counter(Counter::ServeRequests),
         snap.counter(Counter::ServeRejected),
@@ -806,8 +888,45 @@ fn metrics_json(state: &State) -> String {
         snap.counter(Counter::ServeTraceStoreFull),
         waiting,
         state.cfg.queue_depth,
-        running,
-        total,
+        jobs,
+        helpers,
+        snap.counter(Counter::ServeFanoutsInline),
+        snap.counter(Counter::ServeFanoutsBorrowed),
+        snap.counter(Counter::ServeFanoutHelpers),
+        state.slots.total,
         state.shutting_down(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Puts a job in the line, or takes it out again.
+    fn set_waiting(slots: &Slots, waiting: bool) {
+        let mut u = slots.lock();
+        if waiting {
+            u.line.push_back(std::thread::current().id());
+        } else {
+            u.line.clear();
+        }
+        slots.line_changed(&u);
+    }
+
+    #[test]
+    fn a_fan_out_borrows_no_idle_slot_while_a_job_waits() {
+        let slots = Slots::new(3, Telemetry::off());
+        slots.lock().jobs = 1;
+        // A slot freed while a job waited, and the job has not yet woken
+        // to take it: the slot is that job's, not a helper's.
+        set_waiting(&slots, true);
+        assert!(slots.job_waiting());
+        assert_eq!(slots.borrow(2), 0, "a helper took a waiting job's slot");
+        set_waiting(&slots, false);
+        assert!(!slots.job_waiting());
+        assert_eq!(slots.borrow(5), 2, "a fan-out takes only the idle slots");
+        assert_eq!(slots.borrow(1), 0);
+        slots.give_back(2);
+        assert_eq!(slots.lock().helpers, 0);
+    }
 }

@@ -138,7 +138,7 @@ fn parallel_property_exploration_finds_the_sequential_failure() {
     // Failure (seed, minimal counterexample, shrink trace) must be
     // byte-identical to a one-worker run.
     use suit::check::{gen, Checker};
-    let run = |threads: Threads| {
+    let run = |threads: Threads<'static>| {
         Checker::new("determinism::parallel_explore")
             .cases(512)
             .workers(threads)

@@ -486,6 +486,83 @@ fn a_waiting_job_is_answered_408_as_soon_as_its_deadline_passes() {
     stop(handle, join);
 }
 
+/// Numeric fields of one `/v1/metrics` document's `section` object, read
+/// from the same document so gauges read together agree.
+fn metrics<const N: usize>(addr: &str, section: &str, names: [&str; N]) -> [f64; N] {
+    let metrics = request_text(addr, "GET", "/v1/metrics", None, TIMEOUT).expect("metrics");
+    let m = parse(&metrics).expect("metrics JSON");
+    names.map(|name| match field(field(&m, section), name) {
+        Value::Num(n) => *n,
+        other => panic!("{section}.{name} should be a number, got {other:?}"),
+    })
+}
+
+#[test]
+fn a_lone_table6_batch_on_an_idle_four_slot_server_borrows_three() {
+    const CAP: u64 = 2_000_000;
+    let expect = api::batch_table6_json(&run_table6(Threads::Fixed(1), Some(CAP)));
+    let (addr, handle, join) = start(ServeConfig {
+        threads: Threads::Fixed(4),
+        ..ServeConfig::default()
+    });
+    let body = format!("{{\"sweep\":\"table6\",\"max_insts\":{CAP}}}");
+    assert_eq!(post(&addr, "/v1/batch", &body).expect("batch"), expect);
+    assert_eq!(
+        metrics(&addr, "fanouts", ["inline", "borrowed", "helpers"]),
+        [0.0, 1.0, 3.0],
+        "one fan-out over the job's thread and three borrowed helpers"
+    );
+    assert_eq!(
+        metrics(&addr, "queue", ["inflight", "borrowed"]),
+        [0.0, 0.0],
+        "every helper gave its slot back"
+    );
+    stop(handle, join);
+}
+
+#[test]
+fn concurrent_jobs_on_a_two_slot_server_leave_borrowed_at_zero() {
+    let (addr, handle, join) = start(ServeConfig {
+        threads: Threads::Fixed(2),
+        cache_entries: 0,
+        ..ServeConfig::default()
+    });
+    // Six like-sized shared-domain runs each, so a job still has indices
+    // left when the other one takes back the slot it borrowed.
+    let bodies = [
+        "{\"workloads\":[\"Nginx\",\"Nginx\",\"Nginx\",\"Nginx\",\"Nginx\",\"Nginx\"],\
+         \"insts\":5000000,\"cores\":4}",
+        "{\"workloads\":[\"VLC\",\"VLC\",\"VLC\",\"VLC\",\"VLC\",\"VLC\"],\
+         \"insts\":5000000,\"cores\":4}",
+    ];
+    let mut overlapped = false;
+    let got: Vec<String> = std::thread::scope(|scope| {
+        let posts: Vec<_> = bodies
+            .iter()
+            .map(|body| scope.spawn(|| post(&addr, "/v1/batch", body)))
+            .collect();
+        while !posts.iter().all(|p| p.is_finished()) {
+            let [inflight, borrowed] = metrics(&addr, "queue", ["inflight", "borrowed"]);
+            assert!(
+                inflight + borrowed <= 2.0,
+                "{inflight} jobs and {borrowed} helpers on two slots"
+            );
+            overlapped |= inflight == 2.0;
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let joined = posts.into_iter().map(|p| p.join().expect("client thread"));
+        joined.map(|r| r.expect("batch")).collect()
+    });
+    assert!(overlapped, "the two jobs never ran at once");
+    assert_eq!(metrics(&addr, "queue", ["borrowed"]), [0.0]);
+    for (body, got) in bodies.iter().zip(&got) {
+        let (job, _) = api::parse_batch(body).expect("valid batch");
+        let direct = api::execute(&job, Threads::Fixed(1), api::Deadline(None)).expect("direct");
+        assert_eq!(got, &direct, "{body}");
+    }
+    stop(handle, join);
+}
+
 #[test]
 fn shutdown_wakes_a_server_bound_to_an_unspecified_address() {
     let server = Server::bind("0.0.0.0:0", ServeConfig::default()).expect("bind 0.0.0.0:0");
