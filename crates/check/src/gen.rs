@@ -16,9 +16,8 @@ use crate::source::Source;
 /// A composable generator: a pure function from a choice stream to `T`.
 ///
 /// Generators are `Send + Sync` (the sampling closure is shared behind
-/// an `Arc`), so one `Gen` can drive [`Checker`](crate::Checker)'s
-/// parallel exploration mode — every worker samples through the same
-/// generator from its own per-case [`Source`].
+/// an `Arc`), so cloning one is cheap and any thread may sample it, each
+/// from its own [`Source`].
 pub struct Gen<T> {
     f: Arc<dyn Fn(&mut Source) -> T + Send + Sync>,
 }

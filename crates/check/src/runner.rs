@@ -6,7 +6,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use suit_exec::Threads;
 use suit_rng::SuitRng;
 
 use crate::gen::Gen;
@@ -154,7 +153,6 @@ pub struct Checker {
     cases: u64,
     seed: u64,
     corpus: Option<PathBuf>,
-    workers: Threads<'static>,
 }
 
 /// Default number of random cases per property.
@@ -182,7 +180,6 @@ impl Checker {
             cases: DEFAULT_CASES,
             seed: env_u64("SUIT_CHECK_SEED").unwrap_or(DEFAULT_SEED),
             corpus: None,
-            workers: Threads::Fixed(1),
         }
     }
 
@@ -199,20 +196,6 @@ impl Checker {
         self
     }
 
-    /// Opts into parallel random exploration with the given worker
-    /// policy (default: sequential, `Threads::Fixed(1)`).
-    ///
-    /// Exploration scans cases in blocks; every case seed is still
-    /// `root.fork(case)`, so which case fails does not depend on the
-    /// worker count, and the *lowest* failing case index wins the block.
-    /// Shrinking always runs sequentially from that seed, so the whole
-    /// [`Failure`] — seed, minimal counterexample, shrink trace — is
-    /// byte-identical to what a sequential run reports.
-    pub fn workers(mut self, threads: Threads<'static>) -> Self {
-        self.workers = threads;
-        self
-    }
-
     /// Attaches a regression corpus directory. Seeds committed there as
     /// `<name>-<seed>.seed` are replayed *before* random exploration, and
     /// new failures found by [`Checker::check`] are persisted to it.
@@ -223,11 +206,7 @@ impl Checker {
 
     /// Runs the property; on failure, shrinks it, persists the failing
     /// seed to the corpus (if configured) and panics with the report.
-    pub fn check<T: Debug + 'static, R: Outcome>(
-        &self,
-        gen: &Gen<T>,
-        prop: impl Fn(&T) -> R + Sync,
-    ) {
+    pub fn check<T: Debug + 'static, R: Outcome>(&self, gen: &Gen<T>, prop: impl Fn(&T) -> R) {
         if let Some(failure) = self.check_report(gen, prop) {
             self.persist(failure.seed);
             panic!("{}", failure.report());
@@ -239,8 +218,8 @@ impl Checker {
     pub fn check_diff<T: Debug + 'static, O: Debug + PartialEq>(
         &self,
         gen: &Gen<T>,
-        impl_a: impl Fn(&T) -> O + Sync,
-        impl_b: impl Fn(&T) -> O + Sync,
+        impl_a: impl Fn(&T) -> O,
+        impl_b: impl Fn(&T) -> O,
     ) {
         self.check(gen, move |v| {
             let (a, b) = (impl_a(v), impl_b(v));
@@ -258,7 +237,7 @@ impl Checker {
     pub fn check_report<T: Debug + 'static, R: Outcome>(
         &self,
         gen: &Gen<T>,
-        prop: impl Fn(&T) -> R + Sync,
+        prop: impl Fn(&T) -> R,
     ) -> Option<Failure> {
         let prop = move |v: &T| prop(v).failure();
         // Regression corpus first: committed seeds replay before any
@@ -271,54 +250,11 @@ impl Checker {
         // Random exploration: per-case seeds are forked from the base
         // seed so any single case replays standalone from its own seed.
         let root = SuitRng::seed_from_u64(self.seed);
-        let workers = self.workers.count();
-        if workers > 1 {
-            return self.explore_parallel(gen, &prop, &root, workers);
-        }
         for case in 0..self.cases {
             let case_seed = root.fork(case).root_seed();
             if let Some(f) = self.run_seed(gen, &prop, case_seed) {
                 return Some(f);
             }
-        }
-        None
-    }
-
-    /// Parallel exploration: scans cases in index-ordered blocks of
-    /// `workers * 16`, fanning each block out over the executor. A block
-    /// reports the lowest failing case index it contains, so the winning
-    /// seed — and therefore the sequentially re-run shrink — matches what
-    /// a one-worker scan would find.
-    fn explore_parallel<T: Debug + 'static>(
-        &self,
-        gen: &Gen<T>,
-        prop: &(dyn Fn(&T) -> Option<String> + Sync),
-        root: &SuitRng,
-        workers: usize,
-    ) -> Option<Failure> {
-        let block = (workers as u64) * 16;
-        let mut start = 0u64;
-        while start < self.cases {
-            let n = block.min(self.cases - start);
-            // Failing cases panic inside run_case; quiet the hook for the
-            // whole block so a failure does not spam per-worker traces.
-            let fails = with_quiet_panics(|| {
-                suit_exec::run(n as usize, self.workers, |j| {
-                    let case_seed = root.fork(start + j as u64).root_seed();
-                    let mut src = Source::fresh(case_seed);
-                    run_case(gen, prop, &mut src)
-                        .1
-                        .is_some()
-                        .then_some(case_seed)
-                })
-            });
-            // Lowest failing index in the block wins; shrink it
-            // sequentially so the Failure is byte-identical to the
-            // sequential path.
-            if let Some(seed) = fails.into_iter().flatten().next() {
-                return self.run_seed(gen, prop, seed);
-            }
-            start += n;
         }
         None
     }
@@ -495,25 +431,6 @@ mod tests {
                     }
                 });
         assert_eq!(f.expect("must fail").minimal_debug, "4321");
-    }
-
-    #[test]
-    fn parallel_exploration_reports_the_sequential_failure() {
-        let run = |threads: Threads<'static>| {
-            Checker::new("meta::parallel")
-                .cases(256)
-                .workers(threads)
-                .check_report(&gen::u64_in(0..=100_000), |&v| v < 1_000)
-                .expect("property must fail")
-        };
-        let sequential = run(Threads::Fixed(1));
-        for workers in [2, 4, 8] {
-            assert_eq!(
-                run(Threads::Fixed(workers)),
-                sequential,
-                "{workers} workers must report the same Failure as sequential"
-            );
-        }
     }
 
     #[test]

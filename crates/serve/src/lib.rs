@@ -16,6 +16,7 @@
 //! | `/v1/simulate`        | POST   | one simulation point                    |
 //! | `/v1/batch`           | POST   | a sweep fanned over [`suit_exec`]       |
 //! | `/v1/faults`          | POST   | a fault-injection campaign              |
+//! | `/v1/scenario`        | POST   | an SRAM or Scrooge scenario campaign    |
 //! | `/v1/trace`           | POST   | a binary `SUITTRC3` container to store  |
 //! | `/v1/trace/<id>`      | GET    | summary of one stored trace             |
 //! | `/v1/simulate-trace`  | POST   | streamed replay of a stored trace       |

@@ -21,8 +21,11 @@
 //!   slots, and results land by index, so every response is
 //!   byte-identical at any slot count and under any load.
 //!
-//! A slot is a count under a mutex, not a thread: no job is handed from
-//! one thread to another.
+//! The slots are one [`suit_exec::Slots`], which owns the waiting line and
+//! the lending; a slot is a count in it, not a thread, so no job is handed
+//! from one thread to another. This module adds only the HTTP policy:
+//! `503` while draining, the status each refusal answers, and the
+//! counters.
 //!
 //! ## Backpressure and deadlines
 //!
@@ -32,8 +35,8 @@
 //! never buffers unbounded work. Each job may carry a deadline
 //! (`deadline_ms` body field, else [`ServeConfig::default_deadline_ms`]):
 //! a waiting job leaves the line and is answered `408` as soon as its
-//! deadline passes, without running, and batch jobs re-check the
-//! deadline between fan-out points.
+//! deadline passes, or when its turn comes after it passed, without
+//! running, and batch jobs re-check the deadline between fan-out points.
 //!
 //! ## Graceful shutdown
 //!
@@ -45,16 +48,14 @@
 //! them all before returning — in-flight work completes, nothing is
 //! dropped.
 
-use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::ThreadId;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use suit_exec::{Budget, Threads};
+use suit_exec::{Refused, Slots, Threads};
 use suit_telemetry::{json::json_num, Counter, Hist, Telemetry};
 
 use crate::api::{self, Deadline, ExecError};
@@ -66,9 +67,10 @@ use crate::tracestore::{Inserted, StoredTrace, TraceStore};
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Job slots: how many threads compute at once, counting running jobs
-    /// and the helpers their `suit-exec` fan-outs borrow. A fan-out inside
-    /// a job uses at most this many workers, and fewer while other jobs
-    /// hold the slots (responses are byte-identical either way).
+    /// and the helpers their `suit-exec` fan-outs borrow (the count of
+    /// the server's [`suit_exec::Slots`]). A fan-out inside a job uses at
+    /// most this many workers, and fewer while other jobs hold the slots
+    /// (responses are byte-identical either way).
     pub threads: Threads<'static>,
     /// How many jobs may wait for a slot (≥ 1); a job arriving while
     /// that many wait is answered `429` + `Retry-After`.
@@ -116,99 +118,11 @@ impl Default for ServeConfig {
 /// How often blocked reads re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
 
-/// The job slots: the budget of running threads. A job holds one slot
-/// while it runs, and the fan-outs inside it borrow idle ones for helpers
-/// ([`suit_exec::Budget`]). An admitted job joins the line; the job at the
-/// front starts when a slot is free, so waiting jobs start in arrival
-/// order. A job whose deadline passes while it waits leaves the line at
-/// once.
-struct Slots {
-    /// How many threads may run at once (`cfg.threads`).
-    total: usize,
-    occupancy: Mutex<Occupancy>,
-    /// Signalled when a slot frees or a job leaves the line while others
-    /// wait.
-    turn: Condvar,
-    /// Whether the line holds a job, for helpers to read without the lock
-    /// before each index they claim.
-    waiting: AtomicBool,
-    /// The server's recorder, for the fan-out counters.
-    tele: Telemetry,
-}
-
-#[derive(Default)]
-struct Occupancy {
-    /// Jobs running now.
-    jobs: usize,
-    /// Helpers borrowed by fan-outs inside those jobs.
-    helpers: usize,
-    /// The waiting jobs in arrival order, each named by the connection
-    /// thread that runs it (a thread waits for one job at a time).
-    line: VecDeque<ThreadId>,
-}
-
-impl Slots {
-    fn new(total: usize, tele: Telemetry) -> Slots {
-        Slots {
-            total,
-            occupancy: Mutex::default(),
-            turn: Condvar::new(),
-            waiting: AtomicBool::new(false),
-            tele,
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Occupancy> {
-        self.occupancy.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn idle(&self, u: &Occupancy) -> usize {
-        self.total - u.jobs - u.helpers
-    }
-
-    /// Keeps `waiting` equal to "the line holds a job"; called under the
-    /// lock after every change to the line.
-    fn line_changed(&self, u: &Occupancy) {
-        self.waiting.store(!u.line.is_empty(), Ordering::Relaxed);
-    }
-}
-
-impl Budget for Slots {
-    fn borrow(&self, want: usize) -> usize {
-        let mut u = self.lock();
-        let lent = if u.line.is_empty() {
-            want.min(self.idle(&u))
-        } else {
-            0
-        };
-        u.helpers += lent;
-        drop(u);
-        if lent == 0 {
-            self.tele.count(Counter::ServeFanoutsInline);
-        } else {
-            self.tele.count(Counter::ServeFanoutsBorrowed);
-            self.tele.add(Counter::ServeFanoutHelpers, lent as u64);
-        }
-        lent
-    }
-
-    fn job_waiting(&self) -> bool {
-        self.waiting.load(Ordering::Relaxed)
-    }
-
-    fn give_back(&self, n: usize) {
-        let mut u = self.lock();
-        u.helpers -= n;
-        if !u.line.is_empty() {
-            self.turn.notify_all();
-        }
-    }
-}
-
 /// Shared server state.
 struct State {
     cfg: ServeConfig,
     tele: Telemetry,
+    /// The job slots and their line, shared with the jobs' fan-outs.
     slots: Slots,
     conns: AtomicUsize,
     shutdown: AtomicBool,
@@ -344,13 +258,9 @@ fn elapsed_us(since: Instant) -> u64 {
 }
 
 fn run_job(state: &State, job: &api::Job, deadline: Deadline) -> Response {
-    if deadline.expired() {
-        state.tele.count(Counter::ServeDeadlineExpired);
-        return Response::error(408, "deadline expired while queued");
-    }
     // Robustness boundary: a panicking engine must cost one request, not
     // a connection thread and the slot it holds.
-    let threads = Threads::Within(state.slots.total, &state.slots);
+    let threads = Threads::Within(&state.slots);
     match catch_unwind(AssertUnwindSafe(|| api::execute(job, threads, deadline))) {
         Ok(Ok(body)) => Response::ok(body),
         Ok(Err(ExecError::DeadlineExpired)) => {
@@ -749,10 +659,10 @@ fn retry_after_s(state: &State, hist: Hist, queued: usize) -> u32 {
     drain_us.div_ceil(1_000_000).clamp(1, 60) as u32
 }
 
-/// Admission, then the job itself on this connection thread: at most
-/// `queue_depth` jobs wait for a slot (one more is answered `429` at
-/// once), waiting jobs start in arrival order, and a job whose deadline
-/// passes while it waits is answered `408` then, not when its turn comes.
+/// A job slot ([`Slots::enter`]), then the job itself on this connection
+/// thread: a job arriving while `queue_depth` jobs wait is answered `429`
+/// at once, and one whose deadline passes before it starts is answered
+/// `408` then. Every admitted job counts as accepted, a `408` included.
 fn submit(
     state: &State,
     job: api::Job,
@@ -763,56 +673,24 @@ fn submit(
     if state.shutting_down() {
         return Response::error(503, "server is draining");
     }
-    let slots = &state.slots;
-    let mut u = slots.lock();
-    let waiting = u.line.len();
-    if waiting >= state.cfg.queue_depth {
-        drop(u);
-        state.tele.count(Counter::ServeRejected);
-        return Response::too_many_requests(
-            "admission queue is full; retry later",
-            retry_after_s(state, hist, waiting),
-        );
-    }
-    let me = std::thread::current().id();
-    u.line.push_back(me);
-    slots.line_changed(&u);
-    state.tele.count(Counter::ServeRequests);
-    while u.line.front() != Some(&me) || slots.idle(&u) == 0 {
-        let left = deadline
-            .0
-            .map(|at| at.saturating_duration_since(Instant::now()));
-        u = match left {
-            None => slots.turn.wait(u).unwrap_or_else(|e| e.into_inner()),
-            Some(left) if !left.is_zero() => {
-                let woken = slots.turn.wait_timeout(u, left);
-                woken.unwrap_or_else(|e| e.into_inner()).0
-            }
-            Some(_) => {
-                u.line.retain(|&t| t != me);
-                slots.line_changed(&u);
-                slots.turn.notify_all();
-                drop(u);
-                state.tele.count(Counter::ServeDeadlineExpired);
-                state.tele.observe(hist, elapsed_us(accepted));
-                return Response::error(408, "deadline expired while queued");
-            }
-        };
-    }
-    u.line.pop_front();
-    slots.line_changed(&u);
-    u.jobs += 1;
-    if !u.line.is_empty() && slots.idle(&u) > 0 {
-        slots.turn.notify_all();
-    }
-    drop(u);
-    let response = run_job(state, &job, deadline);
-    let mut u = slots.lock();
-    u.jobs -= 1;
-    if !u.line.is_empty() {
-        slots.turn.notify_all();
-    }
-    drop(u);
+    let response = match state.slots.enter(state.cfg.queue_depth, deadline.0) {
+        Err(Refused::Full { waiting }) => {
+            state.tele.count(Counter::ServeRejected);
+            return Response::too_many_requests(
+                "admission queue is full; retry later",
+                retry_after_s(state, hist, waiting),
+            );
+        }
+        Err(Refused::Expired) => {
+            state.tele.count(Counter::ServeRequests);
+            state.tele.count(Counter::ServeDeadlineExpired);
+            Response::error(408, "deadline expired while queued")
+        }
+        Ok(_held) => {
+            state.tele.count(Counter::ServeRequests);
+            run_job(state, &job, deadline)
+        }
+    };
     state.tele.observe(hist, elapsed_us(accepted));
     response
 }
@@ -837,10 +715,7 @@ fn metrics_json(state: &State) -> String {
             s.max,
         )
     };
-    let (waiting, jobs, helpers) = {
-        let u = state.slots.lock();
-        (u.line.len(), u.jobs, u.helpers)
-    };
+    let (waiting, jobs, helpers) = state.slots.usage();
     let (cache_entries, cache_bytes) = state.cache.usage();
     let (cap_entries, cap_bytes) = state.cache.capacity();
     let (trace_entries, trace_bytes) = state.traces.usage();
@@ -893,7 +768,7 @@ fn metrics_json(state: &State) -> String {
         snap.counter(Counter::ServeFanoutsInline),
         snap.counter(Counter::ServeFanoutsBorrowed),
         snap.counter(Counter::ServeFanoutHelpers),
-        state.slots.total,
+        state.slots.total(),
         state.shutting_down(),
     )
 }
@@ -902,31 +777,27 @@ fn metrics_json(state: &State) -> String {
 mod tests {
     use super::*;
 
-    /// Puts a job in the line, or takes it out again.
-    fn set_waiting(slots: &Slots, waiting: bool) {
-        let mut u = slots.lock();
-        if waiting {
-            u.line.push_back(std::thread::current().id());
-        } else {
-            u.line.clear();
-        }
-        slots.line_changed(&u);
-    }
-
+    /// The crate doc's endpoint table has one row per route, with the
+    /// route's method, and no row the router lacks.
     #[test]
-    fn a_fan_out_borrows_no_idle_slot_while_a_job_waits() {
-        let slots = Slots::new(3, Telemetry::off());
-        slots.lock().jobs = 1;
-        // A slot freed while a job waited, and the job has not yet woken
-        // to take it: the slot is that job's, not a helper's.
-        set_waiting(&slots, true);
-        assert!(slots.job_waiting());
-        assert_eq!(slots.borrow(2), 0, "a helper took a waiting job's slot");
-        set_waiting(&slots, false);
-        assert!(!slots.job_waiting());
-        assert_eq!(slots.borrow(5), 2, "a fan-out takes only the idle slots");
-        assert_eq!(slots.borrow(1), 0);
-        slots.give_back(2);
-        assert_eq!(slots.lock().helpers, 0);
+    fn the_crate_docs_endpoint_table_lists_every_route() {
+        let mut rows: Vec<String> = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! | `")?.split_once('`'))
+            .map(|(path, rest)| {
+                let method = rest.split('|').nth(1).unwrap_or("").trim();
+                format!("{method} {path}")
+            })
+            .collect();
+        let mut routes: Vec<String> = ROUTES
+            .iter()
+            .map(|(path, method, _)| {
+                let id = if path.ends_with('/') { "<id>" } else { "" };
+                format!("{} {path}{id}", format!("{method:?}").to_uppercase())
+            })
+            .collect();
+        rows.sort();
+        routes.sort();
+        assert_eq!(rows, routes);
     }
 }

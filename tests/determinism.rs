@@ -132,32 +132,6 @@ fn fault_campaign_telemetry_is_identical_across_thread_counts() {
 }
 
 #[test]
-fn parallel_property_exploration_finds_the_sequential_failure() {
-    // suit-check's parallel mode scans case indices in blocks and takes the
-    // lowest failing index, then shrinks sequentially — so the reported
-    // Failure (seed, minimal counterexample, shrink trace) must be
-    // byte-identical to a one-worker run.
-    use suit::check::{gen, Checker};
-    let run = |threads: Threads<'static>| {
-        Checker::new("determinism::parallel_explore")
-            .cases(512)
-            .workers(threads)
-            .check_report(&gen::u64_in(0..=1_000_000).vec_up_to(8), |v: &Vec<u64>| {
-                v.iter().sum::<u64>() < 900_000
-            })
-            .expect("property must fail")
-    };
-    let sequential = run(Threads::Fixed(1));
-    for threads in [2, 4, 8] {
-        assert_eq!(
-            run(Threads::Fixed(threads)),
-            sequential,
-            "suit-check diverged at {threads} workers"
-        );
-    }
-}
-
-#[test]
 fn telemetry_recording_does_not_change_results() {
     // The recorder is strictly observational: a run with telemetry on must
     // produce bit-for-bit the same RunResult as one with it off.

@@ -470,3 +470,31 @@ fn fan_outs_take_the_callers_threads() {
         );
     }
 }
+
+/// Every data fan-out runs over `suit_exec` (DESIGN §7), so threads are
+/// started only there and by the server's acceptor: no other production
+/// code under `crates/` names `thread::scope`, `thread::spawn` or
+/// `thread::Builder`.
+#[test]
+fn only_the_executor_and_the_server_start_threads() {
+    let root = repo_root();
+    let starters = [
+        root.join("crates/exec/src/lib.rs"),
+        root.join("crates/serve/src/server.rs"),
+    ];
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    for file in &starters {
+        assert!(files.contains(file), "{file:?} moved");
+    }
+    for file in files.iter().filter(|f| !starters.contains(f)) {
+        let code = without_tests(&code(file));
+        for start in ["thread::scope", "thread::spawn", "thread::Builder"] {
+            assert!(
+                !code.contains(start),
+                "{} calls `{start}`; fan out over `suit_exec` instead",
+                file.strip_prefix(&root).unwrap_or(file).display()
+            );
+        }
+    }
+}
