@@ -133,8 +133,8 @@ impl SuitMsrs {
     /// the efficient curve is selected.
     pub fn write_disable(&mut self, set: FaultableSet) -> Result<(), MsrError> {
         if self.curve.selected == CurveSelect::Efficient {
-            if let Some(op) = self.faultable.iter().find(|op| !set.contains(*op)) {
-                return Err(MsrError::EnableWhileEfficient { opcode: op });
+            if let Some(opcode) = self.first_enabled_faultable(set) {
+                return Err(MsrError::EnableWhileEfficient { opcode });
             }
         }
         self.disable.disabled = set;
@@ -164,12 +164,8 @@ impl SuitMsrs {
     /// the vendor faultable set is disabled.
     pub fn write_curve(&mut self, curve: CurveSelect) -> Result<(), MsrError> {
         if curve == CurveSelect::Efficient {
-            if let Some(op) = self
-                .faultable
-                .iter()
-                .find(|op| !self.disable.disabled.contains(*op))
-            {
-                return Err(MsrError::FaultableEnabledOnEfficient { opcode: op });
+            if let Some(opcode) = self.first_enabled_faultable(self.disable.disabled) {
+                return Err(MsrError::FaultableEnabledOnEfficient { opcode });
             }
         }
         self.curve.selected = curve;
@@ -182,10 +178,17 @@ impl SuitMsrs {
     /// audit.
     pub fn invariant_holds(&self) -> bool {
         self.curve.selected == CurveSelect::Conservative
-            || self
-                .faultable
-                .iter()
-                .all(|op| self.disable.disabled.contains(op))
+            || self.faultable.is_subset(self.disable.disabled)
+    }
+
+    /// The lowest-index vendor-faultable opcode that `disabled` leaves
+    /// enabled: the one a `#GP` names. The common, legal case is one
+    /// word operation.
+    fn first_enabled_faultable(&self, disabled: FaultableSet) -> Option<Opcode> {
+        if self.faultable.is_subset(disabled) {
+            return None;
+        }
+        self.faultable.iter().find(|op| !disabled.contains(*op))
     }
 }
 
@@ -204,8 +207,11 @@ mod tests {
     #[test]
     fn efficient_curve_requires_disabled_faultables() {
         let mut m = SuitMsrs::suit_cpu();
+        // IMUL is hardened, so the lowest-index faultable opcode left
+        // enabled is VOR*.
+        let opcode = Opcode::Vor;
         let err = m.write_curve(CurveSelect::Efficient).unwrap_err();
-        assert!(matches!(err, MsrError::FaultableEnabledOnEfficient { .. }));
+        assert_eq!(err, MsrError::FaultableEnabledOnEfficient { opcode });
         m.disable_faultable();
         assert!(m.write_curve(CurveSelect::Efficient).is_ok());
         assert!(m.invariant_holds());
@@ -216,8 +222,9 @@ mod tests {
         let mut m = SuitMsrs::suit_cpu();
         m.disable_faultable();
         m.write_curve(CurveSelect::Efficient).unwrap();
+        let opcode = Opcode::Vor;
         let err = m.enable_all().unwrap_err();
-        assert!(matches!(err, MsrError::EnableWhileEfficient { .. }));
+        assert_eq!(err, MsrError::EnableWhileEfficient { opcode });
         // Switching back to conservative first makes it legal — the §4.3
         // exception-handler order (enable instructions only after the
         // curve change).

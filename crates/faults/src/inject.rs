@@ -6,7 +6,9 @@
 //! instruction ever produced a wrong result. Table 1 is the per-opcode
 //! tally. [`Campaign`] reproduces that methodology against the
 //! [`ChipVminModel`], including the actual wrong-value generation (bit
-//! flips in the architectural result) used by the security audit.
+//! flips in the architectural result): [`fault_mask`] draws the flips the
+//! security audit counts, and [`execute_with_faults`] applies them to an
+//! emulated result for the RSA-CRT attack.
 
 use suit_emu::{emulate, EmuOperands};
 use suit_exec::Threads;
@@ -149,9 +151,35 @@ impl CampaignReport {
     }
 }
 
+/// Draws whether one execution of `op` at a voltage offset faults, and
+/// if so the result bits it flips (1–3 set): [`execute_with_faults`]
+/// without the value. `rng` is touched only when a fault is possible.
+pub fn fault_mask(
+    chip: &ChipVminModel,
+    core: usize,
+    op: Opcode,
+    offset_mv: f64,
+    rng: &mut SuitRng,
+) -> Option<u128> {
+    let p = chip.fault_probability(core, op, offset_mv);
+    if p > 0.0 && rng.f64() < p {
+        // Undervolting faults flip a small number of data bits (§2.1:
+        // late-arriving data on the critical path).
+        let flips = rng.gen_range(1u32..=3);
+        let mut mask = 0u128;
+        for _ in 0..flips {
+            mask |= 1u128 << rng.gen_range(0u32..128);
+        }
+        Some(mask)
+    } else {
+        None
+    }
+}
+
 /// Executes one instruction at a voltage offset, injecting a silent data
-/// error (random bit flips in the architectural result) with the model's
-/// fault probability — the primitive the security audit builds on.
+/// error (the [`fault_mask`] bit flips in the architectural result) with
+/// the model's fault probability — the primitive the RSA-CRT attack
+/// builds on.
 ///
 /// Returns `(result, faulted)`.
 pub fn execute_with_faults(
@@ -165,18 +193,9 @@ pub fn execute_with_faults(
     let correct = emulate(op, operands)
         .expect("faultable opcodes are emulatable")
         .value;
-    let p = chip.fault_probability(core, op, offset_mv);
-    if p > 0.0 && rng.f64() < p {
-        // Undervolting faults flip a small number of data bits (§2.1:
-        // late-arriving data on the critical path).
-        let flips = rng.gen_range(1u32..=3);
-        let mut mask = 0u128;
-        for _ in 0..flips {
-            mask |= 1u128 << rng.gen_range(0u32..128);
-        }
-        (Vec128::from_u128(correct.as_u128() ^ mask), true)
-    } else {
-        (correct, false)
+    match fault_mask(chip, core, op, offset_mv, rng) {
+        Some(mask) => (Vec128::from_u128(correct.as_u128() ^ mask), true),
+        None => (correct, false),
     }
 }
 

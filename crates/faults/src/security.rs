@@ -10,22 +10,26 @@
 //! on the efficient curve — more than the offset consumes — so it is no
 //! longer faultable there.
 //!
-//! This module *audits* those claims against the fault model: it executes
+//! This module *audits* those claims against the fault model: it runs
 //! instruction sequences under a SUIT system and under naive undervolting
 //! and counts silent data errors. The SUIT audit must come back clean for
 //! every seed, offset and sequence; the naive audit must not (that is the
 //! vulnerability Plundervolt exploits).
+//!
+//! An audit draws each instruction's fault ([`fault_mask`]), not its
+//! value. Nothing is lost by skipping the emulation: a fault flips 1–3
+//! result bits, so a faulted execution always returns a wrong value, and
+//! the count of wrong values is the count of faults.
 
 use suit_core::{CurveSelect, SuitMsrs};
-use suit_emu::EmuOperands;
-use suit_isa::{FaultableSet, Opcode, Vec128};
+use suit_isa::{FaultableSet, Opcode, TABLE1};
 use suit_rng::{Rng, SuitRng};
 
-use crate::inject::execute_with_faults;
+use crate::inject::fault_mask;
 use crate::vmin::ChipVminModel;
 
 /// Outcome of a security audit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AuditOutcome {
     /// Instructions executed.
     pub executed: u64,
@@ -49,33 +53,31 @@ impl AuditOutcome {
 /// the top of the curve (§6.9, Fig. 13) — far beyond any evaluated offset.
 pub const HARDENED_IMUL_EXTRA_MARGIN_MV: f64 = 220.0;
 
-/// An audit's instruction sequence: pseudo-random instructions drawn
-/// from the full opcode set (faultable and not) under a seed. A scenario
-/// draws it once and runs every audit over the same sequence; each audit
-/// also seeds its fault draws from the sequence's seed.
+/// An audit's instruction sequence: pseudo-random opcodes drawn from
+/// Table 1's faultable set under a seed. A scenario draws it once and
+/// runs every audit over the same sequence; each audit also seeds its
+/// fault draws from the sequence's seed.
 #[derive(Debug, Clone)]
 pub struct AuditSequence {
     seed: u64,
-    instructions: Vec<(Opcode, EmuOperands)>,
+    opcodes: Vec<Opcode>,
 }
 
 impl AuditSequence {
     /// Draws `len` instructions under `seed`.
     pub fn draw(seed: u64, len: usize) -> Self {
         let mut rng = SuitRng::seed_from_u64(seed);
-        let instructions = (0..len)
+        let opcodes = (0..len)
             .map(|_| {
-                let idx = rng.gen_range(0..suit_isa::TABLE1.len());
-                let op = suit_isa::TABLE1[idx].opcode;
-                let operands = EmuOperands::with_imm(
-                    Vec128::from_u128(rng.u128()),
-                    Vec128::from_u128(rng.u128()),
-                    rng.u8(),
-                );
-                (op, operands)
+                let op = TABLE1[rng.gen_range(0..TABLE1.len())].opcode;
+                // Each instruction's two operand words and immediate are
+                // drawn and dropped: no audit reads them, but the opcode
+                // stream (and every audit outcome) depends on the draws.
+                let _ = (rng.u128(), rng.u128(), rng.u8());
+                op
             })
             .collect();
-        AuditSequence { seed, instructions }
+        AuditSequence { seed, opcodes }
     }
 }
 
@@ -90,19 +92,16 @@ pub fn audit_naive_undervolt(
     seq: &AuditSequence,
 ) -> AuditOutcome {
     let mut rng = SuitRng::seed_from_u64(seq.seed ^ 0xDEAD);
-    let mut out = AuditOutcome {
-        executed: 0,
+    let faults = seq
+        .opcodes
+        .iter()
+        .filter(|&&op| fault_mask(chip, core, op, offset_mv, &mut rng).is_some())
+        .count();
+    AuditOutcome {
+        executed: seq.opcodes.len() as u64,
         trapped: 0,
-        silent_errors: 0,
-    };
-    for &(op, operands) in &seq.instructions {
-        let (_, faulted) = execute_with_faults(chip, core, op, operands, offset_mv, &mut rng);
-        out.executed += 1;
-        if faulted {
-            out.silent_errors += 1;
-        }
+        silent_errors: faults as u64,
     }
-    out
 }
 
 /// Audits a **SUIT system** at the same offset:
@@ -120,15 +119,7 @@ pub fn audit_suit_system(
     offset_mv: f64,
     seq: &AuditSequence,
 ) -> AuditOutcome {
-    audit_suit(
-        chip,
-        core,
-        offset_mv,
-        seq.seed ^ 0xBEEF,
-        seq,
-        SuitMsrs::suit_cpu(),
-        true,
-    )
+    audit_suit(chip, core, offset_mv, seq, true)
 }
 
 /// Audits a SUIT system **without** the hardened-IMUL option: the
@@ -142,40 +133,32 @@ pub fn audit_suit_traps_only(
     offset_mv: f64,
     seq: &AuditSequence,
 ) -> AuditOutcome {
-    audit_suit(
-        chip,
-        core,
-        offset_mv,
-        seq.seed ^ 0xFACE,
-        seq,
-        SuitMsrs::new(FaultableSet::table1()),
-        false,
-    )
+    audit_suit(chip, core, offset_mv, seq, false)
 }
 
-/// Shared body of the SUIT audits: `msrs` carries the vendor faultable
-/// set (what `disable_faultable` disables), `hardened_imul` selects
-/// whether `IMUL` executes on the efficient curve with its extra margin.
+/// Shared body of the SUIT audits. With `hardened_imul`, `IMUL` executes
+/// on the efficient curve with its extra margin and the vendor faultable
+/// set (what `disable_faultable` disables) is [`FaultableSet::suit`];
+/// without it, the set is all of Table 1.
 fn audit_suit(
     chip: &ChipVminModel,
     core: usize,
     offset_mv: f64,
-    rng_seed: u64,
     seq: &AuditSequence,
-    mut msrs: SuitMsrs,
     hardened_imul: bool,
 ) -> AuditOutcome {
-    let mut rng = SuitRng::seed_from_u64(rng_seed);
+    let (mut msrs, salt) = if hardened_imul {
+        (SuitMsrs::suit_cpu(), 0xBEEF)
+    } else {
+        (SuitMsrs::new(FaultableSet::table1()), 0xFACE)
+    };
+    let mut rng = SuitRng::seed_from_u64(seq.seed ^ salt);
     msrs.disable_faultable();
     msrs.write_curve(CurveSelect::Efficient)
         .expect("faultable set is disabled");
 
-    let mut out = AuditOutcome {
-        executed: 0,
-        trapped: 0,
-        silent_errors: 0,
-    };
-    for &(op, operands) in &seq.instructions {
+    let mut out = AuditOutcome::default();
+    for &op in &seq.opcodes {
         assert!(msrs.invariant_holds(), "MSR invariant violated");
         let (effective_offset, trapped) = if msrs.curve() == CurveSelect::Efficient {
             if msrs.is_disabled(op) {
@@ -197,8 +180,7 @@ fn audit_suit(
             (0.0, false)
         };
 
-        let (_, faulted) =
-            execute_with_faults(chip, core, op, operands, effective_offset, &mut rng);
+        let faulted = fault_mask(chip, core, op, effective_offset, &mut rng).is_some();
         out.executed += 1;
         if trapped {
             out.trapped += 1;

@@ -317,11 +317,7 @@ pub fn audit_sram_naive(
     accesses: usize,
 ) -> AuditOutcome {
     let mut rng = SuitRng::seed_from_u64(seed ^ 0x50AD);
-    let mut out = AuditOutcome {
-        executed: 0,
-        trapped: 0,
-        silent_errors: 0,
-    };
+    let mut out = AuditOutcome::default();
     for _ in 0..accesses {
         let bank = rng.gen_range(0..array.bank_count());
         let word = rng.u128();
@@ -349,11 +345,7 @@ pub fn audit_sram_guarded(
 ) -> AuditOutcome {
     let mut rng = SuitRng::seed_from_u64(seed ^ 0x6A4D);
     let untrusted = array.faulted_banks(offset_mv);
-    let mut out = AuditOutcome {
-        executed: 0,
-        trapped: 0,
-        silent_errors: 0,
-    };
+    let mut out = AuditOutcome::default();
     for _ in 0..accesses {
         let bank = rng.gen_range(0..array.bank_count());
         let word = rng.u128();

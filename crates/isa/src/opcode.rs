@@ -365,6 +365,13 @@ impl FaultableSet {
         }
     }
 
+    /// Whether every opcode in `self` is also in `other` (one word
+    /// operation).
+    #[inline]
+    pub const fn is_subset(self, other: Self) -> bool {
+        self.bits & !other.bits == 0
+    }
+
     /// Iterates over the opcodes in the set, in Table 1 / declaration order.
     pub fn iter(self) -> impl Iterator<Item = Opcode> {
         Opcode::ALL.into_iter().filter(move |op| self.contains(*op))

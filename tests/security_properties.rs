@@ -41,6 +41,41 @@ fn msr_interleavings_preserve_the_invariant() {
     }
 }
 
+/// A `#GP` names the lowest-index vendor-faultable opcode the disable
+/// set leaves enabled, for every subset of Table 1 as the disable set;
+/// no `#GP` happens exactly when the vendor set is a subset of it.
+#[test]
+fn a_gp_names_the_lowest_index_faultable_opcode_left_enabled() {
+    use suit::isa::TABLE1;
+
+    for faultable in [FaultableSet::suit(), FaultableSet::table1()] {
+        for mask in 0u32..1 << TABLE1.len() {
+            let disabled: FaultableSet = (0..TABLE1.len())
+                .filter(|i| mask >> i & 1 == 1)
+                .map(|i| TABLE1[i].opcode)
+                .collect();
+            let missing = Opcode::ALL
+                .into_iter()
+                .find(|&op| faultable.contains(op) && !disabled.contains(op));
+            assert_eq!(faultable.is_subset(disabled), missing.is_none());
+
+            let mut msrs = SuitMsrs::new(faultable);
+            msrs.write_disable(disabled).unwrap();
+            let err = msrs.write_curve(CurveSelect::Efficient).err();
+            let want = missing.map(|opcode| MsrError::FaultableEnabledOnEfficient { opcode });
+            assert_eq!(err, want, "{faultable:?} with {disabled:?} disabled");
+
+            let mut msrs = SuitMsrs::new(faultable);
+            msrs.disable_faultable();
+            msrs.write_curve(CurveSelect::Efficient).unwrap();
+            let err = msrs.write_disable(disabled).err();
+            let want = missing.map(|opcode| MsrError::EnableWhileEfficient { opcode });
+            assert_eq!(err, want, "{faultable:?} with {disabled:?} disabled");
+            assert!(msrs.invariant_holds());
+        }
+    }
+}
+
 /// The end-to-end theorem at the evaluated offsets.
 #[test]
 fn suit_never_faults_silently() {
@@ -79,6 +114,63 @@ fn naive_fault_counts_grow_with_depth() {
             "case {case}: deep {deep} vs shallow {shallow}"
         );
     }
+}
+
+/// The fault draw the audits count: no RNG draw when the fault
+/// probability is 0, a fault every time it is 1, 1–3 flipped bits, and
+/// `execute_with_faults` is the emulated value XOR that same mask.
+#[test]
+fn fault_mask_is_execute_with_faults_without_the_value() {
+    use suit::emu::{emulate, EmuOperands};
+    use suit::faults::inject::{execute_with_faults, fault_mask};
+    use suit::isa::{Vec128, TABLE1};
+
+    let mut rng = SuitRng::seed_from_u64(0x5EC_0006);
+    let mut seen = [0u32; 3]; // p = 0, 0 < p < 1, p = 1
+    for case in 0..CASES * 32 {
+        let chip = ChipVminModel::sample(
+            rng.gen_range(1usize..4),
+            rng.gen_range(0.0..20.0),
+            rng.u64(),
+        );
+        let core = rng.gen_range(0..chip.core_count());
+        let op = TABLE1[rng.gen_range(0..TABLE1.len())].opcode;
+        let offset = rng.gen_range(-250.0f64..0.0);
+        let seed = rng.u64();
+        let p = chip.fault_probability(core, op, offset);
+
+        let mut draws = SuitRng::seed_from_u64(seed);
+        let mask = fault_mask(&chip, core, op, offset, &mut draws);
+        if p == 0.0 {
+            seen[0] += 1;
+            assert_eq!(mask, None, "case {case}");
+            assert_eq!(draws, SuitRng::seed_from_u64(seed), "case {case}");
+        } else if p == 1.0 {
+            seen[2] += 1;
+            assert!(mask.is_some(), "case {case}");
+        } else {
+            seen[1] += 1;
+        }
+        if let Some(m) = mask {
+            assert!((1..=3).contains(&m.count_ones()), "case {case}: {m:#x}");
+        }
+
+        let operands = EmuOperands::with_imm(
+            Vec128::from_u128(rng.u128()),
+            Vec128::from_u128(rng.u128()),
+            rng.u8(),
+        );
+        let mut exec = SuitRng::seed_from_u64(seed);
+        let (value, faulted) = execute_with_faults(&chip, core, op, operands, offset, &mut exec);
+        let correct = emulate(op, operands).unwrap().value.as_u128();
+        assert_eq!(value.as_u128(), correct ^ mask.unwrap_or(0), "case {case}");
+        assert_eq!(faulted, mask.is_some(), "case {case}");
+        assert_eq!(exec, draws, "case {case}: the two left the stream apart");
+    }
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "a probability band went untested: {seen:?}"
+    );
 }
 
 /// The safe-offset function is consistent with per-opcode margins.
