@@ -70,7 +70,7 @@ pub struct Opts {
     pub scale: Scale,
     /// Workers for the row's own fan-out; the output is byte-identical
     /// at every count.
-    pub threads: Threads<'static>,
+    pub threads: Threads,
     /// `--telemetry`: rows that drive the simulator append its summary.
     pub telemetry: bool,
 }

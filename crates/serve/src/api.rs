@@ -45,8 +45,11 @@ pub enum ExecError {
     DeadlineExpired,
 }
 
-/// A wall-clock deadline, cooperatively checked between simulation
-/// bursts (batch points, campaign shards). `None` never expires.
+/// A wall-clock deadline, checked only where [`execute`] says: before a
+/// job starts, before each point of a workload batch or `simulate-trace`,
+/// and after the whole run of a table6 batch, a fault campaign or a
+/// scenario. Nothing checks it between simulation bursts, so a running
+/// simulation is never cut short. `None` never expires.
 #[derive(Debug, Clone, Copy)]
 pub struct Deadline(pub Option<Instant>);
 

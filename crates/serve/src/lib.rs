@@ -14,7 +14,7 @@
 //! | endpoint              | method | body                                    |
 //! |-----------------------|--------|-----------------------------------------|
 //! | `/v1/simulate`        | POST   | one simulation point                    |
-//! | `/v1/batch`           | POST   | a sweep fanned over [`suit_exec`]       |
+//! | `/v1/batch`           | POST   | a Table 6 sweep or a workload list      |
 //! | `/v1/faults`          | POST   | a fault-injection campaign              |
 //! | `/v1/scenario`        | POST   | an SRAM or Scrooge scenario campaign    |
 //! | `/v1/trace`           | POST   | a binary `SUITTRC3` container to store  |
@@ -28,14 +28,15 @@
 //! **bounded** in-memory store — content-addressed IDs, idempotent
 //! re-upload, structured `413` when full — and `/v1/simulate-trace`
 //! replays it through the engine's streaming entry point, one strategy
-//! per `suit_exec` fan-out lane, without ever materialising the burst
-//! vector.
+//! after another on the job's thread, without ever materialising the
+//! burst vector.
 //!
 //! Determinism is the load-bearing property: batch jobs seed each point
 //! with `rng.fork(i)` and collect results in index order through
 //! [`suit_exec::run`], so a response is byte-identical to the
-//! equivalent CLI invocation at any worker-thread count. The loopback
-//! e2e test pins this.
+//! equivalent CLI invocation at any worker-thread count. A served job
+//! runs those fan-outs inline on its own thread. The loopback e2e test
+//! pins this.
 //!
 //! Determinism also powers the **result cache**: every compute endpoint
 //! is a pure function of its canonicalized request, so responses are
@@ -49,8 +50,9 @@
 //! serialization), [`cache`] (request canonicalization, content-hash
 //! ETags, bounded LRU, in-flight coalescing), [`server`] (acceptor,
 //! connection threads that run their own jobs in a bounded count of job
-//! slots, graceful shutdown), [`client`] (blocking one-shot client for
-//! the CLI and tests).
+//! slots, graceful shutdown), the private `slots` (the job slots and the
+//! line jobs wait in), [`client`] (blocking one-shot client for the CLI
+//! and tests).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,6 +62,7 @@ pub mod cache;
 pub mod client;
 pub mod http;
 pub mod server;
+mod slots;
 pub mod tracestore;
 
 pub use api::{BadRequest, Deadline};

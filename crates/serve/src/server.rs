@@ -12,19 +12,16 @@
 //!   after [`ServeConfig::idle_timeout`]), parse with [`crate::http`]'s
 //!   strict limits, answer control endpoints inline, and run each compute
 //!   job themselves once it holds one of the [`ServeConfig::threads`] job
-//!   slots.
-//! * **Borrowed helpers** — sweeps inside a job fan out over [`suit_exec`]
-//!   within the same slots: a fan-out borrows only slots that are idle
-//!   while no job waits, runs the rest of its share on the job's own
-//!   thread, and each helper hands its slot back before its next index
-//!   once a job waits. Jobs and helpers together never outnumber the
-//!   slots, and results land by index, so every response is
-//!   byte-identical at any slot count and under any load.
+//!   slots. A job runs alone on that thread: the service hands every job
+//!   `Threads::Fixed(1)`, so each [`suit_exec`] fan-out inside it runs
+//!   inline, and the slots bound the threads that compute. Results land
+//!   by index, so every response is byte-identical to a fan-out at any
+//!   thread count.
 //!
-//! The slots are one [`suit_exec::Slots`], which owns the waiting line and
-//! the lending; a slot is a count in it, not a thread, so no job is handed
-//! from one thread to another. This module adds only the HTTP policy:
-//! `503` while draining, the status each refusal answers, and the
+//! The slots are the private `slots` module's `Slots`, which owns the
+//! waiting line; a slot is a count in it, not a thread, so no job is
+//! handed from one thread to another. This module adds only the HTTP
+//! policy: `503` while draining, the status each refusal answers, and the
 //! counters.
 //!
 //! ## Backpressure and deadlines
@@ -36,7 +33,7 @@
 //! (`deadline_ms` body field, else [`ServeConfig::default_deadline_ms`]):
 //! a waiting job leaves the line and is answered `408` as soon as its
 //! deadline passes, or when its turn comes after it passed, without
-//! running, and batch jobs re-check the deadline between fan-out points.
+//! running; a running job checks it only where [`api::Deadline`] says.
 //!
 //! ## Graceful shutdown
 //!
@@ -55,23 +52,23 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use suit_exec::{Refused, Slots, Threads};
+use suit_exec::Threads;
 use suit_telemetry::{json::json_num, Counter, Hist, Telemetry};
 
 use crate::api::{self, Deadline, ExecError};
 use crate::cache::{self, Cache, FlightTable, Role};
 use crate::http::{parse_request, Limits, Method, Parse, Request, Response};
+use crate::slots::{Refused, Slots};
 use crate::tracestore::{Inserted, StoredTrace, TraceStore};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Job slots: how many threads compute at once, counting running jobs
-    /// and the helpers their `suit-exec` fan-outs borrow (the count of
-    /// the server's [`suit_exec::Slots`]). A fan-out inside a job uses at
-    /// most this many workers, and fewer while other jobs hold the slots
-    /// (responses are byte-identical either way).
-    pub threads: Threads<'static>,
+    /// Job slots: how many jobs run at once, each alone on its connection
+    /// thread, so also how many threads compute at once. A `suit-exec`
+    /// fan-out inside a job runs inline on that thread (responses are
+    /// byte-identical to any thread count).
+    pub threads: Threads,
     /// How many jobs may wait for a slot (≥ 1); a job arriving while
     /// that many wait is answered `429` + `Retry-After`.
     pub queue_depth: usize,
@@ -122,7 +119,7 @@ const POLL: Duration = Duration::from_millis(25);
 struct State {
     cfg: ServeConfig,
     tele: Telemetry,
-    /// The job slots and their line, shared with the jobs' fan-outs.
+    /// The job slots and their line.
     slots: Slots,
     conns: AtomicUsize,
     shutdown: AtomicBool,
@@ -189,7 +186,7 @@ impl Server {
         let cache = Cache::new(cfg.cache_entries, cfg.cache_bytes);
         let traces = TraceStore::new(cfg.trace_entries, cfg.trace_bytes);
         let tele = Telemetry::with_capacity(16);
-        let slots = Slots::new(cfg.threads.count(), tele.clone());
+        let slots = Slots::new(cfg.threads.count());
         Ok(Server {
             listener,
             state: Arc::new(State {
@@ -259,8 +256,9 @@ fn elapsed_us(since: Instant) -> u64 {
 
 fn run_job(state: &State, job: &api::Job, deadline: Deadline) -> Response {
     // Robustness boundary: a panicking engine must cost one request, not
-    // a connection thread and the slot it holds.
-    let threads = Threads::Within(&state.slots);
+    // a connection thread and the slot it holds. The job computes alone
+    // on this thread, so the slots bound the threads that compute.
+    let threads = Threads::Fixed(1);
     match catch_unwind(AssertUnwindSafe(|| api::execute(job, threads, deadline))) {
         Ok(Ok(body)) => Response::ok(body),
         Ok(Err(ExecError::DeadlineExpired)) => {
@@ -696,11 +694,8 @@ fn submit(
 }
 
 /// The live `/v1/metrics` document: request counters, per-endpoint
-/// latency histograms (p50/p90/p99/max over log₂ buckets), job-slot
-/// gauges (`queue.depth` jobs waiting, `queue.inflight` jobs running,
-/// `queue.borrowed` helpers running in borrowed slots), and the fan-out
-/// counters (`fanouts.inline` ran on their job's thread alone,
-/// `fanouts.borrowed` borrowed `fanouts.helpers` helpers in all).
+/// latency histograms (p50/p90/p99/max over log₂ buckets), and job-slot
+/// gauges (`queue.depth` jobs waiting, `queue.inflight` jobs running).
 fn metrics_json(state: &State) -> String {
     let snap = state.tele.snapshot();
     let lat = |h: Hist| {
@@ -715,7 +710,7 @@ fn metrics_json(state: &State) -> String {
             s.max,
         )
     };
-    let (waiting, jobs, helpers) = state.slots.usage();
+    let (waiting, jobs) = state.slots.usage();
     let (cache_entries, cache_bytes) = state.cache.usage();
     let (cap_entries, cap_bytes) = state.cache.capacity();
     let (trace_entries, trace_bytes) = state.traces.usage();
@@ -729,8 +724,7 @@ fn metrics_json(state: &State) -> String {
          \"capacity_bytes\":{},\"hit_latency_us\":{}}},\
          \"traces\":{{\"entries\":{},\"bytes\":{},\"capacity_entries\":{},\"capacity_bytes\":{},\
          \"uploads\":{},\"dedup\":{},\"store_full\":{}}},\
-         \"queue\":{{\"depth\":{},\"capacity\":{},\"inflight\":{},\"borrowed\":{}}},\
-         \"fanouts\":{{\"inline\":{},\"borrowed\":{},\"helpers\":{}}},\
+         \"queue\":{{\"depth\":{},\"capacity\":{},\"inflight\":{}}},\
          \"workers\":{},\"draining\":{}}}",
         snap.counter(Counter::ServeRequests),
         snap.counter(Counter::ServeRejected),
@@ -764,10 +758,6 @@ fn metrics_json(state: &State) -> String {
         waiting,
         state.cfg.queue_depth,
         jobs,
-        helpers,
-        snap.counter(Counter::ServeFanoutsInline),
-        snap.counter(Counter::ServeFanoutsBorrowed),
-        snap.counter(Counter::ServeFanoutHelpers),
         state.slots.total(),
         state.shutting_down(),
     )

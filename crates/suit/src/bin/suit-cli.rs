@@ -265,7 +265,7 @@ struct Args<'a> {
     /// Each flag given, with its value if it takes one.
     flags: Vec<(&'a str, Option<&'a str>)>,
     /// `--threads`, if given.
-    threads: Option<Threads<'static>>,
+    threads: Option<Threads>,
 }
 
 impl<'a> Args<'a> {
@@ -293,7 +293,7 @@ impl<'a> Args<'a> {
     }
 
     /// The `--threads` policy; one worker if absent.
-    fn threads(&self) -> Threads<'static> {
+    fn threads(&self) -> Threads {
         self.threads.unwrap_or(Threads::Fixed(1))
     }
 

@@ -137,14 +137,6 @@ id_enum! {
         /// `suit-serve`: uploads refused with `413` because the bounded
         /// trace store is full (entries or bytes).
         ServeTraceStoreFull => "serve_trace_store_full",
-        /// `suit-serve`: fan-outs inside jobs that ran on their job's
-        /// thread alone, finding no idle slot or a job waiting for one.
-        ServeFanoutsInline => "serve_fanouts_inline",
-        /// `suit-serve`: fan-outs inside jobs that borrowed idle slots
-        /// for helpers.
-        ServeFanoutsBorrowed => "serve_fanouts_borrowed",
-        /// `suit-serve`: helpers lent to fan-outs, summed over fan-outs.
-        ServeFanoutHelpers => "serve_fanout_helpers",
         /// Engine: event-loop quanta that advanced time (a non-zero `dt`
         /// between consecutive scheduler events).
         EngineQuanta => "engine_quanta",

@@ -261,7 +261,8 @@ fn scenario_round_trips_match_the_direct_library_call_at_1_and_4_workers() {
         ..ScroogeConfig::default()
     };
     for workers in [1, 4] {
-        // The service hands its slot policy to every suit-exec fan-out.
+        // Served bodies equal the library's at any worker count, though
+        // the service runs each job alone on its thread.
         let threads = Threads::Fixed(workers);
         let (addr, handle, join) = start(ServeConfig {
             threads,
@@ -371,6 +372,28 @@ fn queue_metric(addr: &str, name: &str) -> f64 {
     }
 }
 
+/// Polls `/v1/metrics` until `queue.{name}` reads `value`, failing if the
+/// `slow` job ends first: the test then needs a slower job.
+fn await_queue<T>(
+    addr: &str,
+    name: &str,
+    value: f64,
+    slow: &std::thread::JoinHandle<T>,
+    what: &str,
+) {
+    for _ in 0..200 {
+        if queue_metric(addr, name) == value {
+            return;
+        }
+        assert!(
+            !slow.is_finished(),
+            "the slow job ended before {what}; the test needs a slower job"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    panic!("queue.{name} never reached {value} ({what})");
+}
+
 #[test]
 fn waiting_jobs_start_in_arrival_order() {
     let (addr, handle, join) = start(ServeConfig {
@@ -382,20 +405,7 @@ fn waiting_jobs_start_in_arrival_order() {
     // Park the drain test's slow job in the only slot…
     let slow_addr = addr.clone();
     let slow = std::thread::spawn(move || post(&slow_addr, "/v1/batch", SLOW_BATCH));
-    let await_queue = |name: &str, value: f64, what: &str| {
-        for _ in 0..200 {
-            if queue_metric(&addr, name) == value {
-                return;
-            }
-            assert!(
-                !slow.is_finished(),
-                "the slow job ended before {what}; the test needs a slower job"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        panic!("queue.{name} never reached {value} ({what})");
-    };
-    await_queue("inflight", 1.0, "it was seen running");
+    await_queue(&addr, "inflight", 1.0, &slow, "it was seen running");
     // …then queue job A, and job B behind it. B is a shared-domain batch
     // too, so it cannot finish before A's response is read even if it
     // started first.
@@ -416,12 +426,13 @@ fn waiting_jobs_start_in_arrival_order() {
         .into_iter()
         .enumerate()
         {
-            let (addr, finished) = (&addr, &finished);
+            let (addr, finished, slow) = (&addr, &finished, &slow);
             scope.spawn(move || {
                 post(addr, path, body).unwrap_or_else(|e| panic!("job {name}: {e}"));
                 finished.lock().unwrap().push(name);
             });
-            await_queue("depth", (i + 1) as f64, &format!("job {name} was queued"));
+            let what = format!("job {name} was queued");
+            await_queue(addr, "depth", (i + 1) as f64, slow, &what);
         }
     });
     assert_eq!(*finished.lock().unwrap(), ["A", "B"]);
@@ -443,19 +454,7 @@ fn a_waiting_job_is_answered_408_as_soon_as_its_deadline_passes() {
         let body = post(&slow_addr, "/v1/batch", SLOW_BATCH);
         (body, began.elapsed())
     });
-    let mut inflight = false;
-    for _ in 0..200 {
-        assert!(
-            !slow.is_finished(),
-            "the slow job ended before it was seen running; the test needs a slower job"
-        );
-        if queue_metric(&addr, "inflight") == 1.0 {
-            inflight = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(inflight, "slow job never became inflight");
+    await_queue(&addr, "inflight", 1.0, &slow, "it was seen running");
     // …then queue a job whose deadline passes long before the slot frees.
     let sent = Instant::now();
     let resp = request(
@@ -486,80 +485,45 @@ fn a_waiting_job_is_answered_408_as_soon_as_its_deadline_passes() {
     stop(handle, join);
 }
 
-/// Numeric fields of one `/v1/metrics` document's `section` object, read
-/// from the same document so gauges read together agree.
-fn metrics<const N: usize>(addr: &str, section: &str, names: [&str; N]) -> [f64; N] {
-    let metrics = request_text(addr, "GET", "/v1/metrics", None, TIMEOUT).expect("metrics");
-    let m = parse(&metrics).expect("metrics JSON");
-    names.map(|name| match field(field(&m, section), name) {
-        Value::Num(n) => *n,
-        other => panic!("{section}.{name} should be a number, got {other:?}"),
-    })
-}
-
 #[test]
-fn a_lone_table6_batch_on_an_idle_four_slot_server_borrows_three() {
-    const CAP: u64 = 2_000_000;
-    let expect = api::batch_table6_json(&run_table6(Threads::Fixed(1), Some(CAP)));
-    let (addr, handle, join) = start(ServeConfig {
-        threads: Threads::Fixed(4),
-        ..ServeConfig::default()
-    });
-    let body = format!("{{\"sweep\":\"table6\",\"max_insts\":{CAP}}}");
-    assert_eq!(post(&addr, "/v1/batch", &body).expect("batch"), expect);
-    assert_eq!(
-        metrics(&addr, "fanouts", ["inline", "borrowed", "helpers"]),
-        [0.0, 1.0, 3.0],
-        "one fan-out over the job's thread and three borrowed helpers"
-    );
-    assert_eq!(
-        metrics(&addr, "queue", ["inflight", "borrowed"]),
-        [0.0, 0.0],
-        "every helper gave its slot back"
-    );
-    stop(handle, join);
-}
-
-#[test]
-fn concurrent_jobs_on_a_two_slot_server_leave_borrowed_at_zero() {
+fn a_short_job_beside_a_lone_batch_on_a_two_slot_server_starts_at_once() {
     let (addr, handle, join) = start(ServeConfig {
         threads: Threads::Fixed(2),
         cache_entries: 0,
         ..ServeConfig::default()
     });
-    // Six like-sized shared-domain runs each, so a job still has indices
-    // left when the other one takes back the slot it borrowed.
-    let bodies = [
-        "{\"workloads\":[\"Nginx\",\"Nginx\",\"Nginx\",\"Nginx\",\"Nginx\",\"Nginx\"],\
-         \"insts\":5000000,\"cores\":4}",
-        "{\"workloads\":[\"VLC\",\"VLC\",\"VLC\",\"VLC\",\"VLC\",\"VLC\"],\
-         \"insts\":5000000,\"cores\":4}",
-    ];
-    let mut overlapped = false;
-    let got: Vec<String> = std::thread::scope(|scope| {
-        let posts: Vec<_> = bodies
-            .iter()
-            .map(|body| scope.spawn(|| post(&addr, "/v1/batch", body)))
-            .collect();
-        while !posts.iter().all(|p| p.is_finished()) {
-            let [inflight, borrowed] = metrics(&addr, "queue", ["inflight", "borrowed"]);
-            assert!(
-                inflight + borrowed <= 2.0,
-                "{inflight} jobs and {borrowed} helpers on two slots"
-            );
-            overlapped |= inflight == 2.0;
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let joined = posts.into_iter().map(|p| p.join().expect("client thread"));
-        joined.map(|r| r.expect("batch")).collect()
+    // A lone batch of two slow shared-domain runs takes one slot and runs
+    // them one after the other on its own thread…
+    let batch = "{\"workloads\":[\"Nginx\",\"Nginx\"],\"insts\":50000000,\"cores\":4}";
+    let short = "{\"workload\":\"557.xz\",\"insts\":1000000}";
+    let began = Instant::now();
+    let batch_addr = addr.clone();
+    let slow = std::thread::spawn(move || {
+        let body = post(&batch_addr, "/v1/batch", batch);
+        (body, began.elapsed())
     });
-    assert!(overlapped, "the two jobs never ran at once");
-    assert_eq!(metrics(&addr, "queue", ["borrowed"]), [0.0]);
-    for (body, got) in bodies.iter().zip(&got) {
-        let (job, _) = api::parse_batch(body).expect("valid batch");
-        let direct = api::execute(&job, Threads::Fixed(1), api::Deadline(None)).expect("direct");
-        assert_eq!(got, &direct, "{body}");
-    }
+    await_queue(&addr, "inflight", 1.0, &slow, "it was seen running");
+    // …so a short job takes the other slot at once instead of waiting for
+    // a run the batch fanned out onto it.
+    let sent = Instant::now();
+    let got = post(&addr, "/v1/simulate", short).expect("simulate");
+    let waited = sent.elapsed();
+    assert!(
+        !slow.is_finished(),
+        "the batch ended before the short job was answered"
+    );
+    let (body, batch_took) = slow.join().expect("batch thread");
+    let body = body.expect("batch");
+    assert!(
+        waited * 4 < batch_took,
+        "the short job took {waited:?} beside a {batch_took:?} batch"
+    );
+    let (job, _) = api::parse_batch(batch).expect("valid batch");
+    let direct = api::execute(&job, Threads::Fixed(1), api::Deadline(None)).expect("direct");
+    assert_eq!(body, direct, "{batch}");
+    let (job, _) = api::parse_simulate(short).expect("valid simulate");
+    let direct = api::execute(&job, Threads::Fixed(1), api::Deadline(None)).expect("direct");
+    assert_eq!(got, direct, "{short}");
     stop(handle, join);
 }
 
